@@ -20,10 +20,11 @@ The dual norm is the support function of the unit ball,
     F*(a) = sup { a(v) : F(v) <= 1 },
 
 and the Legendre transform L* sends a covector a to the unique vector v with
-F(v) = F*(a) and a(v) = F*(a)^2.  Euclidean and 1D variants use closed forms;
-Randers duality is computed numerically (directional sampling plus a local
-ascent polish) so that the closed-form Randers dual remains available as an
-independent cross-check in the tests.
+F(v) = F*(a) and a(v) = F*(a)^2.  All three variants evaluate the dual, the
+Legendre transform and the metric tensor in closed form, vectorized over
+(M, dim) stacks; the Randers formulas hold in every dimension.  The tests
+check them against dense sampling of the indicatrix and finite-difference
+Hessians.
 
 All operations are pure functions of immutable inputs and safe to call from
 any number of threads.
@@ -55,7 +56,8 @@ LEGENDRE_TOL = 1e-10
 
 
 class LegendreError(RuntimeError):
-    """Raised when the Legendre identities fail post-hoc verification."""
+    """Raised when a norm is not strongly convex: the Legendre identities
+    fail post-hoc verification, or a Randers drift |b|_{A^-1} reaches 1."""
 
 
 def _as_vector(v, dim: int) -> np.ndarray:
@@ -270,19 +272,21 @@ class RandersNorm(MinkowskiNorm):
     """F(v) = sqrt(v' A v) + b.v, non-reversible for b != 0.
 
     Strong convexity requires |b|_{A^-1} < 1; construction rejects anything
-    above RANDERS_MAX_DRIFT.  Duality and the Legendre transform have no
-    closed form here by design: they are computed by maximizing a(v) over
-    the F-unit sphere (coarse angular sampling, then golden-section polish),
-    and the metric tensor by a symmetrized, Richardson-extrapolated central
-    finite-difference Hessian of F^2 with base step 1e-3 * F(v).
+    above RANDERS_MAX_DRIFT.  Every operation has a closed form in any
+    dimension (Bao-Chern-Shen 2000, Shen 2001).  With lam = 1 - |b|^2_{A^-1},
+    z = A^-1 a and beta* = b.z, the dual is again a Randers norm,
+
+        F*(a) = (s - beta*) / lam,      s = sqrt(lam a.z + beta*^2),
+
+    and the Legendre transform L*(a) = F*(a) grad F*(a) simplifies to
+    (F*/s)(z - F* A^-1 b).  With alpha = sqrt(v' A v) and l = A v/alpha + b,
+
+        g_v = (F/alpha) (A - A v v' A / alpha^2) + l l'.
     """
 
     A: np.ndarray
     b: np.ndarray
     _Ainv: np.ndarray = field(init=False, repr=False, compare=False)
-
-    _COARSE_SAMPLES = 256
-    _FD_REL_STEP = 1e-3
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -320,231 +324,50 @@ class RandersNorm(MinkowskiNorm):
         V = np.asarray(V, dtype=float)
         return np.sqrt(np.einsum("mi,ij,mj->m", V, self.A, V)) + V @ self.b
 
-    # -- numeric duality ---------------------------------------------------
+    # -- closed-form duality --------------------------------------------------
 
-    def _support_objective(self, a: np.ndarray):
-        """phi(theta) = a(u)/F(u) and its analytic theta-derivative."""
-
-        def phi(theta: float) -> float:
-            u = np.array([np.cos(theta), np.sin(theta)])
-            return float(a @ u) / self(u)
-
-        def dphi(theta: float) -> float:
-            u = np.array([np.cos(theta), np.sin(theta)])
-            du = np.array([-np.sin(theta), np.cos(theta)])
-            f = self(u)
-            grad_f = self.A @ u / np.sqrt(u @ self.A @ u) + self.b
-            return (float(a @ du) - float(a @ u) / f * float(grad_f @ du)) / f
-
-        return phi, dphi
-
-    def _maximize_support(self, a: np.ndarray):
-        """Return (F*(a), unit-sphere maximizer): coarse angular sampling,
-        golden-section bracketing, then a secant polish on the derivative
-        (the flat maximum localizes theta only to sqrt(eps) without it)."""
-        if self.dim == 1:
-            cand = [np.array([1.0]) / self(np.array([1.0])),
-                    np.array([-1.0]) / self(np.array([-1.0]))]
-            vals = [float(a @ u) for u in cand]
-            k = int(np.argmax(vals))
-            return vals[k], cand[k]
-        if self.dim != 2:
-            raise NotImplementedError("Randers duality implemented for dim <= 2")
-        phi, dphi = self._support_objective(a)
-        K = self._COARSE_SAMPLES
-        thetas = 2.0 * np.pi * np.arange(K) / K
-        U = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        norms_u = self.values(U)
-        if not np.all(norms_u > 0):
-            raise LegendreError("norm is not positive on the unit sphere; "
-                                "input violates strong convexity")
-        vals = (U @ a) / norms_u
-        k = int(np.argmax(vals))
-        lo, hi = thetas[k] - 2.0 * np.pi / K, thetas[k] + 2.0 * np.pi / K
-        inv_gr = (np.sqrt(5.0) - 1.0) / 2.0
-        c = hi - inv_gr * (hi - lo)
-        d = lo + inv_gr * (hi - lo)
-        fc, fd = phi(c), phi(d)
-        for _ in range(40):
-            if fc > fd:
-                hi, d, fd = d, c, fc
-                c = hi - inv_gr * (hi - lo)
-                fc = phi(c)
-            else:
-                lo, c, fc = c, d, fd
-                d = lo + inv_gr * (hi - lo)
-                fd = phi(d)
-        t0, t1 = c, d
-        g0, g1 = dphi(t0), dphi(t1)
-        for _ in range(60):
-            if g1 == g0:
-                break
-            t2 = t1 - g1 * (t1 - t0) / (g1 - g0)
-            if not (lo - 1.0 <= t2 <= hi + 1.0):
-                break
-            t0, g0, t1, g1 = t1, g1, t2, dphi(t2)
-            if abs(g1) < 1e-15 * (1.0 + abs(a).max()):
-                break
-        theta = t1 if abs(g1) < abs(g0) else t0
-        u = np.array([np.cos(theta), np.sin(theta)])
-        u = u / self(u)
-        return float(a @ u), u
+    def _duals(self, A_: np.ndarray):
+        """(z, s, F*) per row of A_; lam <= 0 means no strongly convex dual."""
+        lam = 1.0 - float(self.b @ self._Ainv @ self.b)
+        if not lam > 0:
+            raise LegendreError(f"Randers drift |b|_(A^-1) >= 1 (lam = {lam:.3g}); "
+                                "input norm is not strongly convex")
+        A_ = np.asarray(A_, dtype=float)
+        Z = A_ @ self._Ainv
+        beta = Z @ self.b
+        s = np.sqrt(lam * np.einsum("mi,mi->m", A_, Z) + beta * beta)
+        return Z, s, (s - beta) / lam
 
     def dual(self, a) -> float:
         a = _as_vector(a, self.dim)
-        if not np.any(a):
-            return 0.0
-        val, _ = self._maximize_support(a)
-        return val
-
-    def _dual_sq_gradient(self, a: np.ndarray) -> np.ndarray:
-        """Central-difference gradient of (F*)^2; initializer for legendre."""
-        step = max(self.dual(a), 1.0) * 1e-5
-        g = np.zeros(self.dim)
-        for j in range(self.dim):
-            e = np.zeros(self.dim)
-            e[j] = step
-            g[j] = (self.dual(a + e) ** 2 - self.dual(a - e) ** 2) / (2 * step)
-        return g
+        return float(self._duals(a[None, :])[2][0])
 
     def legendre(self, a) -> np.ndarray:
         a = _as_vector(a, self.dim)
         if not np.any(a):
             return np.zeros(self.dim)
-        v0 = 0.5 * self._dual_sq_gradient(a)
-        fstar, u = self._maximize_support(a)
-        v = fstar * u
-        # the FD coordinate formula must agree with the polished maximizer;
-        # disagreement signals a non-strongly-convex input
-        if np.linalg.norm(v - v0) > 1e-3 * (1.0 + np.linalg.norm(v)):
-            raise LegendreError(
-                "coordinate-formula and support-maximizer Legendre values disagree"
-            )
-        return self._verify_legendre(a, v)
-
-    # -- vectorized duality over covector stacks ----------------------------
-
-    def _support_maximize_many(self, A_: np.ndarray):
-        """Per-row (F*(a), unit-sphere maximizer) for nonzero rows of A_.
-
-        Same algorithm as the scalar path (coarse angular grid, golden
-        bracketing, secant polish on the analytic derivative), run
-        branchlessly across all rows; the scalar path keeps its extra
-        coordinate-formula cross-check and is the reference in the tests.
-        """
-        if self.dim != 2:
-            raise NotImplementedError("vectorized Randers duality is 2D")
-        M = A_.shape[0]
-        K = self._COARSE_SAMPLES
-        thetas = 2.0 * np.pi * np.arange(K) / K
-        U = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        norms_u = self.values(U)
-        if not np.all(norms_u > 0):
-            raise LegendreError("norm is not positive on the unit sphere; "
-                                "input violates strong convexity")
-        vals = (A_ @ U.T) / norms_u[None, :]
-        k = np.argmax(vals, axis=1)
-        lo = thetas[k] - 2.0 * np.pi / K
-        hi = thetas[k] + 2.0 * np.pi / K
-
-        def phi(theta):
-            u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-            return np.einsum("mi,mi->m", A_, u) / self.values(u)
-
-        def dphi(theta):
-            u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-            du = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
-            f = self.values(u)
-            quad = np.sqrt(np.einsum("mi,ij,mj->m", u, self.A, u))
-            grad = (u @ self.A) / quad[:, None] + self.b[None, :]
-            a_u = np.einsum("mi,mi->m", A_, u)
-            return (np.einsum("mi,mi->m", A_, du)
-                    - a_u / f * np.einsum("mi,mi->m", grad, du)) / f
-
-        # stop golden while function comparisons are still above noise level,
-        # then let the derivative secant do the fine localization
-        inv_gr = (np.sqrt(5.0) - 1.0) / 2.0
-        c = hi - inv_gr * (hi - lo)
-        d = lo + inv_gr * (hi - lo)
-        fc, fd = phi(c), phi(d)
-        for _ in range(25):
-            take = fc > fd
-            hi = np.where(take, d, hi)
-            lo = np.where(take, lo, c)
-            c = hi - inv_gr * (hi - lo)
-            d = lo + inv_gr * (hi - lo)
-            fc, fd = phi(c), phi(d)
-        t0, t1 = c, d
-        g0, g1 = dphi(t0), dphi(t1)
-        span0 = 2.0 * np.pi / K
-        for _ in range(60):
-            denom = g1 - g0
-            safe = np.abs(denom) > 0
-            step = np.where(safe, g1 * (t1 - t0) / np.where(safe, denom, 1.0), 0.0)
-            step = np.clip(step, -span0, span0)
-            t2 = t1 - step
-            t0, g0 = t1, g1
-            t1 = t2
-            g1 = dphi(t1)
-            if np.max(np.abs(g1)) < 1e-15 * (1.0 + np.max(np.abs(A_))):
-                break
-        pick = np.abs(g1) < np.abs(g0)
-        theta = np.where(pick, t1, t0)
-        u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        u = u / self.values(u)[:, None]
-        fstar = np.einsum("mi,mi->m", A_, u)
-        return fstar, u
+        return self._verify_legendre(a, self.legendre_map(a[None, :])[0])
 
     def dual_sq_values(self, A_):
-        A_ = np.asarray(A_, dtype=float)
-        if self.dim != 2:
-            return super().dual_sq_values(A_)
-        out = np.zeros(A_.shape[0])
-        nz = np.any(A_ != 0.0, axis=1)
-        if np.any(nz):
-            fstar, _ = self._support_maximize_many(A_[nz])
-            out[nz] = fstar**2
-        return out
+        return self._duals(A_)[2] ** 2
 
     def legendre_map(self, A_):
-        A_ = np.asarray(A_, dtype=float)
-        if self.dim != 2:
-            return super().legendre_map(A_)
-        out = np.zeros_like(A_)
-        nz = np.any(A_ != 0.0, axis=1)
-        if np.any(nz):
-            fstar, u = self._support_maximize_many(A_[nz])
-            out[nz] = fstar[:, None] * u
-        return out
+        Z, s, fstar = self._duals(A_)
+        ratio = np.divide(fstar, s, out=np.zeros_like(s), where=s > 0)
+        return ratio[:, None] * (Z - fstar[:, None] * (self._Ainv @ self.b))
 
-    def _fd_hessians(self, V: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Central-difference Hessians of F^2/2 across rows of V, step h."""
-        n = self.dim
-        G = np.zeros((V.shape[0], n, n))
-        for i in range(n):
-            for j in range(n):
-                ei = np.zeros(n); ei[i] = 1.0
-                ej = np.zeros(n); ej[j] = 1.0
-                G[:, i, j] = (
-                    self.values(V + h * (ei + ej)) ** 2
-                    - self.values(V + h * (ei - ej)) ** 2
-                    - self.values(V - h * (ei - ej)) ** 2
-                    + self.values(V - h * (ei + ej)) ** 2
-                ) / (8.0 * h[:, 0] ** 2)
-        return 0.5 * (G + np.transpose(G, (0, 2, 1)))
+    # -- metric tensor ----------------------------------------------------------
 
     def metric_tensors(self, V: np.ndarray) -> np.ndarray:
-        """Vectorized metric tensors across rows of V (all rows nonzero).
-
-        One Richardson step on the central-difference Hessian of F^2/2
-        (steps h and 2h, h = 1e-3 F(v)) removes the leading truncation term;
-        plain second-order differences miss the g_v(v,v) = F^2(v) identity
-        at the 1e-8 level for unlucky directions."""
+        """Metric tensors g_v across rows of V (all rows nonzero)."""
         V = np.asarray(V, dtype=float)
-        h = (self._FD_REL_STEP * self.values(V))[:, None]
-        G1 = self._fd_hessians(V, h)
-        G2 = self._fd_hessians(V, 2.0 * h)
-        return (4.0 * G1 - G2) / 3.0
+        AV = V @ self.A
+        alpha = np.sqrt(np.einsum("mi,mi->m", V, AV))
+        U = AV / alpha[:, None]
+        ell = U + self.b
+        ratio = 1.0 + (V @ self.b) / alpha
+        return (ratio[:, None, None] * (self.A - U[:, :, None] * U[:, None, :])
+                + ell[:, :, None] * ell[:, None, :])
 
     def metric_tensor(self, v) -> np.ndarray:
         v = _as_vector(v, self.dim)
@@ -553,7 +376,7 @@ class RandersNorm(MinkowskiNorm):
         return self.metric_tensors(v[None, :])[0]
 
     def inverse_metric_tensors(self, V):
-        return np.linalg.inv(self.metric_tensors(np.asarray(V, dtype=float)))
+        return np.linalg.inv(self.metric_tensors(V))
 
     def reverse(self) -> "RandersNorm":
         return RandersNorm(self.A, -self.b)
@@ -563,8 +386,10 @@ def uniform_smoothness(norm: MinkowskiNorm, n_samples: int = 256) -> float:
     """Uniform smoothness constant: sup of g_v(w,w)/F(w)^2 over unit v, w.
 
     Exactly 1.0 for Euclidean norms (the inner-product case), max(a/b, b/a)^2
-    for the 1D two-slope norm; otherwise a sampled supremum over nested
-    direction grids, hence monotone nondecreasing under sample refinement.
+    for the 1D two-slope norm and ((1 + e)/(1 - e))^2 with e = |b|_{A^-1}
+    for Randers norms, attained at v = -w along the A^-1 direction of b.
+    Any other norm gets a sampled supremum over nested direction grids: a
+    lower bound, monotone nondecreasing under sample refinement.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
@@ -573,12 +398,12 @@ def uniform_smoothness(norm: MinkowskiNorm, n_samples: int = 256) -> float:
     if isinstance(norm, AsymNorm1D):
         r = norm.alpha / norm.beta
         return float(max(r, 1.0 / r) ** 2)
+    if isinstance(norm, RandersNorm):
+        e = float(np.sqrt(norm.b @ norm._Ainv @ norm.b))
+        return ((1.0 + e) / (1.0 - e)) ** 2
     dirs = unit_sphere_directions(norm.dim, n_samples)
     U = dirs / norm.values(dirs)[:, None]
-    if isinstance(norm, RandersNorm):
-        G = norm.metric_tensors(U)
-    else:
-        G = np.stack([norm.metric_tensor(u) for u in U])
+    G = np.stack([norm.metric_tensor(u) for u in U])
     quad = np.einsum("kij,li,lj->kl", G, U, U)
     f2 = norm.values(U) ** 2  # == 1 up to rounding; keep for safety
     return float(np.max(quad / f2[None, :]))

@@ -5,6 +5,8 @@ from finslergamma import (AsymNorm1D, EuclideanNorm, RandersNorm,
                           uniform_smoothness)
 
 RANDERS = RandersNorm(np.eye(2), (0.5, 0.0))
+# non-diagonal A and an oblique drift, |b|_{A^-1} ~ 0.92
+RANDERS_GEN = RandersNorm(np.array([[2.0, 0.7], [0.7, 1.0]]), (0.6, -0.5))
 ASYM = AsymNorm1D(2.0, 1.0)
 EUCLID2 = EuclideanNorm(np.eye(2))
 
@@ -196,3 +198,102 @@ def test_degenerate_input_raises_legendre_error():
     object.__setattr__(broken, "_Ainv", np.eye(2))
     with pytest.raises(LegendreError):
         broken.legendre((-1.0, 0.2))
+    covectors = np.array([[-1.0, 0.2], [0.3, 0.4]])
+    with pytest.raises(LegendreError):
+        broken.dual_sq_values(covectors)
+    with pytest.raises(LegendreError):
+        broken.legendre_map(covectors)
+
+
+# -- closed-form Randers geometry against independent oracles ---------------
+
+def _fd_hessian(f, x, h):
+    """Richardson-extrapolated central-difference Hessian of scalar f at x."""
+    def central(h):
+        n = len(x)
+        H = np.zeros((n, n))
+        for i in range(n):
+            for j in range(n):
+                ei, ej = h * np.eye(n)[i], h * np.eye(n)[j]
+                H[i, j] = (f(x + ei + ej) - f(x + ei - ej)
+                           - f(x - ei + ej) + f(x - ei - ej)) / (4 * h * h)
+        return H
+    return (4.0 * central(h) - central(2.0 * h)) / 3.0
+
+
+def _indicatrix(norm, n_dirs):
+    theta = np.linspace(0, 2 * np.pi, n_dirs + 1)[:-1]
+    U = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    return U / norm.values(U)[:, None]
+
+
+def test_randers_general_dual_matches_dense_sampling():
+    U = _indicatrix(RANDERS_GEN, 20000)
+    rng = np.random.default_rng(8)
+    A_ = rng.standard_normal((8, 2))
+    sampled = np.max(A_ @ U.T, axis=1)
+    fstar = np.sqrt(RANDERS_GEN.dual_sq_values(A_))
+    # sampling the indicatrix gives a lower bound; its gap, quadratic in the
+    # angular step, reaches ~3e-7 relative on this stretched indicatrix
+    assert np.all(sampled <= fstar * (1 + 1e-12))
+    assert np.allclose(fstar, sampled, rtol=1e-6)
+    for a, f in zip(A_, fstar):
+        assert RANDERS_GEN.dual(a) == pytest.approx(f, rel=1e-14)
+
+
+def test_randers_general_legendre_identities_vectorized():
+    rng = np.random.default_rng(9)
+    A_ = rng.standard_normal((200, 2)) * rng.uniform(0.01, 100.0, (200, 1))
+    V = RANDERS_GEN.legendre_map(A_)
+    fstar_sq = RANDERS_GEN.dual_sq_values(A_)
+    assert np.allclose(RANDERS_GEN.values(V) ** 2, fstar_sq, rtol=1e-12)
+    assert np.allclose(np.einsum("mi,mi->m", A_, V), fstar_sq, rtol=1e-12)
+
+
+def test_randers_general_metric_matches_fd_hessian():
+    rng = np.random.default_rng(10)
+    for _ in range(6):
+        v = rng.standard_normal(2)
+        G_fd = _fd_hessian(lambda x: 0.5 * RANDERS_GEN(x) ** 2, v,
+                           1e-3 * RANDERS_GEN(v))
+        G = RANDERS_GEN.metric_tensor(v)
+        assert np.allclose(G, G_fd, rtol=1e-7, atol=1e-8 * np.abs(G).max())
+        assert float(v @ G @ v) == pytest.approx(RANDERS_GEN(v) ** 2, rel=1e-12)
+
+
+def test_randers_general_inverse_metric_is_dual_hessian():
+    # g*_a = Hess(F*^2/2)(a) equals inv(g_v) at v = L*(a)
+    rng = np.random.default_rng(11)
+    A_ = rng.standard_normal((6, 2))
+    Ginv = RANDERS_GEN.inverse_metric_tensors(RANDERS_GEN.legendre_map(A_))
+    dual_half_sq = lambda x: 0.5 * RANDERS_GEN.dual_sq_values(x[None, :])[0]
+    for a, gstar in zip(A_, Ginv):
+        H = _fd_hessian(dual_half_sq, a, 1e-3 * RANDERS_GEN.dual(a))
+        assert np.allclose(gstar, H, rtol=1e-7, atol=1e-8 * np.abs(H).max())
+
+
+@pytest.mark.parametrize("a, b", [(4.0, 0.5), (0.25, -0.3)])
+def test_randers_1d_matches_two_slope_norm(a, b):
+    randers = RandersNorm([[a]], (b,))
+    twoslope = AsymNorm1D(np.sqrt(a) + b, np.sqrt(a) - b)
+    X = np.array([[-2.5], [-0.3], [0.7], [4.0]])
+    assert np.allclose(randers.values(X), twoslope.values(X), rtol=1e-14)
+    assert np.allclose(randers.dual_sq_values(X), twoslope.dual_sq_values(X), rtol=1e-13)
+    assert np.allclose(randers.legendre_map(X), twoslope.legendre_map(X), rtol=1e-13)
+    assert np.allclose(randers.inverse_metric_tensors(X),
+                       twoslope.inverse_metric_tensors(X), rtol=1e-13)
+    for x in X:
+        assert randers.dual(x) == pytest.approx(twoslope.dual(x), rel=1e-13)
+        assert randers.legendre(x) == pytest.approx(twoslope.legendre(x), rel=1e-13)
+    assert uniform_smoothness(randers) == pytest.approx(uniform_smoothness(twoslope),
+                                                        rel=1e-13)
+
+
+def test_randers_uniform_smoothness_closed_form_bounds_dense_sampling():
+    # the closed form is the supremum: dense sampling approaches it from below
+    U = _indicatrix(RANDERS_GEN, 2048)
+    G = RANDERS_GEN.metric_tensors(U)
+    sampled = float(np.max(np.einsum("kij,li,lj->kl", G, U, U)))
+    sf = uniform_smoothness(RANDERS_GEN)
+    assert sampled <= sf * (1 + 1e-12)
+    assert sampled == pytest.approx(sf, rel=1e-4)
