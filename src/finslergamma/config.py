@@ -41,11 +41,25 @@ def _expect_mapping(obj, path: str, allowed: set, required: set = frozenset()):
 
 
 def _number(obj, path: str, allow_inf: bool = False) -> float:
+    """A finite number; +-inf too where ``allow_inf`` is set, never NaN."""
     if allow_inf and obj in ("inf", "Infinity"):
         return math.inf
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         _fail(path, f"expected a number, got {obj!r}")
-    return float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:
+        value = math.inf
+    if math.isnan(value) or (math.isinf(value) and not allow_inf):
+        _fail(path, f"expected a finite number, got {obj!r}")
+    return value
+
+
+def _integer(obj, path: str, minimum: int) -> int:
+    value = _number(obj, path)
+    if not value.is_integer() or value < minimum:
+        _fail(path, f"expected an integer >= {minimum}, got {obj!r}")
+    return int(value)
 
 
 def _parse_norm(obj, path: str) -> MinkowskiNorm:
@@ -155,10 +169,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
                               f"available: {sorted(CHECKER_IDS)}")
 
     bank = _expect_mapping(doc.get("bank", {}), "bank", {"seed", "size"})
-    bank_seed = int(_number(bank.get("seed", 0), "bank.seed"))
-    bank_size = int(_number(bank.get("size", 12), "bank.size"))
-    if bank_size < 1:
-        _fail("bank.size", "must be >= 1")
+    bank_seed = _integer(bank.get("seed", 0), "bank.seed", 0)
+    bank_size = _integer(bank.get("size", 12), "bank.size", 1)
 
     flow = None
     if "flow" in doc:
@@ -172,11 +184,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
             tau=_number(fobj["tau"], "flow.tau"),
             t_end=_number(fobj["t_end"], "flow.t_end"),
             tol=_number(fobj.get("tol", 1e-10), "flow.tol"),
-            max_iter=int(_number(fobj.get("max_iter", 50), "flow.max_iter")),
-            stride=int(_number(fobj.get("stride", 1), "flow.stride")),
+            max_iter=_integer(fobj.get("max_iter", 50), "flow.max_iter", 1),
+            stride=_integer(fobj.get("stride", 1), "flow.stride", 1),
         )
-        if flow.tau <= 0 or flow.t_end <= 0:
-            _fail("flow", "tau and t_end must be positive")
+        for key in ("tau", "t_end", "tol"):
+            if getattr(flow, key) <= 0:
+                _fail(f"flow.{key}", "must be positive")
 
     iobj = _expect_mapping(doc.get("identities", {}), "identities",
                            {"resolutions", "a_values", "h_expr"})

@@ -4,7 +4,8 @@ import pytest
 from finslergamma import (Domain, DiffOperators, EuclideanNorm, RandersNorm,
                           build_space, integrate, operators_for)
 
-from conftest import asym21, euclid, gauss_interval, uniform_circle
+from conftest import (asym21, euclid, gauss_interval, oblique_randers,
+                      summed_products_matrix, uniform_circle)
 
 
 def max_interior(ops, values):
@@ -136,14 +137,47 @@ def test_linearized_operators():
 
 
 def test_linearized_laplacian_matrix_matches_operator():
-    sp = gauss_interval(asym21(), res=96)
-    ops = operators_for(sp)
-    f = sp.coords[:, 0] + 0.3 * np.sin(sp.coords[:, 0])
-    L = ops.linearized_laplacian_matrix(f)
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        u = rng.standard_normal(sp.n_nodes)
-        assert np.allclose(L @ u, ops.linearized_laplacian(f, u), atol=1e-10)
+    box = build_space(Domain("box", (2.0, 2.0), (14, 12)), oblique_randers(),
+                      "(x**2 + y**2)/2")
+    for sp in (gauss_interval(asym21(), res=96), box):
+        ops = operators_for(sp)
+        x = sp.coords[:, 0]
+        f = x + 0.3 * np.sin(x) + 0.2 * np.cos(sp.coords[:, -1])
+        L = ops.linearized_laplacian_matrix(f)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            u = rng.standard_normal(sp.n_nodes)
+            assert np.allclose(L @ u, ops.linearized_laplacian(f, u), atol=1e-10)
+
+
+@pytest.mark.parametrize("geometry, norm, resolution", [
+    ("interval", asym21, (64,)),
+    ("circle", asym21, (48,)),
+    ("box", oblique_randers, (16, 16)),
+    ("torus", oblique_randers, (12, 15)),
+])
+def test_linearized_laplacian_matrix_equals_summed_products(geometry, norm, resolution):
+    sp = build_space(Domain(geometry, (2.0,) * len(resolution), resolution), norm(), "0")
+    ops = DiffOperators(sp)
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal(sp.n_nodes)
+    f.reshape(resolution)[tuple(slice(3, 9) for _ in resolution)] = 0.4  # flat patch
+    assert np.any(ops._degenerate(ops.differential(f)))  # fallback rows covered
+    stored_zeros = 0
+    # a linear field has parallel gradients, whose cross terms cancel exactly
+    # along a box edge: those entries are stored zeros the products prune
+    for g in (f, np.sin(3 * f), sp.coords[:, 0]):
+        L = ops.linearized_laplacian_matrix(g)
+        stored_zeros += np.count_nonzero(L.data == 0)
+        oracle = summed_products_matrix(ops, g)
+        assert L.format == "csc"
+        assert np.array_equal(L.toarray(), oracle.toarray())
+        pruned = L.copy()
+        pruned.eliminate_zeros()  # pruned, even the structure is the products'
+        assert np.array_equal(pruned.indptr, oracle.indptr)
+        assert np.array_equal(pruned.indices, oracle.indices)
+        assert np.array_equal(pruned.data, oracle.data)
+    assert stored_zeros > 0 or geometry != "box"
 
 
 def test_gamma2_oracles():

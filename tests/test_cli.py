@@ -149,3 +149,29 @@ def test_unknown_checker_is_config_error(tmp_path):
     doc["checkers"] = ["poincare", "bogus"]
     cfg = write_config(tmp_path, doc)
     assert main(["ineq", "check", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("stride", 0),
+    ("tol", 0),
+    ("tau", float("nan")),
+    ("t_end", float("inf")),
+    ("max_iter", 2.7),
+    ("max_iter", 0),
+    ("tau", -1e-3),
+])
+def test_bad_flow_values_are_config_errors(tmp_path, capsys, key, value):
+    doc = dict(ASYM_GAUSS)
+    doc["flow"] = {"u0": "1 + 0.2*x", "tau": 1e-2, "t_end": 0.1, key: value}
+    cfg = write_config(tmp_path, doc)
+    assert main(["flow", "run", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"'flow.{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("size", 2.5), ("seed", -1)])
+def test_bad_bank_values_are_config_errors(tmp_path, capsys, key, value):
+    doc = dict(ASYM_GAUSS)
+    doc["bank"] = {key: value}
+    cfg = write_config(tmp_path, doc)
+    assert main(["space", "describe", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"'bank.{key}'" in capsys.readouterr().err

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 
-from finslergamma import (FlowParams, FlowSolverError, check_dEdt_identity,
-                          decay_rates, evolve, integrate, observables,
-                          operators_for, step)
-from finslergamma.heatflow import RATE_SENTINEL
+from finslergamma import (DiffOperators, Domain, FlowParams, FlowSolverError,
+                          build_space, check_dEdt_identity, decay_rates, evolve,
+                          integrate, observables, operators_for, step)
+from finslergamma import calculus
+from finslergamma.heatflow import RATE_SENTINEL, _l2m_norm
+from finslergamma.space import scalar_field_from_expression
 
-from conftest import asym21, euclid, gauss_interval, uniform_circle
+from conftest import (asym21, euclid, gauss_interval, oblique_randers,
+                      summed_products_matrix, uniform_circle)
 
 
 def test_constant_is_fixed_point():
@@ -174,3 +179,75 @@ def test_randers_2d_flow_smoke():
     states = evolve(ops, u0, FlowParams(tau=1e-3, t_end=1e-2, stride=2))
     assert states[-1].variance < states[0].variance
     assert abs(integrate(sp, states[-1].u) - integrate(sp, states[0].u)) < 1e-12
+
+
+def summed_products_step(ops, u, tau, tol=1e-10, max_iter=50):
+    """``step`` with J = I - tau L assembled as a sparse sum, L included."""
+    space = ops.space
+    mass0 = integrate(space, u)
+    v = u.copy()
+    ident = sparse.identity(space.n_nodes, format="csr")
+    res = v - u - tau * ops.laplacian(v)
+    rnorm = _l2m_norm(space, res)
+    for _ in range(max_iter):
+        if rnorm <= tol:
+            break
+        J = ident - tau * summed_products_matrix(ops, v)
+        dv = spla.spsolve(sparse.csc_matrix(J), -res)
+        s = 1.0
+        while True:
+            trial = v + s * dv
+            tres = trial - u - tau * ops.laplacian(trial)
+            tnorm = _l2m_norm(space, tres)
+            if tnorm <= (1.0 - 0.25 * s) * rnorm or s < 1.0 / 64:
+                v, res, rnorm = trial, tres, tnorm
+                break
+            s *= 0.5
+    assert rnorm <= tol
+    return v + (mass0 - integrate(space, v))
+
+
+@pytest.mark.parametrize("space, u0, tau", [
+    (lambda: gauss_interval(asym21(), res=96), "1 + 0.2*x + 0.1*sin(3*x)", 2e-3),
+    (lambda: gauss_interval(asym21(), res=96), "1 + 0.3*sin(3*x)", 0.5),
+    (lambda: build_space(Domain("box", (2.0, 2.0), (24, 24)), oblique_randers(),
+                         "(x**2 + y**2)/2"), "1 + 0.2*x", 1e-3),
+    # the Jacobians' exact zeros change SuperLU's rounding here
+    (lambda: build_space(Domain("box", (2.0, 2.0), (24, 24)), oblique_randers(),
+                         "(x**2 + y**2)/2"), "2 + x", 0.1),
+], ids=["interval", "interval-large-tau", "randers-box", "randers-box-pruned"])
+def test_step_is_bit_identical_to_summed_products(space, u0, tau):
+    sp = space()
+    ops = DiffOperators(sp)
+    u = scalar_field_from_expression(sp, u0)
+    for _ in range(4):
+        v = step(ops, u, tau)
+        assert np.array_equal(v, summed_products_step(ops, u, tau))
+        u = v
+
+
+def test_step_builds_the_jacobian_pattern_once(monkeypatch):
+    builds = []
+
+    def counting(*args):
+        builds.append(1)
+        return build(*args)
+
+    build = calculus._linearized_pattern
+    monkeypatch.setattr(calculus, "_linearized_pattern", counting)
+    sp = gauss_interval(asym21(), res=64)
+    ops = DiffOperators(sp)
+    u = 1.0 + 0.3 * np.sin(3 * sp.coords[:, 0])
+    for _ in range(3):
+        u = step(ops, u, 1e-2)
+    assert len(builds) == 1
+    pattern = ops.linearized_pattern
+    for f in (u, u * u):
+        L = ops.linearized_laplacian_matrix(f)
+        assert np.shares_memory(L.indices, pattern.indices)
+        assert np.shares_memory(L.indptr, pattern.indptr)
+    with pytest.raises(ValueError):
+        L.eliminate_zeros()  # the shared pattern is read-only
+    assert len(builds) == 1
+    assert DiffOperators(sp).linearized_pattern is not pattern
+    assert len(builds) == 2
