@@ -18,6 +18,7 @@ seed: keys are sorted and floats rendered with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -30,7 +31,7 @@ from .curvature import admissible_N, effective_K
 from .heatflow import FlowParams, check_dEdt_identity, decay_rates, evolve
 from .inequalities import make_test_bank, run_checker_matrix
 from .norms import uniform_smoothness
-from .space import Domain, build_space, integrate
+from .space import Domain, integrate
 
 __all__ = ["main"]
 
@@ -108,6 +109,14 @@ def _report_to_dict(rep) -> dict:
     }
 
 
+def _expression_field(space, expr: str, key: str) -> np.ndarray:
+    """``expr`` on the grid of ``space``; a bad expression is a config error."""
+    try:
+        return space.field_from_expression(expr)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from exc
+
+
 def _space_summary(config: ExperimentConfig, space, override_K=None) -> dict:
     k_eff = {}
     for N in config.n_values:
@@ -147,7 +156,7 @@ def cmd_flow_run(config: ExperimentConfig, out_dir: str, args) -> int:
         raise ConfigError("config key 'flow': required for `fg flow run`")
     space = config.build_space()
     ops = operators_for(space)
-    u0 = space.field_from_expression(config.flow.u0)
+    u0 = _expression_field(space, config.flow.u0, "flow.u0")
     params = FlowParams(tau=config.flow.tau, t_end=config.flow.t_end,
                         tol=config.flow.tol, max_iter=config.flow.max_iter,
                         stride=config.flow.stride)
@@ -256,10 +265,10 @@ def cmd_identities(config: ExperimentConfig, out_dir: str, args) -> int:
     L = config.domain.lengths[0]
     for res in ident.resolutions:
         domain = Domain(config.domain.geometry, config.domain.lengths, (res,))
-        space = build_space(domain, config.norm, config.psi)
+        space = dataclasses.replace(config, domain=domain).build_space()
         ops = operators_for(space)
         if ident.h_expr is not None:
-            h = space.field_from_expression(ident.h_expr)
+            h = _expression_field(space, ident.h_expr, "identities.h_expr")
         else:
             h = 0.3 * np.sin(2 * np.pi * space.coords[:, 0] / L)
         entry = {}

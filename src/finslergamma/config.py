@@ -130,7 +130,11 @@ class ExperimentConfig:
     raw: dict
 
     def build_space(self) -> WeightedSpace:
-        return build_space(self.domain, self.norm, self.psi)
+        # parse_config builds no grid, so a bad Psi expression first fails here
+        try:
+            return build_space(self.domain, self.norm, self.psi)
+        except ValueError as exc:
+            _fail("space.psi", str(exc))
 
 
 _TOP_KEYS = {"space", "n_values", "checkers", "bank", "flow", "identities",
@@ -162,6 +166,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if checkers is not None:
         if not isinstance(checkers, list) or not all(isinstance(c, str) for c in checkers):
             _fail("checkers", "expected a list of checker names")
+        if not checkers:
+            _fail("checkers", "expected at least one name (omit the key to run all)")
+        duplicates = sorted({c for c in checkers if checkers.count(c) > 1})
+        if duplicates:
+            _fail("checkers", f"duplicate checkers {duplicates}")
         from .inequalities import CHECKER_IDS
         unknown = [c for c in checkers if c not in CHECKER_IDS]
         if unknown:
@@ -190,6 +199,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         for key in ("tau", "t_end", "tol"):
             if getattr(flow, key) <= 0:
                 _fail(f"flow.{key}", "must be positive")
+        n_steps = flow.t_end / flow.tau
+        if not (math.isfinite(n_steps) and round(n_steps) >= 1):
+            _fail("flow.t_end", f"t_end / tau = {n_steps:g} must round to a step "
+                                "count >= 1")
 
     iobj = _expect_mapping(doc.get("identities", {}), "identities",
                            {"resolutions", "a_values", "h_expr"})
@@ -213,6 +226,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     tol_obj = _expect_mapping(doc.get("tolerances", {}), "tolerances", {"sweep"})
     tol_sweep = _number(tol_obj.get("sweep", 2e-2), "tolerances.sweep")
+    if tol_sweep < 0:
+        _fail("tolerances.sweep", "must be nonnegative")
 
     return ExperimentConfig(domain=domain, norm=norm, psi=psi, n_values=n_values,
                             checkers=checkers, bank_seed=bank_seed,

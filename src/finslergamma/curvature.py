@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import DiffOperators
+from .calculus import operators_for
 from .norms import unit_sphere_directions
 from .space import WeightedSpace
 
@@ -63,39 +63,30 @@ class CurvatureReport:
     n_directions: int
 
 
-class _WeightDerivatives:
-    """Cached grid derivatives of Psi (shared by ricci_N / effective_K)."""
-
-    def __init__(self, space: WeightedSpace):
-        ops = DiffOperators(space)
-        self.dpsi = ops.differential(space.psi)
-        d = space.dim
-        hess = np.zeros((space.n_nodes, d, d))
-        for b in range(d):
-            col = ops.differential(self.dpsi[:, b])
-            for a in range(d):
-                hess[:, a, b] = col[:, a]
-        # axis operators commute (tensor-product grid); symmetrize anyway
-        self.hess = 0.5 * (hess + np.transpose(hess, (0, 2, 1)))
-
-
-def _weight_derivatives(space: WeightedSpace) -> _WeightDerivatives:
+def _weight_derivatives(space: WeightedSpace) -> tuple:
+    """(D Psi, Hess Psi) at the nodes, memoized on the space."""
     cached = getattr(space, "_weight_derivatives", None)
     if cached is None:
-        cached = _WeightDerivatives(space)
+        ops = operators_for(space)
+        dpsi = ops.differential(space.psi)
+        # hess[:, a, b] = D_a (D_b Psi)
+        hess = np.stack([ops.differential(dpsi[:, b]) for b in range(space.dim)], axis=2)
+        # axis operators commute (tensor-product grid); symmetrize anyway
+        cached = (dpsi, 0.5 * (hess + np.transpose(hess, (0, 2, 1))))
         space._weight_derivatives = cached  # idempotent memo, write-once
     return cached
 
 
-def _ricci_values(space: WeightedSpace, v: np.ndarray, N: float) -> np.ndarray:
-    """Ric_N(v) at every node for one fixed direction v."""
-    wd = _weight_derivatives(space)
-    quad = np.einsum("mij,i,j->m", wd.hess, v, v)
+def _ricci_values(space: WeightedSpace, v: np.ndarray, N: float,
+                  nodes=slice(None)) -> np.ndarray:
+    """Ric_N(v) at the given nodes (default: all) for one fixed direction v."""
+    dpsi, hess = _weight_derivatives(space)
+    quad = np.einsum("mij,i,j->m", hess[nodes], v, v)
     if math.isinf(N):
         return quad
-    lin = wd.dpsi @ v
+    lin = dpsi[nodes] @ v
     if N == space.dim:
-        tol = 1e-10 * (1.0 + float(np.max(np.abs(wd.dpsi))))
+        tol = 1e-10 * (1.0 + float(np.max(np.abs(dpsi))))
         if np.any(np.abs(lin) > tol):
             raise ValueError(
                 "N equals the dimension but D Psi(v) does not vanish; "
@@ -111,20 +102,7 @@ def ricci_N(space: WeightedSpace, node: int, v, N: float) -> float:
     if not np.any(v):
         raise ValueError("Ric_N is undefined at v = 0 (and trivially 0 by scaling)")
     _require_admissible(N, space.dim)
-    wd = _weight_derivatives(space)
-    quad = float(v @ wd.hess[node] @ v)
-    if math.isinf(N):
-        return quad
-    lin = float(wd.dpsi[node] @ v)
-    if N == space.dim:
-        tol = 1e-10 * (1.0 + float(np.max(np.abs(wd.dpsi))))
-        if abs(lin) > tol:
-            raise ValueError(
-                "N equals the dimension but D Psi(v) does not vanish; "
-                "the limit correction term is undefined here"
-            )
-        return quad
-    return quad - lin**2 / (N - space.dim)
+    return float(_ricci_values(space, v, N, [node])[0])
 
 
 def _unit_directions(space: WeightedSpace, n_directions: int) -> np.ndarray:

@@ -13,7 +13,8 @@ absolute tolerance because their reference side is zero.
 
 The dimension parameter N ranges over (-inf, 0) and [n, inf] (n the grid
 dimension); the coefficient (N-1)/(K N) is read as 1/K at N = inf.  Each
-checker documents its own admissible N range.
+checker rejects N and K outside its own range; the N range and K sign the
+regression matrix runs it at are its entry in one table, ``_MATRIX``.
 
 Sign-changing test functions are routed through the positive/negative part
 device: the gradient energy of f is accumulated as the energy of f_+ under
@@ -377,10 +378,27 @@ def check_nonsharp_sobolev(space: WeightedSpace, f: np.ndarray, N: float, K: flo
     return _report("nonsharp_sobolev", N, K, lhs, rhs, tol_rel, p=p, constant=const)
 
 
-def _sobolev_difference_quotient(space: WeightedSpace, f: np.ndarray, p: float) -> float:
+def _sobolev(checker: str, space: WeightedSpace, f: np.ndarray, p: float, N: float,
+             K: float, tol_rel: float) -> CheckReport:
+    """The sharp Sobolev family at one p.  At N = inf the rhs is E / K, which
+    rounds differently from lichnerowicz_coeff(inf, K) * E."""
+    p_max = 2.0 if math.isinf(N) else 2.0 * (N + 1.0) / N
+    if not (1.0 - 1e-12 <= p <= p_max + 1e-12):
+        raise ValueError(f"{checker}: p = {p} outside [1, {p_max}]")
+    f = np.asarray(f, dtype=float)
+    if abs(p - 2.0) < 1e-9:
+        total = integrate(space, f * f)
+        if total <= 0:
+            raise ValueError(f"{checker}: zero function")
+        report = check_logsobolev(space, f * f / total, N, K, tol_rel=tol_rel)
+        return replace(report, checker=checker, metadata={
+            **report.metadata, "p": 2.0, "dispatched_from": checker})
     l2 = _lp_norm(space, f, 2.0)
     lp = _lp_norm(space, f, p)
-    return (lp * lp - l2 * l2) / (p - 2.0)
+    lhs = (lp * lp - l2 * l2) / (p - 2.0)
+    energy = gradient_energy_integral(space, f)
+    rhs = energy / K if math.isinf(N) else lichnerowicz_coeff(N, K) * energy
+    return _report(checker, N, K, lhs, rhs, tol_rel, p=p)
 
 
 def check_sobolev(space: WeightedSpace, f: np.ndarray, p: float, N: float, K: float,
@@ -392,24 +410,7 @@ def check_sobolev(space: WeightedSpace, f: np.ndarray, p: float, N: float, K: fl
     for 1 <= p <= 2(N+1)/N.  p = 2 dispatches to the log-Sobolev checker as
     the stated limit (applied to f^2 normalized to unit mass)."""
     _require_N("sobolev", N, space.dim, finite=True)
-    p_max = 2.0 * (N + 1.0) / N
-    if not (1.0 - 1e-12 <= p <= p_max + 1e-12):
-        raise ValueError(f"sobolev: p = {p} outside [1, {p_max}]")
-    f = np.asarray(f, dtype=float)
-    if abs(p - 2.0) < 1e-9:
-        total = integrate(space, f * f)
-        if total <= 0:
-            raise ValueError("sobolev: zero function")
-        report = check_logsobolev(space, f * f / total, N, K, tol_rel=tol_rel)
-        meta = dict(report.metadata)
-        meta.update(p=2.0, dispatched_from="sobolev")
-        return CheckReport(checker="sobolev", N=N, K=K, lhs=report.lhs,
-                           rhs=report.rhs, margin=report.margin,
-                           passed=report.passed, tol_rel=report.tol_rel,
-                           tol_abs=report.tol_abs, metadata=meta)
-    lhs = _sobolev_difference_quotient(space, f, p)
-    rhs = lichnerowicz_coeff(N, K) * gradient_energy_integral(space, f)
-    return _report("sobolev", N, K, lhs, rhs, tol_rel, p=p)
+    return _sobolev("sobolev", space, f, p, N, K, tol_rel)
 
 
 def check_sobolev_inf(space: WeightedSpace, f: np.ndarray, p: float, K: float,
@@ -420,25 +421,9 @@ def check_sobolev_inf(space: WeightedSpace, f: np.ndarray, p: float, K: float,
 
     where the p < 2 sign of (p - 2) keeps the quotient nonnegative.
     p = 2 dispatches to log-Sobolev at N = inf."""
-    if not (1.0 - 1e-12 <= p <= 2.0 + 1e-12):
-        raise ValueError(f"sobolev_inf: p = {p} outside [1, 2]")
     if K <= 0:
         raise ValueError("sobolev_inf needs K > 0")
-    f = np.asarray(f, dtype=float)
-    if abs(p - 2.0) < 1e-9:
-        total = integrate(space, f * f)
-        if total <= 0:
-            raise ValueError("sobolev_inf: zero function")
-        report = check_logsobolev(space, f * f / total, math.inf, K, tol_rel=tol_rel)
-        meta = dict(report.metadata)
-        meta.update(p=2.0, dispatched_from="sobolev_inf")
-        return CheckReport(checker="sobolev_inf", N=math.inf, K=K, lhs=report.lhs,
-                           rhs=report.rhs, margin=report.margin,
-                           passed=report.passed, tol_rel=report.tol_rel,
-                           tol_abs=report.tol_abs, metadata=meta)
-    lhs = _sobolev_difference_quotient(space, f, p)
-    rhs = gradient_energy_integral(space, f) / K
-    return _report("sobolev_inf", math.inf, K, lhs, rhs, tol_rel, p=p)
+    return _sobolev("sobolev_inf", space, f, p, math.inf, K, tol_rel)
 
 
 # ----------------------------------------------------------------------
@@ -542,9 +527,6 @@ class TestBank:
     def __len__(self):
         return len(self.members)
 
-    def fields(self):
-        return [f for _, f in self.members]
-
 
 def _normalize_member(space: WeightedSpace, f: np.ndarray) -> Optional[np.ndarray]:
     f = np.asarray(f, dtype=float)
@@ -615,13 +597,6 @@ def make_test_bank(space: WeightedSpace, seed: int = 0, size: int = 12) -> TestB
 # ----------------------------------------------------------------------
 # the regression matrix
 
-CHECKER_IDS = (
-    "integrated_bochner", "bochner_pointwise", "poincare", "logsobolev",
-    "gamma2_integral", "talagrand", "entropy_energy", "nash",
-    "nonsharp_sobolev", "sobolev", "sobolev_inf",
-)
-
-
 def _positive_density(space: WeightedSpace, g: np.ndarray) -> np.ndarray:
     f = 1.0 + 0.45 * g
     return f / integrate(space, f)
@@ -638,6 +613,44 @@ def _measure_from_member(space: WeightedSpace, g: np.ndarray) -> np.ndarray:
     return mu / mu.sum()
 
 
+#: the N ranges of ``_MATRIX``, applied to N already admissible on the space
+_N_RANGES = {
+    "all": lambda N: True,
+    "N > 0": lambda N: N > 0,
+    "finite N > 0": lambda N: 0 < N < math.inf,
+    "finite N > 2": lambda N: 2 < N < math.inf,
+    "N = inf": lambda N: N == math.inf,
+}
+
+# checker id -> (the N range the matrix runs it on, whether it needs K > 0,
+# the reports for one bank member g).  Each adapter looks its checker up by
+# module-level name at call time, so a wrapper set on the module is seen.
+_MATRIX = {
+    "integrated_bochner": ("all", False, lambda s, g, N, K, t: [
+        check_integrated_bochner(s, g, N, K, t)]),
+    "bochner_pointwise": ("all", False, lambda s, g, N, K, t: [
+        check_bochner_pointwise(s, g, N, K)]),
+    "poincare": ("all", True, lambda s, g, N, K, t: [check_poincare(s, g, N, K, t)]),
+    "logsobolev": ("N > 0", True, lambda s, g, N, K, t: [
+        check_logsobolev(s, _positive_density(s, g), N, K, t)]),
+    "gamma2_integral": ("N > 0", True, lambda s, g, N, K, t: [
+        check_gamma2_integral(s, 1.0 + 0.45 * g, N, K, t)]),
+    "talagrand": ("finite N > 0", True, lambda s, g, N, K, t: [
+        check_talagrand(s, _measure_from_member(s, g), N, K, t)]),
+    "entropy_energy": ("finite N > 0", True, lambda s, g, N, K, t: [
+        check_entropy_energy(s, g, N, K, t)]),
+    "nash": ("finite N > 0", True, lambda s, g, N, K, t: [check_nash(s, g, N, K, t)]),
+    "nonsharp_sobolev": ("finite N > 2", True, lambda s, g, N, K, t: [
+        check_nonsharp_sobolev(s, g, N, K, t)]),
+    "sobolev": ("finite N > 0", True, lambda s, g, N, K, t: [
+        check_sobolev(s, g, p, N, K, t) for p in _sobolev_p_grid(N)]),
+    "sobolev_inf": ("N = inf", True, lambda s, g, N, K, t: [
+        check_sobolev_inf(s, g, p, K, t) for p in (1.0, 1.5, 2.0)]),
+}
+
+CHECKER_IDS = tuple(_MATRIX)
+
+
 def run_checker_matrix(space: WeightedSpace, N_values: Sequence[float],
                        checkers: Optional[Sequence[str]] = None,
                        bank: Optional[TestBank] = None, seed: int = 0,
@@ -648,7 +661,8 @@ def run_checker_matrix(space: WeightedSpace, N_values: Sequence[float],
 
     K is taken from ``effective_K`` on this very space for each N unless
     ``override_K`` pins it (falsification runs).  Checkers are applied only
-    at their admissible N; reports come back in deterministic order."""
+    at the N range and K sign of their ``_MATRIX`` entry; reports come back
+    in deterministic order."""
     chosen = list(checkers) if checkers else list(CHECKER_IDS)
     unknown = [c for c in chosen if c not in CHECKER_IDS]
     if unknown:
@@ -659,58 +673,11 @@ def run_checker_matrix(space: WeightedSpace, N_values: Sequence[float],
         if not admissible_N(N, space.dim):
             raise ValueError(f"matrix: N = {N} not admissible on this space")
         K = override_K if override_K is not None else effective_K(space, N, n_directions).K_eff
-        finite = not math.isinf(N)
         for checker in chosen:
-            if checker == "sobolev_inf" and finite:
-                continue
-            if checker in ("logsobolev", "gamma2_integral", "talagrand",
-                           "entropy_energy", "nash", "nonsharp_sobolev",
-                           "sobolev") and N < 0:
-                continue
-            if checker in ("talagrand", "entropy_energy", "nash",
-                           "nonsharp_sobolev", "sobolev") and not finite:
-                continue
-            if checker == "nonsharp_sobolev" and N <= 2:
-                continue
-            if checker in ("poincare", "logsobolev", "gamma2_integral",
-                           "talagrand", "entropy_energy", "nash",
-                           "nonsharp_sobolev", "sobolev", "sobolev_inf") and K <= 0:
+            n_range, needs_positive_K, run = _MATRIX[checker]
+            if not _N_RANGES[n_range](N) or (needs_positive_K and K <= 0):
                 continue
             for label, g in bank:
-                meta = {"member": label}
-                if checker == "integrated_bochner":
-                    rep = check_integrated_bochner(space, g, N, K, tol_rel)
-                elif checker == "bochner_pointwise":
-                    rep = check_bochner_pointwise(space, g, N, K)
-                elif checker == "poincare":
-                    rep = check_poincare(space, g, N, K, tol_rel)
-                elif checker == "logsobolev":
-                    rep = check_logsobolev(space, _positive_density(space, g), N, K, tol_rel)
-                elif checker == "gamma2_integral":
-                    rep = check_gamma2_integral(space, 1.0 + 0.45 * g, N, K, tol_rel)
-                elif checker == "talagrand":
-                    rep = check_talagrand(space, _measure_from_member(space, g), N, K, tol_rel)
-                elif checker == "entropy_energy":
-                    rep = check_entropy_energy(space, g, N, K, tol_rel)
-                elif checker == "nash":
-                    rep = check_nash(space, g, N, K, tol_rel)
-                elif checker == "nonsharp_sobolev":
-                    rep = check_nonsharp_sobolev(space, g, N, K, tol_rel)
-                elif checker == "sobolev":
-                    for p in _sobolev_p_grid(N):
-                        rep_p = check_sobolev(space, g, p, N, K, tol_rel)
-                        md = dict(rep_p.metadata)
-                        md.update(meta)
-                        reports.append(replace(rep_p, metadata=md))
-                    continue
-                else:  # sobolev_inf
-                    for p in (1.0, 1.5, 2.0):
-                        rep_p = check_sobolev_inf(space, g, p, K, tol_rel)
-                        md = dict(rep_p.metadata)
-                        md.update(meta)
-                        reports.append(replace(rep_p, metadata=md))
-                    continue
-                md = dict(rep.metadata)
-                md.update(meta)
-                reports.append(replace(rep, metadata=md))
+                reports.extend(replace(rep, metadata={**rep.metadata, "member": label})
+                               for rep in run(space, g, N, K, tol_rel))
     return reports

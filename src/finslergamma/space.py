@@ -18,7 +18,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -101,9 +101,7 @@ class WeightedSpace:
             raise ValueError("Psi has non-finite values on the grid")
         self.psi = psi
 
-        axes = [domain.axis_coords(a) for a in range(domain.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        self.coords = np.stack([g.reshape(-1) for g in mesh], axis=1)
+        self.coords = _node_coords(domain)
         self.h = tuple(domain.axis_spacing(a) for a in range(domain.dim))
 
         cell = np.ones(self.shape)
@@ -120,8 +118,6 @@ class WeightedSpace:
             raise ValueError("total mass is zero or non-finite")
         self.cell_mass = mass / total
 
-        self.psi_field = psi  # alias kept for clarity in callers
-
     @property
     def dim(self) -> int:
         return self.domain.dim
@@ -131,9 +127,6 @@ class WeightedSpace:
         p = np.atleast_1d(np.asarray(point, dtype=float))
         d2 = np.sum((self.coords - p[None, :]) ** 2, axis=1)
         return int(np.argmin(d2))
-
-    def constant_field(self, value: float = 0.0) -> np.ndarray:
-        return np.full(self.n_nodes, float(value))
 
     def field_from_expression(self, expr: str) -> np.ndarray:
         return scalar_field_from_expression(self, expr)
@@ -153,50 +146,43 @@ class WeightedSpace:
         return np.array(out)
 
 
-def scalar_field_from_expression(space: WeightedSpace, expr: str) -> np.ndarray:
-    """Evaluate a closed-form expression of x (and y in 2D) at the nodes."""
-    names = dict(_EXPR_NAMES)
-    names["x"] = space.coords[:, 0]
-    if space.dim == 2:
-        names["y"] = space.coords[:, 1]
+def _node_coords(domain: Domain) -> np.ndarray:
+    """Node coordinates, shape (M, dim), the first axis varying slowest."""
+    mesh = np.meshgrid(*(domain.axis_coords(a) for a in range(domain.dim)), indexing="ij")
+    return np.stack([g.reshape(-1) for g in mesh], axis=1)
+
+
+def _evaluate(expr: str, coords: np.ndarray) -> np.ndarray:
+    """A closed-form expression of x (and y in 2D) at ``coords``; any failure,
+    or a non-finite value, is a ValueError."""
+    names = dict(_EXPR_NAMES, x=coords[:, 0])
+    if coords.shape[1] == 2:
+        names["y"] = coords[:, 1]
     try:
         with np.errstate(all="ignore"):
             values = eval(expr, {"__builtins__": {}}, names)  # noqa: S307 - config-local expressions
+            field = np.broadcast_to(np.asarray(values, dtype=float), (len(coords),)).copy()
     except Exception as exc:
         raise ValueError(f"cannot evaluate expression {expr!r}: {exc}") from exc
-    field = np.broadcast_to(np.asarray(values, dtype=float), (space.n_nodes,)).copy()
     if not np.all(np.isfinite(field)):
         raise ValueError(f"expression {expr!r} produced non-finite values")
     return field
 
 
+def scalar_field_from_expression(space: WeightedSpace, expr: str) -> np.ndarray:
+    """Evaluate a closed-form expression of x (and y in 2D) at the nodes."""
+    return _evaluate(expr, space.coords)
+
+
 def build_space(domain: Domain, norm: MinkowskiNorm,
-                psi: Union[str, Callable, np.ndarray, float] = 0.0) -> WeightedSpace:
+                psi: Union[str, np.ndarray, float] = 0.0) -> WeightedSpace:
     """Construct a validated WeightedSpace; ``psi`` may be an expression
-    string, a callable of the node coordinates, a nodal array, or a constant."""
+    string of x (and y in 2D), a nodal array, or a constant."""
     if isinstance(psi, str):
-        axes = [domain.axis_coords(a) for a in range(domain.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        names = dict(_EXPR_NAMES)
-        names["x"] = mesh[0].reshape(-1)
-        if domain.dim == 2:
-            names["y"] = mesh[1].reshape(-1)
-        try:
-            with np.errstate(all="ignore"):
-                values = eval(psi, {"__builtins__": {}}, names)  # noqa: S307
-        except Exception as exc:
-            raise ValueError(f"cannot evaluate Psi expression {psi!r}: {exc}") from exc
-        psi_arr = np.broadcast_to(np.asarray(values, dtype=float),
-                                  (int(np.prod(domain.resolution)),)).copy()
-    elif callable(psi):
-        axes = [domain.axis_coords(a) for a in range(domain.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        coords = np.stack([g.reshape(-1) for g in mesh], axis=1)
-        psi_arr = np.asarray(psi(*(coords[:, a] for a in range(domain.dim))), dtype=float)
-    else:
-        psi_arr = np.broadcast_to(np.asarray(psi, dtype=float),
-                                  (int(np.prod(domain.resolution)),)).copy()
-    return WeightedSpace(domain, norm, psi_arr)
+        psi = _evaluate(psi, _node_coords(domain))
+    n_nodes = int(np.prod(domain.resolution))
+    return WeightedSpace(domain, norm, np.broadcast_to(np.asarray(psi, dtype=float),
+                                                       (n_nodes,)).copy())
 
 
 def integrate(space: WeightedSpace, f: np.ndarray) -> float:

@@ -175,3 +175,47 @@ def test_bad_bank_values_are_config_errors(tmp_path, capsys, key, value):
     cfg = write_config(tmp_path, doc)
     assert main(["space", "describe", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert f"'bank.{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("space", "psi", "x**"),
+    ("space", "psi", "log(x)"),
+    ("flow", "u0", "1 + y"),
+    ("flow", "u0", "sqrt(x)"),
+    ("identities", "h_expr", "1 + y"),
+])
+def test_bad_expressions_are_config_errors(tmp_path, capsys, section, key, value):
+    doc = json.loads(json.dumps(CIRCLE if section == "identities" else ASYM_GAUSS))
+    doc["flow"] = {"u0": "1 + 0.2*x", "tau": 1e-2, "t_end": 0.1}
+    doc.setdefault(section, {})[key] = value
+    cfg = write_config(tmp_path, doc)
+    command = {"space": ["space", "describe"], "flow": ["flow", "run"],
+               "identities": ["identities", "run"]}[section]
+    assert main([*command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"'{section}.{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tau, t_end", [(1e-10, 1e300), (1.0, 0.1)])
+def test_flow_step_count_is_checked(tmp_path, capsys, tau, t_end):
+    doc = dict(ASYM_GAUSS)
+    doc["flow"] = {"u0": "1 + 0.2*x", "tau": tau, "t_end": t_end}
+    cfg = write_config(tmp_path, doc)
+    assert main(["flow", "run", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "'flow.t_end'" in capsys.readouterr().err
+
+
+def test_negative_sweep_tolerance_is_config_error(tmp_path, capsys):
+    doc = dict(ASYM_GAUSS)
+    doc["tolerances"] = {"sweep": -1}
+    cfg = write_config(tmp_path, doc)
+    assert main(["ineq", "check", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "'tolerances.sweep'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("checkers", [[], ["poincare", "poincare"]])
+def test_empty_or_duplicate_checkers_are_config_errors(tmp_path, capsys, checkers):
+    doc = dict(ASYM_GAUSS)
+    doc["checkers"] = checkers
+    cfg = write_config(tmp_path, doc)
+    assert main(["ineq", "check", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "'checkers'" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from finslergamma import (ab_parameter_solver, check_bochner_pointwise,
                           feasibility_boundary, integrate, lichnerowicz_coeff,
                           make_test_bank, run_checker_matrix,
                           sobolev_exponent_table)
+import finslergamma.inequalities as inequalities
 from finslergamma.inequalities import gradient_energy_integral
 
 from conftest import asym21, euclid, gauss_interval, uniform_circle
@@ -341,3 +342,51 @@ def test_bank_reproducible(asym_gauss6):
         assert np.array_equal(f1, f2)
     labels = [l for l, _ in b1]
     assert "linear" in labels and any(l.startswith("noise") for l in labels)
+
+
+def test_run_checker_matrix_cells():
+    sp = gauss_interval(asym21(), res=64)
+    bank = make_test_bank(sp, seed=0, size=1)
+    N_values = [-5.0, 2.0, 3.0, 8.0, INF]
+    # K pinned to 1 so that only the N ranges decide which cells run
+    reports = run_checker_matrix(sp, N_values, bank=bank, override_K=1.0)
+    expected = {
+        "integrated_bochner": (-5.0, 2.0, 3.0, 8.0, INF),
+        "bochner_pointwise": (-5.0, 2.0, 3.0, 8.0, INF),
+        "poincare": (-5.0, 2.0, 3.0, 8.0, INF),
+        "logsobolev": (2.0, 3.0, 8.0, INF),
+        "gamma2_integral": (2.0, 3.0, 8.0, INF),
+        "talagrand": (2.0, 3.0, 8.0),
+        "entropy_energy": (2.0, 3.0, 8.0),
+        "nash": (2.0, 3.0, 8.0),
+        "nonsharp_sobolev": (3.0, 8.0),
+        "sobolev": (2.0, 3.0, 8.0),
+        "sobolev_inf": (INF,),
+    }
+    assert {(r.checker, r.N) for r in reports} == \
+        {(c, N) for c, Ns in expected.items() for N in Ns}
+    # each cell runs once (a checker that reports a fixed N, like sobolev_inf,
+    # would repeat its cell if it ran at another N)
+    assert len({(r.checker, r.N, r.metadata.get("p")) for r in reports}) == len(reports)
+
+    negative = run_checker_matrix(sp, N_values, bank=bank, override_K=-1.0)
+    assert {(r.checker, r.N) for r in negative} == \
+        {(c, N) for c in ("integrated_bochner", "bochner_pointwise") for N in N_values}
+
+
+def test_run_checker_matrix_looks_checkers_up_on_the_module(monkeypatch):
+    sp = gauss_interval(asym21(), res=64)
+    bank = make_test_bank(sp, seed=0, size=3)
+    calls = []
+    original = inequalities.check_poincare
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(inequalities, "check_poincare", counting)
+    reports = run_checker_matrix(sp, [3.0, INF], checkers=["poincare", "nash"],
+                                 bank=bank, override_K=1.0)
+    assert len(calls) == 2 * len(bank)
+    assert [r.metadata["member"] for r in reports if r.checker == "poincare"] == \
+        [label for label, _ in bank] * 2
