@@ -14,10 +14,13 @@ from typing import List, Optional
 
 import numpy as np
 
+from .curvature import effective_K
 from .norms import AsymNorm1D, EuclideanNorm, MinkowskiNorm, RandersNorm
 from .space import Domain, WeightedSpace, build_space
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config"]
+
+MAX_FLOW_STEPS = 10**6  # longest accepted flow: round(t_end / tau) implicit steps
 
 
 class ConfigError(ValueError):
@@ -130,11 +133,18 @@ class ExperimentConfig:
     raw: dict
 
     def build_space(self) -> WeightedSpace:
-        # parse_config builds no grid, so a bad Psi expression first fails here
+        # parse_config builds no grid, so a bad Psi, or N = n on a Psi it rules out, fails here
         try:
-            return build_space(self.domain, self.norm, self.psi)
+            space = build_space(self.domain, self.norm, self.psi)
         except ValueError as exc:
             _fail("space.psi", str(exc))
+        for i, N in enumerate(self.n_values):
+            if N == space.dim:
+                try:
+                    effective_K(space, N)  # memoized for the later callers
+                except ValueError as exc:
+                    _fail(f"n_values[{i}]", str(exc))
+        return space
 
 
 _TOP_KEYS = {"space", "n_values", "checkers", "bank", "flow", "identities",
@@ -200,9 +210,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
             if getattr(flow, key) <= 0:
                 _fail(f"flow.{key}", "must be positive")
         n_steps = flow.t_end / flow.tau
-        if not (math.isfinite(n_steps) and round(n_steps) >= 1):
+        if not (math.isfinite(n_steps) and 1 <= round(n_steps) <= MAX_FLOW_STEPS):
             _fail("flow.t_end", f"t_end / tau = {n_steps:g} must round to a step "
-                                "count >= 1")
+                                f"count in [1, {MAX_FLOW_STEPS}]")
 
     iobj = _expect_mapping(doc.get("identities", {}), "identities",
                            {"resolutions", "a_values", "h_expr"})

@@ -17,10 +17,18 @@ is rejected.  At N = n the correction term is the limit value and is only
 defined where D Psi . v = 0; other inputs are rejected rather than being
 assigned -infinity.
 
-``effective_K`` certifies-by-sampling the infimum of Ric_N(v) over all grid
-nodes and F-unit directions; in 1D the unit sphere is exactly two vectors,
-in 2D a nested angular grid.  The result is the curvature constant every
-inequality checker uses.
+``effective_K`` is the infimum of Ric_N over all nodes and F-unit directions,
+exact to rounding: the curvature constant every checker uses.  In 1D the unit
+sphere is two vectors.  In 2D, Ric_N(v) = v' M_x v, and the unit sphere of
+F(v) = |v|_A + b.v (b = 0: Euclidean) is the ellipse (v - c)' B (v - c) = r
+with B = A - b b', c = -B^-1 b, r = 1 + b' B^-1 b (Zermelo navigation;
+Bao-Robles-Shen 2004).  With v = c + W u, |u| = 1, each node is a trust-region
+boundary problem whose multiplier is the rightmost eigenvalue of
+[[-P, I], [p p', -P]] (Adachi-Iwata-Nakatsukasa-Takeda 2017).  Near its hard
+case the multiplier's direction is inaccurate, so both hard-case completions
+join it; each candidate angle gets Newton steps on the trigonometric
+polynomial q(theta), and Ric_N is evaluated at the candidate points, which
+lie on the ellipse, so the reported K is attained.
 """
 
 from __future__ import annotations
@@ -31,12 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import operators_for
-from .norms import unit_sphere_directions
+from .norms import EuclideanNorm, RandersNorm
 from .space import WeightedSpace
 
 __all__ = ["CurvatureReport", "ricci_N", "effective_K", "admissible_N"]
-
-MIN_DIRECTIONS = 4
 
 
 def admissible_N(N: float, dim: int) -> bool:
@@ -53,14 +59,13 @@ def _require_admissible(N: float, dim: int) -> None:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Certified-by-sampling curvature bound for one (space, N)."""
+    """K_eff of one (space, N), and the node and F-unit direction attaining it."""
 
     K_eff: float
     N: float
     argmin_node: int
     argmin_direction: tuple
     n_nodes: int
-    n_directions: int
 
 
 def _weight_derivatives(space: WeightedSpace) -> tuple:
@@ -105,40 +110,59 @@ def ricci_N(space: WeightedSpace, node: int, v, N: float) -> float:
     return float(_ricci_values(space, v, N, [node])[0])
 
 
-def _unit_directions(space: WeightedSpace, n_directions: int) -> np.ndarray:
-    """F-unit directions: the exact two-point sphere in 1D, angular in 2D."""
+def _ellipse_candidates(space: WeightedSpace, N: float) -> tuple:
+    """Ric_N at three candidate minimizers per node on the F-unit ellipse
+    {c + W u : |u| = 1}, and the candidates: shapes (3, M) and (3, M, 2)."""
     norm = space.norm
-    if space.dim == 1:
-        plus = 1.0 / norm(np.array([1.0]))
-        minus = 1.0 / norm(np.array([-1.0]))
-        return np.array([[plus], [-minus]])
-    dirs = unit_sphere_directions(space.dim, n_directions)
-    return dirs / norm.values(dirs)[:, None]
+    if not isinstance(norm, (EuclideanNorm, RandersNorm)):
+        raise TypeError(f"no closed-form unit sphere for {type(norm).__name__}")
+    b = norm.b if isinstance(norm, RandersNorm) else np.zeros(2)
+    B = norm.A - np.outer(b, b)
+    c = -np.linalg.solve(B, b)
+    W = np.sqrt(1.0 - b @ c) * np.linalg.inv(np.linalg.cholesky(B)).T  # W'BW = r I
+    dpsi, M = _weight_derivatives(space)
+    if N == space.dim:
+        for e in np.eye(2):  # raises unless D Psi vanishes
+            _ricci_values(space, e, N)
+    elif not math.isinf(N):
+        M = M - dpsi[:, :, None] * dpsi[:, None, :] / (N - space.dim)
+    # Ric_N(c + W u) = u'Pu + 2p'u + c'Mc; work in the eigenbasis P = Q diag(mu) Q'
+    mu, Q = np.linalg.eigh(W.T @ M @ W)
+    p = np.einsum("mji,mj->mi", Q, W.T @ M @ c)
+    eye = np.broadcast_to(np.eye(2), Q.shape)
+    D = mu[:, :, None] * eye
+    lam = np.linalg.eigvals(np.block([[-D, eye], [p[:, :, None] * p[:, None, :], -D]]))
+    d = mu + lam.real.max(axis=1)[:, None]
+    u = -np.divide(p, d, out=np.zeros_like(p), where=d > 0)
+    # hard case: u_2 = -p_2 / (mu_2 - mu_1), completed to |u| = 1 with either sign
+    gap = mu[:, 1] - mu[:, 0]
+    w = np.clip(-np.divide(p[:, 1], gap, out=np.zeros_like(gap), where=gap > 0), -1.0, 1.0)
+    s = np.sqrt(1.0 - w * w)
+    theta = np.stack([np.arctan2(u[:, 1], u[:, 0]), np.arctan2(w, s), np.arctan2(w, -s)])
+    for _ in range(3):  # Newton steps on q(theta)
+        cos, sin = np.cos(theta), np.sin(theta)
+        dq = gap * np.sin(2.0 * theta) + 2.0 * (p[:, 1] * cos - p[:, 0] * sin)
+        d2q = 2.0 * gap * np.cos(2.0 * theta) - 2.0 * (p[:, 0] * cos + p[:, 1] * sin)
+        theta = theta - np.divide(dq, d2q, out=np.zeros_like(dq), where=d2q > 0)
+    V = c + np.einsum("mij,cmj->cmi", W @ Q, np.stack([np.cos(theta), np.sin(theta)], -1))
+    return np.einsum("mij,cmi,cmj->cm", M, V, V), V
 
 
-def effective_K(space: WeightedSpace, N: float, n_directions: int = 16) -> CurvatureReport:
-    """Infimum of Ric_N over nodes and sampled F-unit directions.
-
-    Deterministic for a fixed direction count; refining the angular grid can
-    only lower (never raise) the reported bound.
-    """
+def effective_K(space: WeightedSpace, N: float) -> CurvatureReport:
+    """Infimum of Ric_N over the grid nodes and F-unit directions, exact to
+    rounding; solved once per (space, N), the report memoized on the space."""
     _require_admissible(N, space.dim)
-    if space.dim > 1 and n_directions < MIN_DIRECTIONS:
-        raise ValueError(f"need at least {MIN_DIRECTIONS} directions per node")
-    dirs = _unit_directions(space, n_directions)
-    best = math.inf
-    arg_node, arg_dir = 0, dirs[0]
-    for v in dirs:
-        vals = _ricci_values(space, v, N)
-        k = int(np.argmin(vals))
-        if vals[k] < best:
-            best = float(vals[k])
-            arg_node, arg_dir = k, v
-    return CurvatureReport(
-        K_eff=best,
-        N=N,
-        argmin_node=arg_node,
-        argmin_direction=tuple(float(c) for c in arg_dir),
-        n_nodes=space.n_nodes,
-        n_directions=len(dirs),
-    )
+    reports = vars(space).setdefault("_curvature_reports", {})
+    if N in reports:
+        return reports[N]
+    if space.dim == 1:
+        dirs = np.array([[1.0 / space.norm((1.0,))], [-1.0 / space.norm((-1.0,))]])
+        vals = np.stack([_ricci_values(space, v, N) for v in dirs])
+        V = np.broadcast_to(dirs[:, None, :], vals.shape + (1,))
+    else:
+        vals, V = _ellipse_candidates(space, N)
+    j, k = np.unravel_index(np.argmin(vals), vals.shape)
+    reports[N] = CurvatureReport(K_eff=float(vals[j, k]), N=N, argmin_node=int(k),
+                                 argmin_direction=tuple(float(c) for c in V[j, k]),
+                                 n_nodes=space.n_nodes)
+    return reports[N]

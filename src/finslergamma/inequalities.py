@@ -655,8 +655,7 @@ def run_checker_matrix(space: WeightedSpace, N_values: Sequence[float],
                        checkers: Optional[Sequence[str]] = None,
                        bank: Optional[TestBank] = None, seed: int = 0,
                        bank_size: int = 12, override_K: Optional[float] = None,
-                       tol_rel: float = TOL_SWEEP,
-                       n_directions: int = 16) -> List[CheckReport]:
+                       tol_rel: float = TOL_SWEEP) -> List[CheckReport]:
     """Run the (checker x N x bank) matrix on one space.
 
     K is taken from ``effective_K`` on this very space for each N unless
@@ -672,7 +671,7 @@ def run_checker_matrix(space: WeightedSpace, N_values: Sequence[float],
     for N in N_values:
         if not admissible_N(N, space.dim):
             raise ValueError(f"matrix: N = {N} not admissible on this space")
-        K = override_K if override_K is not None else effective_K(space, N, n_directions).K_eff
+        K = override_K if override_K is not None else effective_K(space, N).K_eff
         for checker in chosen:
             n_range, needs_positive_K, run = _MATRIX[checker]
             if not _N_RANGES[n_range](N) or (needs_positive_K and K <= 0):

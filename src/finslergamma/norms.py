@@ -21,10 +21,10 @@ The dual norm is the support function of the unit ball,
 
 and the Legendre transform L* sends a covector a to the unique vector v with
 F(v) = F*(a) and a(v) = F*(a)^2.  All three variants evaluate the dual, the
-Legendre transform and the metric tensor in closed form, vectorized over
-(M, dim) stacks; the Randers formulas hold in every dimension.  The tests
-check them against dense sampling of the indicatrix and finite-difference
-Hessians.
+Legendre transform, the metric tensor and the uniform smoothness constant in
+closed form, vectorized over (M, dim) stacks; the Randers formulas hold in
+every dimension, and no operation samples the indicatrix.  The tests check
+them against dense sampling of the indicatrix and finite-difference Hessians.
 
 All operations are pure functions of immutable inputs and safe to call from
 any number of threads.
@@ -43,7 +43,6 @@ __all__ = [
     "AsymNorm1D",
     "LegendreError",
     "uniform_smoothness",
-    "unit_sphere_directions",
 ]
 
 # Strong-convexity guard for Randers construction: |b|_{A^-1} above this is
@@ -69,21 +68,6 @@ def _as_vector(v, dim: int) -> np.ndarray:
     return v
 
 
-def unit_sphere_directions(dim: int, n_samples: int) -> np.ndarray:
-    """Euclidean directions used to parameterize indicatrix sampling.
-
-    1D returns {+1, -1}; 2D returns ``n_samples`` nested angular samples
-    (doubling ``n_samples`` keeps all previous angles, so sampled suprema
-    are monotone under refinement).
-    """
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    if dim == 2:
-        theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
-        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    raise NotImplementedError("direction sampling is implemented for dim <= 2")
-
-
 class MinkowskiNorm:
     """Common interface of the concrete norm variants."""
 
@@ -105,25 +89,6 @@ class MinkowskiNorm:
     def reverse(self) -> "MinkowskiNorm":
         """The norm v -> F(-v)."""
         raise NotImplementedError
-
-    # -- vectorized interface over (M, dim) stacks ------------------------
-    def values(self, V: np.ndarray) -> np.ndarray:
-        V = np.asarray(V, dtype=float)
-        return np.array([self(v) for v in V])
-
-    def dual_sq_values(self, A_: np.ndarray) -> np.ndarray:
-        """F*(a)^2 per row; the square is the natural energy integrand."""
-        A_ = np.asarray(A_, dtype=float)
-        return np.array([self.dual(a) ** 2 for a in A_])
-
-    def legendre_map(self, A_: np.ndarray) -> np.ndarray:
-        A_ = np.asarray(A_, dtype=float)
-        return np.stack([self.legendre(a) for a in A_])
-
-    def inverse_metric_tensors(self, V: np.ndarray) -> np.ndarray:
-        """g_v^{-1} per row of V; rows must be nonzero."""
-        V = np.asarray(V, dtype=float)
-        return np.stack([np.linalg.inv(self.metric_tensor(v)) for v in V])
 
     def dual_metric_tensor(self, a) -> np.ndarray:
         """g*_a as the inverse-matrix form: inv(g_v) at v = L*(a)."""
@@ -382,17 +347,13 @@ class RandersNorm(MinkowskiNorm):
         return RandersNorm(self.A, -self.b)
 
 
-def uniform_smoothness(norm: MinkowskiNorm, n_samples: int = 256) -> float:
+def uniform_smoothness(norm: MinkowskiNorm) -> float:
     """Uniform smoothness constant: sup of g_v(w,w)/F(w)^2 over unit v, w.
 
     Exactly 1.0 for Euclidean norms (the inner-product case), max(a/b, b/a)^2
     for the 1D two-slope norm and ((1 + e)/(1 - e))^2 with e = |b|_{A^-1}
     for Randers norms, attained at v = -w along the A^-1 direction of b.
-    Any other norm gets a sampled supremum over nested direction grids: a
-    lower bound, monotone nondecreasing under sample refinement.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
     if isinstance(norm, EuclideanNorm):
         return 1.0
     if isinstance(norm, AsymNorm1D):
@@ -401,9 +362,4 @@ def uniform_smoothness(norm: MinkowskiNorm, n_samples: int = 256) -> float:
     if isinstance(norm, RandersNorm):
         e = float(np.sqrt(norm.b @ norm._Ainv @ norm.b))
         return ((1.0 + e) / (1.0 - e)) ** 2
-    dirs = unit_sphere_directions(norm.dim, n_samples)
-    U = dirs / norm.values(dirs)[:, None]
-    G = np.stack([norm.metric_tensor(u) for u in U])
-    quad = np.einsum("kij,li,lj->kl", G, U, U)
-    f2 = norm.values(U) ** 2  # == 1 up to rounding; keep for safety
-    return float(np.max(quad / f2[None, :]))
+    raise TypeError(f"no closed-form smoothness constant for {type(norm).__name__}")

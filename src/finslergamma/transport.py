@@ -121,21 +121,17 @@ def coarsen_measure(space: WeightedSpace, p, max_support: int = MAX_LP_SUPPORT):
     mass-weighted centroid.  Exact when the grid is already small enough.
     """
     p = np.asarray(p, dtype=float)
-    shape = space.shape
     per_axis = max(1, int(np.floor(max_support ** (1.0 / space.dim))))
-    factors = [int(np.ceil(shape[a] / per_axis)) for a in range(space.dim)]
-    blocks = {}
-    for idx in range(space.n_nodes):
-        if p[idx] <= 0:
-            continue
-        multi = np.unravel_index(idx, shape)
-        key = tuple(multi[a] // factors[a] for a in range(space.dim))
-        mass, moment = blocks.get(key, (0.0, np.zeros(space.dim)))
-        blocks[key] = (mass + p[idx], moment + p[idx] * space.coords[idx])
-    keys = sorted(blocks)
-    weights = np.array([blocks[k][0] for k in keys])
-    points = np.stack([blocks[k][1] / blocks[k][0] for k in keys])
-    return points, weights
+    factors = [int(np.ceil(n / per_axis)) for n in space.shape]
+    multi = np.unravel_index(np.arange(space.n_nodes), space.shape)
+    blocks = [m // f for m, f in zip(multi, factors)]
+    ids = np.ravel_multi_index(blocks, [b.max() + 1 for b in blocks])
+    # nodes without positive mass add exact zeros; blocks without one are dropped
+    w = np.where(p > 0, p, 0.0)
+    keep = np.bincount(ids, weights=p > 0) > 0
+    weights = np.bincount(ids, weights=w)[keep]
+    moments = np.stack([np.bincount(ids, weights=w * x)[keep] for x in space.coords.T], axis=1)
+    return moments / weights[:, None], weights
 
 
 def transport_cost_sq(space: WeightedSpace, mu, nu=None) -> float:

@@ -195,7 +195,7 @@ def test_bad_expressions_are_config_errors(tmp_path, capsys, section, key, value
     assert f"'{section}.{key}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tau, t_end", [(1e-10, 1e300), (1.0, 0.1)])
+@pytest.mark.parametrize("tau, t_end", [(1e-10, 1e300), (1.0, 0.1), (1e-12, 1.0)])
 def test_flow_step_count_is_checked(tmp_path, capsys, tau, t_end):
     doc = dict(ASYM_GAUSS)
     doc["flow"] = {"u0": "1 + 0.2*x", "tau": tau, "t_end": t_end}
@@ -219,3 +219,33 @@ def test_empty_or_duplicate_checkers_are_config_errors(tmp_path, capsys, checker
     cfg = write_config(tmp_path, doc)
     assert main(["ineq", "check", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "'checkers'" in capsys.readouterr().err
+
+
+RANDERS_BOX = {
+    "space": {
+        "domain": {"geometry": "box", "lengths": [2.0, 2.0], "resolution": [16, 16]},
+        "norm": {"variant": "randers", "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                 "drift": [0.3, 0.1]},
+        "psi": "(x**2 + y**2)/2",
+    },
+}
+
+
+@pytest.mark.parametrize("space, n_values, index", [
+    (EUCLID_GAUSS["space"], [1], 0),
+    (RANDERS_BOX["space"], ["inf", 2], 1),
+])
+@pytest.mark.parametrize("command", [["space", "describe"], ["ineq", "check"]])
+def test_dimension_N_with_drifting_weight_is_config_error(tmp_path, capsys, space,
+                                                          n_values, index, command):
+    # at N = n the correction term is undefined unless D Psi vanishes
+    doc = {"space": space, "n_values": n_values}
+    cfg = write_config(tmp_path, doc)
+    assert main([*command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"'n_values[{index}]'" in capsys.readouterr().err
+
+
+def test_dimension_N_with_constant_weight_runs(tmp_path):
+    doc = {"space": dict(RANDERS_BOX["space"], psi="3"), "n_values": [2]}
+    cfg = write_config(tmp_path, doc)
+    assert main(["space", "describe", "--config", cfg, "--out", str(tmp_path)]) == 0

@@ -1,10 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from finslergamma import (Domain, admissible_N, build_space, effective_K,
-                          ricci_N)
+from finslergamma import (Domain, RandersNorm, admissible_N, build_space,
+                          curvature, effective_K, ricci_N)
+from finslergamma.cli import main
 
 from conftest import asym21, euclid, gauss_interval
 
@@ -96,12 +98,93 @@ def test_effective_K_2d():
                      "(x**2 + y**2)/2")
     assert effective_K(sp, math.inf).K_eff == pytest.approx(1.0, abs=1e-9)
     # at the corner the drift term (x v1 + y v2)^2/(N-n) peaks along (1,1)/sqrt(2)
-    assert effective_K(sp, 4.0, n_directions=16).K_eff == pytest.approx(0.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        effective_K(sp, 4.0, n_directions=2)
+    assert effective_K(sp, 4.0).K_eff == pytest.approx(0.0, abs=1e-9)
 
 
 def test_effective_K_rejects_inadmissible():
     sp = gauss_interval(euclid(), res=64)
     with pytest.raises(ValueError):
         effective_K(sp, 0.5)
+
+
+def _randers_box():
+    return build_space(Domain("box", (2.0, 2.0), (32, 32)),
+                       RandersNorm(np.eye(2), (0.3, 0.1)), "(x**2 + y**2)/2")
+
+
+def _oblique_torus():
+    # non-diagonal A, oblique b with |b|_(A^-1) ~ 0.92, non-convex Psi
+    norm = RandersNorm(np.array([[2.0, 0.7], [0.7, 1.0]]), (0.6, -0.5))
+    return build_space(Domain("torus", (2 * math.pi, 2 * math.pi), (24, 20)), norm,
+                       "sin(x) + 0.5*cos(2*y) + 0.3*sin(x + y)")
+
+
+def _dense_minimum(space, N, n=20000):
+    """Minimum of Ric_N over all nodes and n equiangular F-unit directions."""
+    dpsi, M = curvature._weight_derivatives(space)
+    if not math.isinf(N):
+        M = M - np.einsum("mi,mj->mij", dpsi, dpsi) / (N - space.dim)
+    theta = 2 * np.pi * np.arange(n) / n
+    d = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    V = d / space.norm.values(d)[:, None]
+    return min(float(np.einsum("mij,ki,kj->mk", M, V[c], V[c]).min())
+               for c in np.array_split(np.arange(n), 40))
+
+
+def test_effective_K_randers_closed_form():
+    sp = _randers_box()
+    expected = 1.0 / (1.0 + math.sqrt(0.3**2 + 0.1**2)) ** 2
+    assert effective_K(sp, math.inf).K_eff == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("case, N", [
+    ("box", math.inf), ("box", 8.0), ("box", 4.0), ("box", 2.5), ("box", -5.0),
+    ("torus", math.inf), ("torus", 3.0), ("torus", -5.0),
+])
+def test_effective_K_2d_is_exact(case, N):
+    sp = _randers_box() if case == "box" else _oblique_torus()
+    rep = effective_K(sp, N)
+    v = np.array(rep.argmin_direction)
+    assert sp.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert ricci_N(sp, rep.argmin_node, v, N) == pytest.approx(rep.K_eff, rel=1e-10,
+                                                               abs=1e-12)
+    dense = _dense_minimum(sp, N)
+    # the exact minimum lies below every sampled value and close to the dense one
+    assert rep.K_eff <= dense + 1e-13 * (1.0 + abs(dense))
+    assert rep.K_eff == pytest.approx(dense, rel=1e-6, abs=1e-6)
+
+
+def test_effective_K_is_memoized_per_space_and_N():
+    sp = _randers_box()
+    assert effective_K(sp, 8) is effective_K(sp, 8.0)
+    assert effective_K(sp, math.inf) is not effective_K(sp, 8.0)
+    assert effective_K(_randers_box(), 8.0) is not effective_K(sp, 8.0)
+
+
+def test_one_solve_per_space_and_N_per_command(tmp_path, monkeypatch):
+    solved = []
+    original = curvature._ellipse_candidates
+
+    def counting(space, N):
+        solved.append((id(space), N))
+        return original(space, N)
+
+    monkeypatch.setattr(curvature, "_ellipse_candidates", counting)
+    doc = {
+        "space": {
+            "domain": {"geometry": "box", "lengths": [2.0, 2.0], "resolution": [16, 16]},
+            "norm": {"variant": "randers", "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                     "drift": [0.3, 0.1]},
+            "psi": "(x**2 + y**2)/2",
+        },
+        "n_values": ["inf", 8],
+        "checkers": ["poincare"],
+        "bank": {"size": 2},
+        "flow": {"u0": "1 + 0.2*x", "tau": 0.001, "t_end": 0.01},
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    for command in (["space", "describe"], ["flow", "run"], ["ineq", "check"]):
+        solved.clear()
+        assert main([*command, "--config", str(cfg), "--out", str(tmp_path)]) in (0, 1)
+        assert len(solved) == 2 and len(set(solved)) == 2

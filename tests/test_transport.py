@@ -74,6 +74,40 @@ def test_coarsen_measure_preserves_mass_and_centroid():
     assert np.allclose(mean_fine, mean_coarse, atol=1e-12)
 
 
+def _coarsen_by_loop(space, p, max_support=64):
+    """Reference: per-node accumulation into a dict of blocks, in node order."""
+    per_axis = max(1, int(np.floor(max_support ** (1.0 / space.dim))))
+    factors = [int(np.ceil(n / per_axis)) for n in space.shape]
+    blocks = {}
+    for idx in range(space.n_nodes):
+        if p[idx] <= 0:
+            continue
+        key = tuple(m // f for m, f in zip(np.unravel_index(idx, space.shape), factors))
+        mass, moment = blocks.get(key, (0.0, np.zeros(space.dim)))
+        blocks[key] = (mass + p[idx], moment + p[idx] * space.coords[idx])
+    keys = sorted(blocks)
+    return (np.stack([blocks[k][1] / blocks[k][0] for k in keys]),
+            np.array([blocks[k][0] for k in keys]))
+
+
+@pytest.mark.parametrize("geometry, lengths, resolution", [
+    ("box", (2.0, 2.0), (32, 32)), ("torus", (1.0, 2.0), (24, 40)),
+    ("box", (1.0, 1.0), (17, 13)), ("circle", (1.0,), (200,)),
+])
+def test_coarsen_measure_equals_node_loop(geometry, lengths, resolution):
+    sp = build_space(Domain(geometry, lengths, resolution), euclid(len(lengths)), "0")
+    rng = np.random.default_rng(3)
+    n = sp.n_nodes
+    # no zero mass, scattered zero-mass nodes, and a run of empty blocks
+    for zero in (np.zeros(n, bool), rng.random(n) < 0.3, np.arange(n) < n // 3):
+        p = np.where(zero, 0.0, rng.random(n))
+        p /= p.sum()
+        points, weights = coarsen_measure(sp, p)
+        ref_points, ref_weights = _coarsen_by_loop(sp, p)
+        assert np.array_equal(points, ref_points)
+        assert np.array_equal(weights, ref_weights)
+
+
 def test_2d_transport_periodic_shift():
     sp = build_space(Domain("torus", (1.0, 1.0), (16, 16)), euclid(2), "0")
     x, y = sp.coords[:, 0], sp.coords[:, 1]
