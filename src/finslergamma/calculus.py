@@ -93,31 +93,21 @@ def _linearized_pattern(D: list, inv_m: np.ndarray) -> LinearizedPattern:
 
 
 class DiffOperators:
-    """Bundle of discrete operators over one WeightedSpace.
-
-    ``eps_grad`` is the degeneracy threshold on F*(Df): below it the gradient
-    is set to zero and linearized operators fall back to the metric tensor at
-    ``fallback_direction`` (the metric is undefined on the zero section and
-    some fixed regularization has to be chosen).
-    """
+    """Bundle of discrete operators over one WeightedSpace."""
 
     #: nodes this close to a no-flux boundary are excluded from "interior";
     #: the adjoint divergence makes boundary nodes carry the no-flux
     #: penalization, and one further differential spreads it one node in
     BOUNDARY_WIDTH = 4
 
-    def __init__(self, space: WeightedSpace, eps_grad: float = 1e-10,
-                 fallback_direction=None):
-        if eps_grad <= 0:
-            raise ValueError("eps_grad must be positive")
-        self.space = space
-        self.eps_grad = float(eps_grad)
-        if fallback_direction is None:
-            fallback_direction = np.eye(space.dim)[0]
-        self.fallback_direction = np.asarray(fallback_direction, dtype=float)
-        if not np.any(self.fallback_direction):
-            raise ValueError("fallback direction must be nonzero")
+    #: degeneracy threshold on F*(Df): below it the gradient is set to zero
+    #: and linearized operators fall back to the metric tensor at the first
+    #: axis direction (the metric is undefined on the zero section and some
+    #: fixed regularization has to be chosen)
+    EPS_GRAD = 1e-10
 
+    def __init__(self, space: WeightedSpace):
+        self.space = space
         shape = space.shape
         periodic = space.domain.periodic
         self._D = []
@@ -144,7 +134,7 @@ class DiffOperators:
         """Legendre transform of the differential, zeroed where degenerate."""
         Df = self.differential(f)
         grad = self.space.norm.legendre_map(Df)
-        grad[self._degenerate(Df)] = 0.0
+        grad[self._degenerate(Df, grad)] = 0.0
         return grad
 
     def divergence(self, V: np.ndarray) -> np.ndarray:
@@ -161,15 +151,16 @@ class DiffOperators:
     # ------------------------------------------------------------------
     # linearized operators at a frozen gradient direction
 
-    def _degenerate(self, Df: np.ndarray) -> np.ndarray:
-        return np.sqrt(self.space.norm.dual_sq_values(Df)) < self.eps_grad
+    def _degenerate(self, Df: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """F*(Df) < EPS_GRAD, read off grad = L*(Df) as F*(Df)^2 = Df . grad."""
+        return np.einsum("mi,mi->m", Df, grad) < self.EPS_GRAD ** 2
 
     def _inverse_metrics_at(self, f: np.ndarray) -> np.ndarray:
         Df = self.differential(f)
         grad = self.space.norm.legendre_map(Df)
-        deg = self._degenerate(Df)
+        deg = self._degenerate(Df, grad)
         if np.any(deg):
-            grad[deg] = self.fallback_direction
+            grad[deg] = np.eye(self.space.dim)[0]
         return self.space.norm.inverse_metric_tensors(grad)
 
     def linearized_gradient(self, f: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -315,14 +306,18 @@ def operators_for(space: WeightedSpace) -> DiffOperators:
     return cached
 
 
-def gradient_kink_mask(ops: DiffOperators, f: np.ndarray, dilation: int = 3) -> np.ndarray:
+#: nodes by which the excluded band of ``gradient_kink_mask`` is widened
+KINK_DILATION = 3
+
+
+def gradient_kink_mask(ops: DiffOperators, f: np.ndarray) -> np.ndarray:
     """True at nodes safely away from gradient zeros of f.
 
     Near a sign change of the differential, nodewise quantities built from a
     non-smooth Legendre map carry O(1) stencil artifacts confined to a few
     nodes; callers that need pointwise (not integrated) statements exclude
     this region and report it separately.  The excluded band is where
-    F*(Df) dips below a second-difference scale, dilated ``dilation`` nodes.
+    F*(Df) dips below a second-difference scale, dilated KINK_DILATION nodes.
     """
     Df = ops.differential(f)
     fd = np.sqrt(ops.space.norm.dual_sq_values(Df))
@@ -332,7 +327,7 @@ def gradient_kink_mask(ops: DiffOperators, f: np.ndarray, dilation: int = 3) -> 
     thresh = 4.0 * max(ops.space.h) * curv
     excluded = (fd < thresh).reshape(ops.space.shape)
     periodic = ops.space.domain.periodic
-    for _ in range(dilation):
+    for _ in range(KINK_DILATION):
         grown = excluded.copy()
         for a in range(ops.space.dim):
             if periodic:

@@ -29,7 +29,7 @@ from .calculus import DiffOperators, operators_for
 from .config import ConfigError, ExperimentConfig, load_config
 from .curvature import admissible_N, effective_K
 from .heatflow import FlowParams, check_dEdt_identity, decay_rates, evolve
-from .inequalities import make_test_bank, run_checker_matrix
+from .inequalities import CHECKER_IDS, make_test_bank, run_checker_matrix, runs_at
 from .norms import uniform_smoothness
 from .space import Domain, integrate
 
@@ -157,10 +157,7 @@ def cmd_flow_run(config: ExperimentConfig, out_dir: str, args) -> int:
     space = config.build_space()
     ops = operators_for(space)
     u0 = _expression_field(space, config.flow.u0, "flow.u0")
-    params = FlowParams(tau=config.flow.tau, t_end=config.flow.t_end,
-                        tol=config.flow.tol, max_iter=config.flow.max_iter,
-                        stride=config.flow.stride)
-    states = evolve(ops, u0, params)
+    states = evolve(ops, u0, config.flow.params)
 
     lines = ["t,energy,variance,entropy,fisher"]
     for s in states:
@@ -203,6 +200,12 @@ def cmd_flow_run(config: ExperimentConfig, out_dir: str, args) -> int:
 
 
 def cmd_ineq_check(config: ExperimentConfig, out_dir: str, args) -> int:
+    if not config.n_values:
+        raise ConfigError("config key 'n_values': required for `fg ineq check`")
+    if not any(runs_at(c, N) for c in config.checkers or CHECKER_IDS
+               for N in config.n_values):
+        raise ConfigError("config key 'checkers': none of them runs at any N in "
+                          "'n_values'")
     space = config.build_space()
     seed = args.seed if args.seed is not None else config.bank_seed
     bank = make_test_bank(space, seed=seed, size=config.bank_size)

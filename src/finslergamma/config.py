@@ -15,12 +15,14 @@ from typing import List, Optional
 import numpy as np
 
 from .curvature import effective_K
+from .heatflow import FlowParams
 from .norms import AsymNorm1D, EuclideanNorm, MinkowskiNorm, RandersNorm
 from .space import Domain, WeightedSpace, build_space
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config"]
 
 MAX_FLOW_STEPS = 10**6  # longest accepted flow: round(t_end / tau) implicit steps
+MAX_BANK_SIZE = 1000  # largest accepted test bank: members per (checker, N)
 
 
 class ConfigError(ValueError):
@@ -104,11 +106,7 @@ def _parse_domain(obj, path: str) -> Domain:
 @dataclass
 class FlowConfig:
     u0: str
-    tau: float
-    t_end: float
-    tol: float = 1e-10
-    max_iter: int = 50
-    stride: int = 1
+    params: FlowParams
 
 
 @dataclass
@@ -190,6 +188,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     bank = _expect_mapping(doc.get("bank", {}), "bank", {"seed", "size"})
     bank_seed = _integer(bank.get("seed", 0), "bank.seed", 0)
     bank_size = _integer(bank.get("size", 12), "bank.size", 1)
+    if bank_size > MAX_BANK_SIZE:
+        _fail("bank.size", f"{bank_size} members exceed the cap of {MAX_BANK_SIZE}")
 
     flow = None
     if "flow" in doc:
@@ -198,18 +198,17 @@ def parse_config(doc: dict) -> ExperimentConfig:
                                {"u0", "tau", "t_end"})
         if not isinstance(fobj["u0"], str):
             _fail("flow.u0", "expected an expression string")
-        flow = FlowConfig(
-            u0=fobj["u0"],
-            tau=_number(fobj["tau"], "flow.tau"),
-            t_end=_number(fobj["t_end"], "flow.t_end"),
-            tol=_number(fobj.get("tol", 1e-10), "flow.tol"),
-            max_iter=_integer(fobj.get("max_iter", 50), "flow.max_iter", 1),
-            stride=_integer(fobj.get("stride", 1), "flow.stride", 1),
-        )
+        # keys left out take FlowParams' defaults
+        values = {key: _number(fobj[key], f"flow.{key}")
+                  for key in ("tau", "t_end", "tol") if key in fobj}
+        for key in ("max_iter", "stride"):
+            if key in fobj:
+                values[key] = _integer(fobj[key], f"flow.{key}", 1)
         for key in ("tau", "t_end", "tol"):
-            if getattr(flow, key) <= 0:
+            if values.get(key, 1) <= 0:
                 _fail(f"flow.{key}", "must be positive")
-        n_steps = flow.t_end / flow.tau
+        flow = FlowConfig(u0=fobj["u0"], params=FlowParams(**values))
+        n_steps = flow.params.t_end / flow.params.tau
         if not (math.isfinite(n_steps) and 1 <= round(n_steps) <= MAX_FLOW_STEPS):
             _fail("flow.t_end", f"t_end / tau = {n_steps:g} must round to a step "
                                 f"count in [1, {MAX_FLOW_STEPS}]")

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import operators_for
-from .norms import EuclideanNorm, RandersNorm
+from .norms import RandersNorm
 from .space import WeightedSpace
 
 __all__ = ["CurvatureReport", "ricci_N", "effective_K", "admissible_N"]
@@ -114,9 +114,9 @@ def _ellipse_candidates(space: WeightedSpace, N: float) -> tuple:
     """Ric_N at three candidate minimizers per node on the F-unit ellipse
     {c + W u : |u| = 1}, and the candidates: shapes (3, M) and (3, M, 2)."""
     norm = space.norm
-    if not isinstance(norm, (EuclideanNorm, RandersNorm)):
+    if not isinstance(norm, RandersNorm):  # Euclidean included, at b = 0
         raise TypeError(f"no closed-form unit sphere for {type(norm).__name__}")
-    b = norm.b if isinstance(norm, RandersNorm) else np.zeros(2)
+    b = norm.b
     B = norm.A - np.outer(b, b)
     c = -np.linalg.solve(B, b)
     W = np.sqrt(1.0 - b @ c) * np.linalg.inv(np.linalg.cholesky(B)).T  # W'BW = r I

@@ -49,7 +49,7 @@ __all__ = [
     "check_sobolev", "check_sobolev_inf",
     "SobolevExponents", "sobolev_exponent_table",
     "ABParameters", "ab_parameter_solver", "feasibility_boundary",
-    "run_checker_matrix", "CHECKER_IDS",
+    "run_checker_matrix", "runs_at", "CHECKER_IDS",
 ]
 
 TOL_SWEEP = 2e-2
@@ -208,9 +208,13 @@ def check_poincare(space: WeightedSpace, f: np.ndarray, N: float, K: float,
     return _report("poincare", N, K, _variance(space, f), coeff * grad_sq, tol_rel)
 
 
+#: gradient-ascent steps that ``estimate_poincare_constant`` refines the
+#: best bank member by
+POINCARE_ASCENT_ITERS = 150
+
+
 def estimate_poincare_constant(space: WeightedSpace, seed: int = 0,
-                               bank: Optional["TestBank"] = None,
-                               ascent_iters: int = 150) -> float:
+                               bank: Optional["TestBank"] = None) -> float:
     """Sup of Var_m(f) / int F^2(grad f) dm over the test bank plus
     gradient-ascent refinements; a lower bound on the true constant."""
     ops = operators_for(space)
@@ -232,7 +236,7 @@ def estimate_poincare_constant(space: WeightedSpace, seed: int = 0,
 
     f = best_f.copy()
     s = 0.5
-    for _ in range(ascent_iters):
+    for _ in range(POINCARE_ASCENT_ITERS):
         q = quotient(f)
         centered = f - integrate(space, f)
         direction = centered + q * ops.laplacian(f)
@@ -651,6 +655,11 @@ _MATRIX = {
 CHECKER_IDS = tuple(_MATRIX)
 
 
+def runs_at(checker: str, N: float) -> bool:
+    """Whether the matrix runs ``checker`` at an N admissible on the space."""
+    return _N_RANGES[_MATRIX[checker][0]](N)
+
+
 def run_checker_matrix(space: WeightedSpace, N_values: Sequence[float],
                        checkers: Optional[Sequence[str]] = None,
                        bank: Optional[TestBank] = None, seed: int = 0,
@@ -673,8 +682,8 @@ def run_checker_matrix(space: WeightedSpace, N_values: Sequence[float],
             raise ValueError(f"matrix: N = {N} not admissible on this space")
         K = override_K if override_K is not None else effective_K(space, N).K_eff
         for checker in chosen:
-            n_range, needs_positive_K, run = _MATRIX[checker]
-            if not _N_RANGES[n_range](N) or (needs_positive_K and K <= 0):
+            _, needs_positive_K, run = _MATRIX[checker]
+            if not runs_at(checker, N) or (needs_positive_K and K <= 0):
                 continue
             for label, g in bank:
                 reports.extend(replace(rep, metadata={**rep.metadata, "member": label})

@@ -11,8 +11,8 @@ exactly that freedom.
 
 Three variants are implemented:
 
-* ``EuclideanNorm(A)``     -- F(v) = sqrt(v' A v) for SPD A (reversible),
 * ``RandersNorm(A, b)``    -- F(v) = sqrt(v' A v) + b.v with |b|_{A^-1} < 1,
+* ``EuclideanNorm(A)``     -- the Randers norm with b = 0 (reversible),
 * ``AsymNorm1D(alpha, beta)`` -- F(v) = alpha*v for v >= 0, beta*(-v) for v < 0.
 
 The dual norm is the support function of the unit ball,
@@ -20,11 +20,12 @@ The dual norm is the support function of the unit ball,
     F*(a) = sup { a(v) : F(v) <= 1 },
 
 and the Legendre transform L* sends a covector a to the unique vector v with
-F(v) = F*(a) and a(v) = F*(a)^2.  All three variants evaluate the dual, the
-Legendre transform, the metric tensor and the uniform smoothness constant in
-closed form, vectorized over (M, dim) stacks; the Randers formulas hold in
-every dimension, and no operation samples the indicatrix.  The tests check
-them against dense sampling of the indicatrix and finite-difference Hessians.
+F(v) = F*(a) and a(v) = F*(a)^2.  Each variant states each operation once,
+as a closed form vectorized over (M, dim) stacks: F, F*^2, L*, g_v and its
+inverse.  ``MinkowskiNorm`` reads the one-vector methods off those forms,
+and ``uniform_smoothness`` is closed-form too.  The Randers formulas hold in
+every dimension and no operation samples the indicatrix; the tests check
+them against dense sampling and finite-difference Hessians.
 
 All operations are pure functions of immutable inputs and safe to call from
 any number of threads.
@@ -69,22 +70,30 @@ def _as_vector(v, dim: int) -> np.ndarray:
 
 
 class MinkowskiNorm:
-    """Common interface of the concrete norm variants."""
+    """Common interface of the concrete norm variants: the one-vector methods
+    are read off each variant's ``values``, ``dual_sq_values``,
+    ``legendre_map`` and ``metric_tensors`` over (M, dim) stacks."""
 
     dim: int
 
-    # -- scalar interface -------------------------------------------------
+    # -- one-vector interface ---------------------------------------------
     def __call__(self, v) -> float:
-        raise NotImplementedError
+        return float(self.values(_as_vector(v, self.dim)[None, :])[0])
 
     def dual(self, a) -> float:
-        raise NotImplementedError
+        return float(np.sqrt(self.dual_sq_values(_as_vector(a, self.dim)[None, :])[0]))
 
     def legendre(self, a) -> np.ndarray:
-        raise NotImplementedError
+        a = _as_vector(a, self.dim)
+        if not np.any(a):
+            return np.zeros(self.dim)
+        return self._verify_legendre(a, self.legendre_map(a[None, :])[0])
 
     def metric_tensor(self, v) -> np.ndarray:
-        raise NotImplementedError
+        v = _as_vector(v, self.dim)
+        if not np.any(v):
+            raise ValueError("metric tensor is undefined at v = 0")
+        return self.metric_tensors(v[None, :])[0]
 
     def reverse(self) -> "MinkowskiNorm":
         """The norm v -> F(-v)."""
@@ -107,67 +116,6 @@ class MinkowskiNorm:
         return v
 
 
-@dataclass(frozen=True, eq=False)
-class EuclideanNorm(MinkowskiNorm):
-    """F(v) = sqrt(v' A v) with A symmetric positive-definite."""
-
-    A: np.ndarray
-    _Ainv: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("A must be a square matrix")
-        if not np.allclose(A, A.T, atol=1e-12):
-            raise ValueError("A must be symmetric")
-        try:
-            np.linalg.cholesky(A)
-        except np.linalg.LinAlgError:
-            raise ValueError("A must be positive-definite") from None
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "_Ainv", np.linalg.inv(A))
-
-    @property
-    def dim(self) -> int:
-        return self.A.shape[0]
-
-    def __call__(self, v) -> float:
-        v = _as_vector(v, self.dim)
-        return float(np.sqrt(v @ self.A @ v))
-
-    def dual(self, a) -> float:
-        a = _as_vector(a, self.dim)
-        return float(np.sqrt(a @ self._Ainv @ a))
-
-    def legendre(self, a) -> np.ndarray:
-        a = _as_vector(a, self.dim)
-        return self._Ainv @ a
-
-    def metric_tensor(self, v) -> np.ndarray:
-        v = _as_vector(v, self.dim)
-        if not np.any(v):
-            raise ValueError("metric tensor is undefined at v = 0")
-        return self.A.copy()
-
-    def reverse(self) -> "EuclideanNorm":
-        return self
-
-    def values(self, V):
-        V = np.asarray(V, dtype=float)
-        return np.sqrt(np.einsum("mi,ij,mj->m", V, self.A, V))
-
-    def dual_sq_values(self, A_):
-        A_ = np.asarray(A_, dtype=float)
-        return np.einsum("mi,ij,mj->m", A_, self._Ainv, A_)
-
-    def legendre_map(self, A_):
-        return np.asarray(A_, dtype=float) @ self._Ainv.T
-
-    def inverse_metric_tensors(self, V):
-        V = np.asarray(V, dtype=float)
-        return np.broadcast_to(self._Ainv, (V.shape[0],) + self._Ainv.shape).copy()
-
-
 @dataclass(frozen=True)
 class AsymNorm1D(MinkowskiNorm):
     """One-dimensional two-slope norm: F(v) = alpha*v (v >= 0), beta*(-v) (v < 0).
@@ -187,27 +135,6 @@ class AsymNorm1D(MinkowskiNorm):
     def dim(self) -> int:
         return 1
 
-    def __call__(self, v) -> float:
-        v = float(_as_vector(v, 1)[0])
-        return self.alpha * v if v >= 0 else self.beta * (-v)
-
-    def dual(self, a) -> float:
-        # Support function of the unit ball [-1/beta, 1/alpha].
-        s = float(_as_vector(a, 1)[0])
-        return s / self.alpha if s >= 0 else -s / self.beta
-
-    def legendre(self, a) -> np.ndarray:
-        s = float(_as_vector(a, 1)[0])
-        v = s / self.alpha**2 if s >= 0 else s / self.beta**2
-        return np.array([v])
-
-    def metric_tensor(self, v) -> np.ndarray:
-        s = float(_as_vector(v, 1)[0])
-        if s == 0.0:
-            raise ValueError("metric tensor is undefined at v = 0")
-        g = self.alpha**2 if s > 0 else self.beta**2
-        return np.array([[g]])
-
     def reverse(self) -> "AsymNorm1D":
         return AsymNorm1D(self.beta, self.alpha)
 
@@ -225,6 +152,10 @@ class AsymNorm1D(MinkowskiNorm):
     def legendre_map(self, A_):
         s = np.asarray(A_, dtype=float)[:, 0]
         return (s / self._branch(s) ** 2)[:, None]
+
+    def metric_tensors(self, V):
+        s = np.asarray(V, dtype=float)[:, 0]
+        return (self._branch(s) ** 2)[:, None, None]
 
     def inverse_metric_tensors(self, V):
         s = np.asarray(V, dtype=float)[:, 0]
@@ -255,9 +186,11 @@ class RandersNorm(MinkowskiNorm):
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be a square matrix")
+        # only the Euclidean subclass leaves b unset; A is known square here
+        b = (np.zeros(A.shape[0]) if self.b is None
+             else np.atleast_1d(np.asarray(self.b, dtype=float)))
         if b.shape != (A.shape[0],):
             raise ValueError("b must be a vector matching A")
         if not np.allclose(A, A.T, atol=1e-12):
@@ -281,10 +214,6 @@ class RandersNorm(MinkowskiNorm):
     def dim(self) -> int:
         return self.A.shape[0]
 
-    def __call__(self, v) -> float:
-        v = _as_vector(v, self.dim)
-        return float(np.sqrt(v @ self.A @ v) + self.b @ v)
-
     def values(self, V):
         V = np.asarray(V, dtype=float)
         return np.sqrt(np.einsum("mi,ij,mj->m", V, self.A, V)) + V @ self.b
@@ -303,16 +232,6 @@ class RandersNorm(MinkowskiNorm):
         s = np.sqrt(lam * np.einsum("mi,mi->m", A_, Z) + beta * beta)
         return Z, s, (s - beta) / lam
 
-    def dual(self, a) -> float:
-        a = _as_vector(a, self.dim)
-        return float(self._duals(a[None, :])[2][0])
-
-    def legendre(self, a) -> np.ndarray:
-        a = _as_vector(a, self.dim)
-        if not np.any(a):
-            return np.zeros(self.dim)
-        return self._verify_legendre(a, self.legendre_map(a[None, :])[0])
-
     def dual_sq_values(self, A_):
         return self._duals(A_)[2] ** 2
 
@@ -321,9 +240,7 @@ class RandersNorm(MinkowskiNorm):
         ratio = np.divide(fstar, s, out=np.zeros_like(s), where=s > 0)
         return ratio[:, None] * (Z - fstar[:, None] * (self._Ainv @ self.b))
 
-    # -- metric tensor ----------------------------------------------------------
-
-    def metric_tensors(self, V: np.ndarray) -> np.ndarray:
+    def metric_tensors(self, V):
         """Metric tensors g_v across rows of V (all rows nonzero)."""
         V = np.asarray(V, dtype=float)
         AV = V @ self.A
@@ -334,12 +251,6 @@ class RandersNorm(MinkowskiNorm):
         return (ratio[:, None, None] * (self.A - U[:, :, None] * U[:, None, :])
                 + ell[:, :, None] * ell[:, None, :])
 
-    def metric_tensor(self, v) -> np.ndarray:
-        v = _as_vector(v, self.dim)
-        if not np.any(v):
-            raise ValueError("metric tensor is undefined at v = 0")
-        return self.metric_tensors(v[None, :])[0]
-
     def inverse_metric_tensors(self, V):
         return np.linalg.inv(self.metric_tensors(V))
 
@@ -347,15 +258,38 @@ class RandersNorm(MinkowskiNorm):
         return RandersNorm(self.A, -self.b)
 
 
+@dataclass(frozen=True, eq=False)
+class EuclideanNorm(RandersNorm):
+    """F(v) = sqrt(v' A v) with A symmetric positive-definite: the Randers
+    norm with b = 0.  Its dual, Legendre map and metric are constant-matrix
+    forms, which the general Randers formulas would rebuild at every row."""
+
+    b: np.ndarray = field(init=False, default=None, repr=False)
+
+    def dual_sq_values(self, A_):
+        A_ = np.asarray(A_, dtype=float)
+        return np.einsum("mi,ij,mj->m", A_, self._Ainv, A_)
+
+    def legendre_map(self, A_):
+        return np.asarray(A_, dtype=float) @ self._Ainv.T
+
+    def metric_tensors(self, V):
+        return np.broadcast_to(self.A, (len(V),) + self.A.shape).copy()
+
+    def inverse_metric_tensors(self, V):
+        return np.broadcast_to(self._Ainv, (len(V),) + self._Ainv.shape).copy()
+
+    def reverse(self) -> "EuclideanNorm":
+        return self
+
+
 def uniform_smoothness(norm: MinkowskiNorm) -> float:
     """Uniform smoothness constant: sup of g_v(w,w)/F(w)^2 over unit v, w.
 
-    Exactly 1.0 for Euclidean norms (the inner-product case), max(a/b, b/a)^2
-    for the 1D two-slope norm and ((1 + e)/(1 - e))^2 with e = |b|_{A^-1}
-    for Randers norms, attained at v = -w along the A^-1 direction of b.
+    max(a/b, b/a)^2 for the 1D two-slope norm and ((1 + e)/(1 - e))^2 with
+    e = |b|_{A^-1} for Randers norms, attained at v = -w along the A^-1
+    direction of b; exactly 1.0 at b = 0 (Euclidean, the inner-product case).
     """
-    if isinstance(norm, EuclideanNorm):
-        return 1.0
     if isinstance(norm, AsymNorm1D):
         r = norm.alpha / norm.beta
         return float(max(r, 1.0 / r) ** 2)

@@ -168,7 +168,8 @@ def test_bad_flow_values_are_config_errors(tmp_path, capsys, key, value):
     assert f"'flow.{key}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("size", 2.5), ("seed", -1)])
+@pytest.mark.parametrize("key, value", [("size", 2.5), ("seed", -1), ("size", 1001),
+                                        ("size", 100000000)])
 def test_bad_bank_values_are_config_errors(tmp_path, capsys, key, value):
     doc = dict(ASYM_GAUSS)
     doc["bank"] = {key: value}
@@ -247,5 +248,57 @@ def test_dimension_N_with_drifting_weight_is_config_error(tmp_path, capsys, spac
 
 def test_dimension_N_with_constant_weight_runs(tmp_path):
     doc = {"space": dict(RANDERS_BOX["space"], psi="3"), "n_values": [2]}
+    cfg = write_config(tmp_path, doc)
+    assert main(["space", "describe", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("matrix", [
+    2.0,                           # scalar
+    [1.0, 2.0],                    # 1-D
+    [[1.0, 0.0], [0.0]],           # ragged
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],  # not square
+    [[1.0, 0.5], [0.0, 1.0]],      # not symmetric
+    [[1.0, 2.0], [2.0, 1.0]],      # not positive-definite
+], ids=["scalar", "1d", "ragged", "non-square", "non-symmetric", "indefinite"])
+@pytest.mark.parametrize("variant", ["euclidean", "randers"])
+def test_malformed_matrix_is_config_error(tmp_path, capsys, matrix, variant):
+    norm = {"variant": variant, "matrix": matrix}
+    if variant == "randers":
+        norm["drift"] = [0.1, 0.0]
+    doc = {"space": dict(RANDERS_BOX["space"], norm=norm), "n_values": ["inf"]}
+    cfg = write_config(tmp_path, doc)
+    assert main(["space", "describe", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "'space.norm'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"space": ASYM_GAUSS["space"]}, "n_values"),
+    ({"space": ASYM_GAUSS["space"], "n_values": []}, "n_values"),
+    ({"space": ASYM_GAUSS["space"], "n_values": ["inf"], "checkers": ["talagrand"]},
+     "checkers"),
+    ({"space": ASYM_GAUSS["space"], "n_values": ["inf", -5],
+      "checkers": ["nash", "nonsharp_sobolev"]}, "checkers"),
+    ({"space": ASYM_GAUSS["space"], "n_values": [2],
+      "checkers": ["nonsharp_sobolev", "sobolev_inf"]}, "checkers"),
+])
+def test_ineq_check_without_a_runnable_cell_is_config_error(tmp_path, capsys, doc, key):
+    # before, these printed "0 checks, 0 failed" and exited 0
+    cfg = write_config(tmp_path, doc)
+    assert main(["ineq", "check", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "ineq_report.json").exists()
+
+
+def test_ineq_check_runs_a_checker_subset_at_its_N(tmp_path):
+    doc = {"space": ASYM_GAUSS["space"], "n_values": ["inf", 100],
+           "checkers": ["talagrand"], "bank": {"size": 2}}
+    cfg = write_config(tmp_path, doc)
+    assert main(["ineq", "check", "--config", cfg, "--out", str(tmp_path)]) == 0
+    checks = json.loads((tmp_path / "ineq_report.json").read_text())["checks"]
+    assert [(c["checker"], c["N"]) for c in checks] == [("talagrand", 100.0)] * 2
+
+
+def test_largest_bank_is_accepted(tmp_path):
+    doc = dict(ASYM_GAUSS, bank={"size": 1000})
     cfg = write_config(tmp_path, doc)
     assert main(["space", "describe", "--config", cfg, "--out", str(tmp_path)]) == 0

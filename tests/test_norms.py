@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from finslergamma import (AsymNorm1D, EuclideanNorm, MinkowskiNorm, RandersNorm,
-                          uniform_smoothness)
+from finslergamma import (AsymNorm1D, EuclideanNorm, LegendreError, MinkowskiNorm,
+                          RandersNorm, uniform_smoothness)
 
 RANDERS = RandersNorm(np.eye(2), (0.5, 0.0))
 # non-diagonal A and an oblique drift, |b|_{A^-1} ~ 0.92
@@ -172,24 +172,79 @@ def test_randers_construction_guards():
 
 
 def test_vectorized_paths_match_scalar():
+    # test-side closed forms: sqrt(v'Av) + b.v with F* = sqrt(a'A^-1 a) and
+    # L* = A^-1 a at b = 0, and the two-slope norm with its support function
     rng = np.random.default_rng(7)
     V = rng.standard_normal((20, 2))
-    for norm in (EUCLID2, RANDERS):
-        assert np.allclose(norm.values(V), [norm(v) for v in V])
-        assert np.allclose(norm.dual_sq_values(V), [norm.dual(v) ** 2 for v in V],
-                           rtol=1e-9)
-        assert np.allclose(norm.legendre_map(V), [norm.legendre(v) for v in V],
-                           rtol=1e-7, atol=1e-10)
-    V1 = rng.standard_normal((20, 1))
-    assert np.allclose(ASYM.values(V1), [ASYM(v) for v in V1])
-    assert np.allclose(ASYM.legendre_map(V1), [ASYM.legendre(v) for v in V1])
+    A = np.array([[2.0, 0.3], [0.3, 1.0]])
+    euclid = EuclideanNorm(A)
+    Ainv = np.linalg.inv(A)
+    for norm in (euclid, RANDERS):
+        ref = [np.sqrt(v @ norm.A @ v) + norm.b @ v for v in V]
+        assert np.allclose(norm.values(V), ref, rtol=1e-14)
+        assert np.allclose([norm(v) for v in V], ref, rtol=1e-14)
+    for got in (euclid.dual_sq_values(V), [euclid.dual(a) ** 2 for a in V]):
+        assert np.allclose(got, [a @ Ainv @ a for a in V], rtol=1e-13)
+    for got in (euclid.legendre_map(V), [euclid.legendre(a) for a in V]):
+        assert np.allclose(got, V @ Ainv, rtol=1e-13)
+    s = rng.standard_normal(20)
+    slope = np.array([ASYM.alpha if x >= 0 else ASYM.beta for x in s])
+    for got in (ASYM.values(s[:, None]), [ASYM((x,)) for x in s]):
+        assert np.allclose(got, slope * np.abs(s), rtol=1e-15)
+    for got in (ASYM.dual_sq_values(s[:, None]), [ASYM.dual((x,)) ** 2 for x in s]):
+        assert np.allclose(got, (s / slope) ** 2, rtol=1e-15)
+    for got in (ASYM.legendre_map(s[:, None])[:, 0], [ASYM.legendre((x,))[0] for x in s]):
+        assert np.allclose(got, s / slope**2, rtol=1e-15)
+
+
+ALL_NORMS = [EUCLID2, EuclideanNorm(np.array([[2.0, 0.3], [0.3, 1.0]])), ASYM,
+             RANDERS, RANDERS_GEN]
+
+
+@pytest.mark.parametrize("norm", ALL_NORMS, ids=lambda n: type(n).__name__)
+def test_legendre_is_verified_for_every_variant(monkeypatch, norm):
+    # a wrong Legendre map must trip the post-hoc identity check
+    cls = type(norm)
+    right = cls.legendre_map
+    monkeypatch.setattr(cls, "legendre_map", lambda self, A_: 1.5 * right(self, A_))
+    a = np.linspace(0.7, -0.4, norm.dim)
+    with pytest.raises(LegendreError):
+        norm.legendre(a)
+    monkeypatch.undo()
+    assert norm(norm.legendre(a)) == pytest.approx(norm.dual(a), rel=1e-12)
+
+
+@pytest.mark.parametrize("norm", ALL_NORMS, ids=lambda n: type(n).__name__)
+def test_metric_tensors_times_inverse_is_identity(norm):
+    V = np.random.default_rng(12).standard_normal((25, norm.dim))
+    G, Ginv = norm.metric_tensors(V), norm.inverse_metric_tensors(V)
+    assert G.shape == Ginv.shape == (25, norm.dim, norm.dim)
+    assert np.allclose(G @ Ginv, np.eye(norm.dim), atol=1e-12)
+    for v, g in zip(V, G):
+        assert np.allclose(norm.metric_tensor(v), g, rtol=1e-14, atol=0)
+
+
+def test_euclidean_is_the_randers_norm_with_zero_drift():
+    A = np.array([[2.0, 0.3], [0.3, 1.0]])
+    euclid = EuclideanNorm(A)
+    assert isinstance(euclid, RandersNorm)
+    assert np.array_equal(euclid.b, np.zeros(2))
+    assert euclid.reverse() is euclid
+    assert uniform_smoothness(euclid) == 1.0
+    # the constant-matrix overrides agree with the general Randers forms at b = 0
+    general = RandersNorm(A, (0.0, 0.0))
+    X = np.random.default_rng(13).standard_normal((30, 2))
+    for name in ("values", "dual_sq_values", "legendre_map", "metric_tensors",
+                 "inverse_metric_tensors"):
+        assert np.allclose(getattr(euclid, name)(X), getattr(general, name)(X),
+                           rtol=1e-13, atol=1e-15), name
+    with pytest.raises(TypeError):
+        EuclideanNorm(A, (0.1, 0.0))  # the drift is not a parameter
 
 
 def test_degenerate_input_raises_legendre_error():
     # a drift above 1 cannot be built through the constructor; smuggle one in
     # to confirm the duality guard trips rather than returning garbage
-    from finslergamma import LegendreError
-
     broken = object.__new__(RandersNorm)
     object.__setattr__(broken, "A", np.eye(2))
     object.__setattr__(broken, "b", np.array([1.05, 0.0]))

@@ -1,12 +1,18 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+import finslergamma
 from finslergamma import (Domain, build_space, lp_transport_cost,
                           quantile_transport_cost, transport_cost_sq,
                           wasserstein2)
 from finslergamma.transport import _pair_cost_matrix, coarsen_measure
 
-from conftest import asym21, euclid, gauss_interval
+from conftest import asym21, euclid, gauss_interval, oblique_randers
 
 
 def dirac(space, point):
@@ -63,10 +69,57 @@ def test_lp_cap():
         lp_transport_cost(C, np.full(80, 1 / 80), np.full(80, 1 / 80))
 
 
+def _lp_by_dense_rows(C, mu, nu):
+    """Reference: the transport LP with one dense constraint row per marginal."""
+    m, n = C.shape
+    rows, rhs = [], []
+    for i in range(m):
+        a = np.zeros((m, n))
+        a[i, :] = 1.0
+        rows.append(a.reshape(-1))
+        rhs.append(mu[i])
+    for j in range(n - 1):
+        a = np.zeros((m, n))
+        a[:, j] = 1.0
+        rows.append(a.reshape(-1))
+        rhs.append(nu[j])
+    result = linprog(C.reshape(-1), A_eq=np.array(rows), b_eq=np.array(rhs),
+                     bounds=(0, None), method="highs")
+    assert result.success
+    return float(result.fun)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (7, 1), (13, 9), (64, 64)])
+def test_lp_equals_dense_row_lp(m, n):
+    rng = np.random.default_rng(m * 100 + n)
+    C = rng.random((m, n)) ** 2
+    mu, nu = rng.random(m), rng.random(n)
+    mu, nu = mu / mu.sum(), nu / nu.sum()
+    assert lp_transport_cost(C, mu, nu) == pytest.approx(_lp_by_dense_rows(C, mu, nu),
+                                                         rel=1e-12, abs=1e-15)
+
+
+def test_lp_on_the_randers_box_equals_dense_row_lp():
+    sp = build_space(Domain("box", (2.0, 2.0), (16, 16)), oblique_randers(), "0")
+    mu = (1.0 + 0.45 * np.sin(np.pi * sp.coords[:, 0])) * sp.cell_mass
+    xs, wx = coarsen_measure(sp, mu / mu.sum())
+    ys, wy = coarsen_measure(sp, sp.cell_mass)
+    C = _pair_cost_matrix(sp, xs, ys)
+    assert lp_transport_cost(C, wx, wy) == _lp_by_dense_rows(C, wx, wy)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # a fresh interpreter: this one has imported scipy.optimize already
+    src = os.path.dirname(os.path.dirname(finslergamma.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import finslergamma.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code, src]).returncode == 0
+
+
 def test_coarsen_measure_preserves_mass_and_centroid():
     sp = build_space(Domain("torus", (1.0, 1.0), (16, 16)), euclid(2), "0")
     mu = sp.cell_mass.copy()
-    points, weights = coarsen_measure(sp, mu, max_support=64)
+    points, weights = coarsen_measure(sp, mu)
     assert len(weights) <= 64
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     mean_fine = mu @ sp.coords
