@@ -17,10 +17,20 @@ frozen gradient direction, the second-order quantity
 
     Gamma2(f) = Lin-Laplacian_{grad f}[ F^2(grad f)/2 ] - D[Lap f](grad f),
 
-the Dirichlet energy, and residual checks for the exponential chain rules
-and the two exponential-field identities they imply.  Identity residuals
-are measured in the interior (one-sided boundary stencils are lower order);
-on periodic domains every node is interior.
+and residual checks for the exponential chain rules and the two
+exponential-field identities they imply.  Identity residuals are measured
+in the interior (one-sided boundary stencils are lower order); on periodic
+domains every node is interior.
+
+Everything derived from one scalar field f lives on its record, the
+``Field`` that ``ops.field(f)`` returns: Df, F*(Df)^2, the Legendre map and
+its degenerate nodes, grad f, Lap f, the inverse metrics at grad f, Gamma2(f)
+and the nodes of pointwise statements, each computed once on first use.
+Every consumer (the Laplacian, the Newton Jacobian, the identities, the flow
+observables, the checkers) reads a record, so a caller that holds one never
+evaluates the Legendre map twice.  Records are not memoized on the bundle:
+a record lives exactly as long as its caller holds it, so a flow of many
+steps cannot grow memory, and no cache policy is needed.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ import scipy.sparse as sp
 
 from .space import WeightedSpace, integrate
 
-__all__ = ["DiffOperators", "gradient_kink_mask", "operators_for"]
+__all__ = ["DiffOperators", "Field", "gradient_kink_mask", "operators_for"]
 
 
 def _axis_matrix(n: int, h: float, periodic: bool) -> sp.csr_matrix:
@@ -92,6 +102,72 @@ def _linearized_pattern(D: list, inv_m: np.ndarray) -> LinearizedPattern:
     return LinearizedPattern(indices, indptr, np.flatnonzero(indices == keys // n), terms)
 
 
+class Field:
+    """One scalar field f on an operator bundle.  Each object of the
+    Gamma-calculus derived from f is computed once, on first use."""
+
+    def __init__(self, ops: DiffOperators, f: np.ndarray):
+        self.ops = ops
+        self.f = np.asarray(f, dtype=float)
+
+    @cached_property
+    def Df(self) -> np.ndarray:
+        return self.ops.differential(self.f)
+
+    @cached_property
+    def dual_sq(self) -> np.ndarray:
+        """F*(Df)^2 = F^2(grad f)."""
+        return self.ops.space.norm.dual_sq_values(self.Df)
+
+    @cached_property
+    def legendre(self) -> np.ndarray:
+        """L*(Df), also at degenerate nodes."""
+        return self.ops.space.norm.legendre_map(self.Df)
+
+    @cached_property
+    def degenerate(self) -> np.ndarray:
+        """F*(Df) < EPS_GRAD, read off the Legendre map as F*(Df)^2 = Df . L*(Df)."""
+        return np.einsum("mi,mi->m", self.Df, self.legendre) < self.ops.EPS_GRAD ** 2
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        """The Finsler gradient: L*(Df), zeroed where degenerate."""
+        return np.where(self.degenerate[:, None], 0.0, self.legendre)
+
+    @cached_property
+    def lap(self) -> np.ndarray:
+        return self.ops.divergence(self.grad)
+
+    @cached_property
+    def dlap_grad(self) -> np.ndarray:
+        """D[Lap f](grad f)."""
+        return np.einsum("mi,mi->m", self.ops.differential(self.lap), self.grad)
+
+    @cached_property
+    def Ginv(self) -> np.ndarray:
+        """Inverse metric tensors at grad f; at the first axis direction
+        where degenerate."""
+        at = np.where(self.degenerate[:, None], np.eye(self.ops.space.dim)[0], self.legendre)
+        return self.ops.space.norm.inverse_metric_tensors(at)
+
+    @cached_property
+    def g2(self) -> np.ndarray:
+        """Gamma2(f) = Lin-Laplacian_{grad f}[F^2(grad f)/2] - D[Lap f](grad f)."""
+        return self.ops.linearized_laplacian(self, 0.5 * self.dual_sq) - self.dlap_grad
+
+    @cached_property
+    def kink(self) -> np.ndarray:
+        """True away from gradient zeros; see ``gradient_kink_mask``."""
+        return gradient_kink_mask(self.ops, self)
+
+    @cached_property
+    def pointwise(self) -> np.ndarray:
+        """Nodes of pointwise statements: interior nodes away from gradient
+        zeros, or the whole interior if no such node is left."""
+        keep = self.ops.interior & self.kink
+        return keep if np.any(keep) else self.ops.interior
+
+
 class DiffOperators:
     """Bundle of discrete operators over one WeightedSpace."""
 
@@ -121,7 +197,19 @@ class DiffOperators:
                 D = sp.kron(sp.identity(shape[0]), D1, format="csr")
             self._D.append(sp.csr_matrix(D))
         self._DT = [sp.csr_matrix(D.T) for D in self._D]
-        self._interior = self._interior_mask()
+        interior = np.ones(shape, dtype=bool)
+        if not periodic:
+            w = self.BOUNDARY_WIDTH
+            for a in range(space.dim):
+                for band in (slice(0, w), slice(-w, None)):
+                    edges = [slice(None)] * space.dim
+                    edges[a] = band
+                    interior[tuple(edges)] = False
+        self.interior = interior.reshape(-1)
+
+    def field(self, f: np.ndarray | Field) -> Field:
+        """The record of f on this bundle; a record is returned unchanged."""
+        return f if isinstance(f, Field) else Field(self, f)
 
     # ------------------------------------------------------------------
     # first-order operators
@@ -129,13 +217,6 @@ class DiffOperators:
     def differential(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=float)
         return np.stack([D @ f for D in self._D], axis=1)
-
-    def gradient(self, f: np.ndarray) -> np.ndarray:
-        """Legendre transform of the differential, zeroed where degenerate."""
-        Df = self.differential(f)
-        grad = self.space.norm.legendre_map(Df)
-        grad[self._degenerate(Df, grad)] = 0.0
-        return grad
 
     def divergence(self, V: np.ndarray) -> np.ndarray:
         V = np.asarray(V, dtype=float)
@@ -145,44 +226,29 @@ class DiffOperators:
             out -= self._DT[a] @ (m * V[:, a])
         return out / m
 
-    def laplacian(self, f: np.ndarray) -> np.ndarray:
-        return self.divergence(self.gradient(f))
+    def laplacian(self, f: np.ndarray | Field) -> np.ndarray:
+        return self.field(f).lap
 
     # ------------------------------------------------------------------
     # linearized operators at a frozen gradient direction
 
-    def _degenerate(self, Df: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """F*(Df) < EPS_GRAD, read off grad = L*(Df) as F*(Df)^2 = Df . grad."""
-        return np.einsum("mi,mi->m", Df, grad) < self.EPS_GRAD ** 2
-
-    def _inverse_metrics_at(self, f: np.ndarray) -> np.ndarray:
-        Df = self.differential(f)
-        grad = self.space.norm.legendre_map(Df)
-        deg = self._degenerate(Df, grad)
-        if np.any(deg):
-            grad[deg] = np.eye(self.space.dim)[0]
-        return self.space.norm.inverse_metric_tensors(grad)
-
-    def linearized_gradient(self, f: np.ndarray, u: np.ndarray) -> np.ndarray:
-        Ginv = self._inverse_metrics_at(f)
-        Du = self.differential(u)
-        return np.einsum("mij,mj->mi", Ginv, Du)
-
-    def linearized_laplacian(self, f: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self.divergence(self.linearized_gradient(f, u))
+    def linearized_laplacian(self, f: np.ndarray | Field, u: np.ndarray) -> np.ndarray:
+        """div(Ginv(grad f) Du): the Laplacian of u with the metric frozen at grad f."""
+        return self.divergence(np.einsum("mij,mj->mi", self.field(f).Ginv,
+                                         self.differential(u)))
 
     @cached_property
     def linearized_pattern(self) -> LinearizedPattern:
         """CSC pattern of ``linearized_laplacian_matrix``, built on first use."""
         return _linearized_pattern(self._D, 1.0 / self.space.cell_mass)
 
-    def linearized_laplacian_matrix(self, f: np.ndarray) -> sp.csc_matrix:
+    def linearized_laplacian_matrix(self, f: np.ndarray | Field) -> sp.csc_matrix:
         """Sparse matrix of u -> linearized_laplacian(f, u); the Newton
         Jacobian of the nonlinear Laplacian away from degenerate nodes.
         CSC on the shared ``linearized_pattern`` with fresh ``data``, equal bit
         for bit to sum_ab -(1/m) D_a^T diag(m Ginv_ab) D_b as sparse products,
         except that entries which cancel are stored as zeros."""
-        Ginv = self._inverse_metrics_at(f)
+        Ginv = self.field(f).Ginv
         m = self.space.cell_mass
         pat = self.linearized_pattern
         data = np.zeros(len(pat.indices))
@@ -195,67 +261,25 @@ class DiffOperators:
         return sp.csc_matrix((data, pat.indices, pat.indptr), shape=(len(m), len(m)))
 
     # ------------------------------------------------------------------
-    # second-order quantities
+    # identity residuals for exponential fields
 
-    def gamma2(self, f: np.ndarray) -> np.ndarray:
-        Df = self.differential(f)
-        grad = self.gradient(f)
-        f2 = self.space.norm.dual_sq_values(Df)
-        t1 = self.linearized_laplacian(f, 0.5 * f2)
-        t2 = np.einsum("mi,mi->m", self.differential(self.laplacian(f)), grad)
-        return t1 - t2
-
-    def energy(self, f: np.ndarray) -> float:
-        Df = self.differential(f)
-        return 0.5 * integrate(self.space, self.space.norm.dual_sq_values(Df))
-
-    # ------------------------------------------------------------------
-    # interior handling and residual metrics
-
-    def _interior_mask(self) -> np.ndarray:
-        if self.space.domain.periodic:
-            return np.ones(self.space.n_nodes, dtype=bool)
-        w = self.BOUNDARY_WIDTH
-        mask = np.ones(self.space.shape, dtype=bool)
-        for a in range(self.space.dim):
-            sl = [slice(None)] * self.space.dim
-            sl[a] = slice(0, w)
-            mask[tuple(sl)] = False
-            sl[a] = slice(-w, None)
-            mask[tuple(sl)] = False
-        return mask.reshape(-1)
-
-    @property
-    def interior(self) -> np.ndarray:
-        return self._interior
-
-    def relative_residual(self, lhs: np.ndarray, rhs: np.ndarray,
-                          mask: np.ndarray = None) -> float:
-        """max |lhs - rhs| over interior (optionally masked further),
-        relative to the interior sup of |rhs|."""
-        keep = self._interior if mask is None else (self._interior & mask)
-        diff = np.max(np.abs(lhs - rhs)[keep])
-        scale = np.max(np.abs(rhs)[keep])
+    def relative_residual(self, lhs: np.ndarray, rhs: np.ndarray) -> float:
+        """max |lhs - rhs| over the interior, relative to the interior sup of |rhs|."""
+        diff = np.max(np.abs(lhs - rhs)[self.interior])
+        scale = np.max(np.abs(rhs)[self.interior])
         if scale < 1e-300:
             return float(diff)
         return float(diff / scale)
-
-    # ------------------------------------------------------------------
-    # identity residuals for exponential fields
 
     def identity_exp_chain(self, h: np.ndarray, a: float) -> float:
         """Residual of the chain rules for w = exp(a h), a > 0:
         grad w = a w grad h and Lap w = a w (Lap h + a F^2(grad h))."""
         if a <= 0:
             raise ValueError("a must be positive")
-        h = np.asarray(h, dtype=float)
-        w = np.exp(a * h)
-        gw = self.gradient(w)
-        gh = self.gradient(h)
-        r1 = self.relative_residual(gw, a * w[:, None] * gh)
-        f2 = self.space.norm.dual_sq_values(self.differential(h))
-        r2 = self.relative_residual(self.laplacian(w),
-                                    a * w * (self.laplacian(h) + a * f2))
+        h = self.field(h)
+        w = self.field(np.exp(a * h.f))
+        r1 = self.relative_residual(w.grad, a * w.f[:, None] * h.grad)
+        r2 = self.relative_residual(w.lap, a * w.f * (h.lap + a * h.dual_sq))
         return max(r1, r2)
 
     def identity_exp_gamma2(self, h: np.ndarray, a: float) -> float:
@@ -263,12 +287,10 @@ class DiffOperators:
         a^2 e^{2ah} { Gamma2(h) + a D[F^2(grad h)](grad h) + a^2 F^4(grad h) }."""
         if a <= 0:
             raise ValueError("a must be positive")
-        h = np.asarray(h, dtype=float)
-        lhs = self.gamma2(np.exp(a * h))
-        gh = self.gradient(h)
-        f2 = self.space.norm.dual_sq_values(self.differential(h))
-        df2_gh = np.einsum("mi,mi->m", self.differential(f2), gh)
-        rhs = a**2 * np.exp(2 * a * h) * (self.gamma2(h) + a * df2_gh + a**2 * f2**2)
+        h = self.field(h)
+        lhs = self.field(np.exp(a * h.f)).g2
+        rhs = a**2 * np.exp(2 * a * h.f) * (h.g2 + a * self._df2_grad(h)
+                                             + a**2 * h.dual_sq**2)
         return self.relative_residual(lhs, rhs)
 
     def identity_exp_bochner_integrals(self, h: np.ndarray, a: float) -> float:
@@ -283,18 +305,19 @@ class DiffOperators:
             raise ValueError("a must be nonnegative")
         if not self.space.domain.periodic:
             raise ValueError("integral identity requires a periodic domain")
-        h = np.asarray(h, dtype=float)
-        e2 = np.exp(2 * a * h)
-        gh = self.gradient(h)
-        f2 = self.space.norm.dual_sq_values(self.differential(h))
-        df2_gh = np.einsum("mi,mi->m", self.differential(f2), gh)
-        lhs = integrate(self.space, e2 * self.laplacian(h) ** 2)
-        rhs = integrate(self.space,
-                        e2 * (self.gamma2(h) + 3 * a * df2_gh + 4 * a**2 * f2**2))
+        h = self.field(h)
+        e2 = np.exp(2 * a * h.f)
+        lhs = integrate(self.space, e2 * h.lap ** 2)
+        rhs = integrate(self.space, e2 * (h.g2 + 3 * a * self._df2_grad(h)
+                                          + 4 * a**2 * h.dual_sq**2))
         scale = max(abs(lhs), abs(rhs))
         if scale < 1e-300:
             return abs(lhs - rhs)
         return abs(lhs - rhs) / scale
+
+    def _df2_grad(self, h: Field) -> np.ndarray:
+        """D[F^2(grad h)](grad h)."""
+        return np.einsum("mi,mi->m", self.differential(h.dual_sq), h.grad)
 
 
 def operators_for(space: WeightedSpace) -> DiffOperators:
@@ -310,7 +333,7 @@ def operators_for(space: WeightedSpace) -> DiffOperators:
 KINK_DILATION = 3
 
 
-def gradient_kink_mask(ops: DiffOperators, f: np.ndarray) -> np.ndarray:
+def gradient_kink_mask(ops: DiffOperators, f: np.ndarray | Field) -> np.ndarray:
     """True at nodes safely away from gradient zeros of f.
 
     Near a sign change of the differential, nodewise quantities built from a
@@ -319,11 +342,11 @@ def gradient_kink_mask(ops: DiffOperators, f: np.ndarray) -> np.ndarray:
     this region and report it separately.  The excluded band is where
     F*(Df) dips below a second-difference scale, dilated KINK_DILATION nodes.
     """
-    Df = ops.differential(f)
-    fd = np.sqrt(ops.space.norm.dual_sq_values(Df))
+    f = ops.field(f)
+    fd = np.sqrt(f.dual_sq)
     curv = 0.0
     for a in range(ops.space.dim):
-        curv = max(curv, float(np.max(np.abs(ops._D[a] @ Df[:, a]))))
+        curv = max(curv, float(np.max(np.abs(ops._D[a] @ f.Df[:, a]))))
     thresh = 4.0 * max(ops.space.h) * curv
     excluded = (fd < thresh).reshape(ops.space.shape)
     periodic = ops.space.domain.periodic

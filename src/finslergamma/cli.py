@@ -95,18 +95,9 @@ def _write(out_dir: str, name: str, text: str) -> str:
 
 
 def _report_to_dict(rep) -> dict:
-    return {
-        "checker": rep.checker,
-        "N": rep.N,
-        "K": rep.K,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "margin": rep.margin,
-        "pass": rep.passed,
-        "tol_rel": rep.tol_rel,
-        "tol_abs": rep.tol_abs,
-        "metadata": dict(rep.metadata),
-    }
+    doc = dataclasses.asdict(rep)
+    doc["pass"] = doc.pop("passed")
+    return doc
 
 
 def _expression_field(space, expr: str, key: str) -> np.ndarray:
@@ -202,11 +193,17 @@ def cmd_flow_run(config: ExperimentConfig, out_dir: str, args) -> int:
 def cmd_ineq_check(config: ExperimentConfig, out_dir: str, args) -> int:
     if not config.n_values:
         raise ConfigError("config key 'n_values': required for `fg ineq check`")
-    if not any(runs_at(c, N) for c in config.checkers or CHECKER_IDS
-               for N in config.n_values):
-        raise ConfigError("config key 'checkers': none of them runs at any N in "
-                          "'n_values'")
     space = config.build_space()
+    K = {N: args.override_k if args.override_k is not None else effective_K(space, N).K_eff
+         for N in config.n_values}
+    chosen = config.checkers or CHECKER_IDS
+    if not any(runs_at(c, N, K[N]) for c in chosen for N in config.n_values):
+        raise ConfigError("config key 'checkers': none of them runs at any N in "
+                          "'n_values' with the K there (most need K > 0)")
+    if "bochner_pointwise" in chosen and not operators_for(space).interior.any():
+        raise ConfigError("config key 'space.domain.resolution': the pointwise Bochner "
+                          f"check needs more than {2 * DiffOperators.BOUNDARY_WIDTH} "
+                          "nodes on each axis, or it has no interior node")
     seed = args.seed if args.seed is not None else config.bank_seed
     bank = make_test_bank(space, seed=seed, size=config.bank_size)
     reports = []
@@ -217,7 +214,7 @@ def cmd_ineq_check(config: ExperimentConfig, out_dir: str, args) -> int:
         try:
             reports.extend(run_checker_matrix(
                 space, [N], checkers=config.checkers, bank=bank,
-                override_K=args.override_k, tol_rel=config.tol_sweep))
+                override_K=K[N], tol_rel=config.tol_sweep))
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc} (at N = {_num_key(N)})"
             break

@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .calculus import gradient_kink_mask, operators_for
+from .calculus import operators_for
 from .curvature import admissible_N, effective_K
 from .space import WeightedSpace, integrate
 from .transport import transport_cost_sq
@@ -129,17 +129,14 @@ def _entropy_of_density(space: WeightedSpace, f: np.ndarray) -> float:
 def gradient_energy_integral(space: WeightedSpace, f: np.ndarray) -> float:
     """int F^2(grad f) dm via the positive/negative part device.
 
-    Accumulates the energy of f_+ under F and of f_- under the reversed
-    norm; for single-signed f this equals the direct integral exactly.
+    Accumulates the energies of f_+ and of -f_- = min(f, 0) (that of f_- under
+    the reversed norm); for single-signed f this is the direct integral exactly.
     """
     ops = operators_for(space)
     f = np.asarray(f, dtype=float)
-    f_plus = np.clip(f, 0.0, None)
-    f_minus = np.clip(-f, 0.0, None)
-    total = integrate(space, space.norm.dual_sq_values(ops.differential(f_plus)))
-    if np.any(f_minus > 0):
-        rev = space.norm.reverse()
-        total += integrate(space, rev.dual_sq_values(ops.differential(f_minus)))
+    total = integrate(space, ops.field(np.clip(f, 0.0, None)).dual_sq)
+    if np.any(f < 0):
+        total += integrate(space, ops.field(np.clip(f, None, 0.0)).dual_sq)
     return total
 
 
@@ -156,12 +153,10 @@ def check_integrated_bochner(space: WeightedSpace, f: np.ndarray, N: float,
     When K > 0 the metadata carries the equivalent gradient-vs-Laplacian
     form with coefficient (N-1)/(K N)."""
     _require_N("integrated_bochner", N, space.dim, allow_negative=True)
-    ops = operators_for(space)
-    f = np.asarray(f, dtype=float)
-    grad_sq = integrate(space, space.norm.dual_sq_values(ops.differential(f)))
-    lap = ops.laplacian(f)
-    lap_sq = integrate(space, lap * lap)
-    direct = integrate(space, np.einsum("mi,mi->m", ops.differential(lap), ops.gradient(f)))
+    f = operators_for(space).field(f)
+    grad_sq = integrate(space, f.dual_sq)
+    lap_sq = integrate(space, f.lap * f.lap)
+    direct = integrate(space, f.dlap_grad)
     lhs = K * grad_sq + (0.0 if math.isinf(N) else lap_sq / N)
     meta = {"adjointness_gap": direct + lap_sq}
     if K > 0:
@@ -180,18 +175,14 @@ def check_bochner_pointwise(space: WeightedSpace, f: np.ndarray, N: float, K: fl
     non-smooth norms (the unmasked minimum is reported in the metadata)."""
     _require_N("bochner_pointwise", N, space.dim, allow_negative=True)
     ops = operators_for(space)
-    f = np.asarray(f, dtype=float)
-    expr = ops.gamma2(f) - K * space.norm.dual_sq_values(ops.differential(f))
+    f = ops.field(f)
+    expr = f.g2 - K * f.dual_sq
     if not math.isinf(N):
-        expr = expr - ops.laplacian(f) ** 2 / N
-    mask = gradient_kink_mask(ops, f)
-    keep = ops.interior & mask
-    if not np.any(keep):
-        keep = ops.interior
-    floor = float(np.min(expr[keep]))
+        expr = expr - f.lap ** 2 / N
+    floor = float(np.min(expr[f.pointwise]))
     return _report("bochner_pointwise", N, K, -floor, 0.0, 0.0, tol_abs,
                    unmasked_floor=float(np.min(expr[ops.interior])),
-                   excluded_nodes=int(np.sum(ops.interior & ~mask)))
+                   excluded_nodes=int(np.sum(ops.interior & ~f.kink)))
 
 
 # ----------------------------------------------------------------------
@@ -202,10 +193,9 @@ def check_poincare(space: WeightedSpace, f: np.ndarray, N: float, K: float,
     """Var_m(f) <= (N-1)/(K N) * int F^2(grad f) dm, K > 0."""
     _require_N("poincare", N, space.dim, allow_negative=True)
     coeff = lichnerowicz_coeff(N, K)
-    f = np.asarray(f, dtype=float)
-    ops = operators_for(space)
-    grad_sq = integrate(space, space.norm.dual_sq_values(ops.differential(f)))
-    return _report("poincare", N, K, _variance(space, f), coeff * grad_sq, tol_rel)
+    f = operators_for(space).field(f)
+    grad_sq = integrate(space, f.dual_sq)
+    return _report("poincare", N, K, _variance(space, f.f), coeff * grad_sq, tol_rel)
 
 
 #: gradient-ascent steps that ``estimate_poincare_constant`` refines the
@@ -213,49 +203,46 @@ def check_poincare(space: WeightedSpace, f: np.ndarray, N: float, K: float,
 POINCARE_ASCENT_ITERS = 150
 
 
-def estimate_poincare_constant(space: WeightedSpace, seed: int = 0,
-                               bank: Optional["TestBank"] = None) -> float:
-    """Sup of Var_m(f) / int F^2(grad f) dm over the test bank plus
+def estimate_poincare_constant(space: WeightedSpace) -> float:
+    """Sup of Var_m(f) / int F^2(grad f) dm over the default test bank plus
     gradient-ascent refinements; a lower bound on the true constant."""
     ops = operators_for(space)
-    bank = bank if bank is not None else make_test_bank(space, seed=seed)
 
-    def quotient(g: np.ndarray) -> float:
-        w = integrate(space, space.norm.dual_sq_values(ops.differential(g)))
+    def quotient(g) -> float:
+        w = integrate(space, g.dual_sq)
         if w < 1e-14:
             return -math.inf
-        return _variance(space, g) / w
+        return _variance(space, g.f) / w
 
-    best_q, best_f = -math.inf, None
-    for _, g in bank.members:
-        q = quotient(g)
-        if q > best_q:
-            best_q, best_f = q, g
-    if best_f is None:
+    q, f = -math.inf, None  # the best quotient so far, and its field
+    for _, g in make_test_bank(space).members:
+        g = ops.field(g)
+        q_g = quotient(g)
+        if q_g > q:
+            q, f = q_g, g
+    if f is None:
         raise ValueError("bank contained no field with positive energy")
 
-    f = best_f.copy()
     s = 0.5
     for _ in range(POINCARE_ASCENT_ITERS):
-        q = quotient(f)
-        centered = f - integrate(space, f)
-        direction = centered + q * ops.laplacian(f)
+        centered = f.f - integrate(space, f.f)
+        direction = centered + q * f.lap
         dn = math.sqrt(integrate(space, direction * direction))
         fn = math.sqrt(integrate(space, centered * centered))
         if dn < 1e-14 * max(fn, 1.0):
             break
         improved = False
         while s >= 1e-4:
-            trial = f + (s * fn / dn) * direction
-            if quotient(trial) > q + 1e-15:
-                f, improved = trial, True
+            trial = ops.field(f.f + (s * fn / dn) * direction)
+            q_trial = quotient(trial)
+            if q_trial > q + 1e-15:
+                f, q, improved = trial, q_trial, True
                 s = min(1.0, s * 1.3)
                 break
             s *= 0.5
         if not improved:
             break
-        best_q = max(best_q, quotient(f))
-    return float(best_q)
+    return float(q)
 
 
 # ----------------------------------------------------------------------
@@ -284,8 +271,7 @@ def check_logsobolev(space: WeightedSpace, f: np.ndarray, N: float, K: float,
         meta["normalized"] = True
     if N < 0:
         meta["outside_proved_range"] = True
-    ops = operators_for(space)
-    grad_sq = space.norm.dual_sq_values(ops.differential(f))
+    grad_sq = operators_for(space).field(f).dual_sq
     mask = f > 1e-300
     fisher = integrate(space, np.where(mask, grad_sq / np.where(mask, f, 1.0), 0.0))
     lhs = _entropy_of_density(space, f)
@@ -302,11 +288,9 @@ def check_gamma2_integral(space: WeightedSpace, u: np.ndarray, N: float, K: floa
     if np.min(u) <= 0:
         raise ValueError("gamma2_integral needs inf u > 0")
     coeff = lichnerowicz_coeff(N, K)
-    ops = operators_for(space)
-    log_u = np.log(u)
-    grad_sq = space.norm.dual_sq_values(ops.differential(log_u))
-    lhs = integrate(space, u * grad_sq)
-    rhs = coeff * integrate(space, u * ops.gamma2(log_u))
+    log_u = operators_for(space).field(np.log(u))
+    lhs = integrate(space, u * log_u.dual_sq)
+    rhs = coeff * integrate(space, u * log_u.g2)
     return _report("gamma2_integral", N, K, lhs, rhs, tol_rel)
 
 
@@ -655,9 +639,11 @@ _MATRIX = {
 CHECKER_IDS = tuple(_MATRIX)
 
 
-def runs_at(checker: str, N: float) -> bool:
-    """Whether the matrix runs ``checker`` at an N admissible on the space."""
-    return _N_RANGES[_MATRIX[checker][0]](N)
+def runs_at(checker: str, N: float, K: float = math.inf) -> bool:
+    """Whether the matrix runs ``checker`` at an N admissible on the space
+    and at the curvature constant K (by default, at any positive K)."""
+    n_range, needs_positive_K, _ = _MATRIX[checker]
+    return _N_RANGES[n_range](N) and (K > 0 or not needs_positive_K)
 
 
 def run_checker_matrix(space: WeightedSpace, N_values: Sequence[float],
@@ -681,11 +667,8 @@ def run_checker_matrix(space: WeightedSpace, N_values: Sequence[float],
         if not admissible_N(N, space.dim):
             raise ValueError(f"matrix: N = {N} not admissible on this space")
         K = override_K if override_K is not None else effective_K(space, N).K_eff
-        for checker in chosen:
-            _, needs_positive_K, run = _MATRIX[checker]
-            if not runs_at(checker, N) or (needs_positive_K and K <= 0):
-                continue
+        for checker in (c for c in chosen if runs_at(c, N, K)):
             for label, g in bank:
                 reports.extend(replace(rep, metadata={**rep.metadata, "member": label})
-                               for rep in run(space, g, N, K, tol_rel))
+                               for rep in _MATRIX[checker][2](space, g, N, K, tol_rel))
     return reports

@@ -29,7 +29,7 @@ def uniform_circle(norm, length=1.0, res=128):
 def summed_products_matrix(ops, f):
     """linearized_laplacian_matrix as the sum over (a, b) of the sparse
     products -(1/m) D_a^T diag(m Ginv_ab) D_b, pruned of exact zeros."""
-    Ginv = ops._inverse_metrics_at(f)
+    Ginv = ops.field(f).Ginv
     m = ops.space.cell_mass
     inv_m = sparse.diags(1.0 / m)
     L = None

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -302,3 +303,46 @@ def test_largest_bank_is_accepted(tmp_path):
     doc = dict(ASYM_GAUSS, bank={"size": 1000})
     cfg = write_config(tmp_path, doc)
     assert main(["space", "describe", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+def _shipped(name):
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs", name)) as fh:
+        return json.load(fh)
+
+
+def test_ineq_check_where_every_checker_needs_a_positive_K_is_config_error(tmp_path,
+                                                                           capsys):
+    doc = _shipped("gaussian_asym1d.json")
+    doc["space"]["domain"]["resolution"] = [128]
+    doc.update(n_values=[3], checkers=["talagrand"])  # K_eff(3) = -3.5
+    cfg = write_config(tmp_path, doc)
+    assert main(["ineq", "check", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "'checkers'" in capsys.readouterr().err
+    assert not (tmp_path / "ineq_report.json").exists()
+    assert main(["ineq", "check", "--config", cfg, "--out", str(tmp_path),
+                 "--override-k", "1"]) in (0, 1)
+    checks = json.loads((tmp_path / "ineq_report.json").read_text())["checks"]
+    assert {c["checker"] for c in checks} == {"talagrand"}
+
+
+def _resolved(space, resolution):
+    domain = dict(space["domain"], resolution=resolution)
+    return {"space": dict(space, domain=domain), "n_values": ["inf"], "bank": {"size": 2}}
+
+
+@pytest.mark.parametrize("doc", [_resolved(ASYM_GAUSS["space"], [8]),
+                                 _resolved(RANDERS_BOX["space"], [8, 16])],
+                         ids=["interval", "box"])
+def test_ineq_check_without_an_interior_node_is_config_error(tmp_path, capsys, doc):
+    # before, the pointwise check aborted with exit 3 on an empty reduction
+    cfg = write_config(tmp_path, doc)
+    assert main(["ineq", "check", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "'space.domain.resolution'" in capsys.readouterr().err
+    assert not (tmp_path / "ineq_report.json").exists()
+
+
+def test_ineq_check_with_one_interior_node_runs(tmp_path):
+    cfg = write_config(tmp_path, _resolved(ASYM_GAUSS["space"], [9]))
+    assert main(["ineq", "check", "--config", cfg, "--out", str(tmp_path)]) in (0, 1)
+    checks = json.loads((tmp_path / "ineq_report.json").read_text())["checks"]
+    assert any(c["checker"] == "bochner_pointwise" for c in checks)

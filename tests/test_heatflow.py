@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,24 @@ def test_constant_is_fixed_point():
     assert np.allclose(step(ops, u, 0.1), u, atol=1e-13)
     states = evolve(ops, u, FlowParams(tau=0.05, t_end=0.5))
     assert all(s.energy < 1e-30 and abs(s.variance) < 1e-14 for s in states)
+
+
+def test_step_evaluates_the_legendre_map_once_per_residual(monkeypatch):
+    sp = build_space(Domain("box", (2.0, 2.0), (12, 12)), oblique_randers(),
+                     "(x**2 + y**2)/2")
+    ops = DiffOperators(sp)
+    calls = Counter()
+    for owner, name in [(type(sp.norm), "legendre_map"), (DiffOperators, "laplacian"),
+                        (DiffOperators, "linearized_laplacian_matrix")]:
+        def counted(*args, _name=name, _original=getattr(owner, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(owner, name, counted)
+    step(ops, 1.0 + 0.3 * np.sin(3 * sp.coords[:, 0]) * sp.coords[:, 1], 0.05)
+    assert calls["linearized_laplacian_matrix"] >= 2
+    # one residual at the start and one per line-search trial; each Newton
+    # Jacobian reuses the Legendre map of the iterate it linearizes at
+    assert calls["legendre_map"] == calls["laplacian"]
 
 
 def test_mass_conservation():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from finslergamma import (ab_parameter_solver, check_bochner_pointwise,
+from finslergamma import (Domain, ab_parameter_solver, build_space,
+                          check_bochner_pointwise,
                           check_entropy_energy, check_gamma2_integral,
                           check_integrated_bochner, check_logsobolev,
                           check_nash, check_nonsharp_sobolev, check_poincare,
@@ -15,7 +16,7 @@ from finslergamma import (ab_parameter_solver, check_bochner_pointwise,
 import finslergamma.inequalities as inequalities
 from finslergamma.inequalities import gradient_energy_integral
 
-from conftest import asym21, euclid, gauss_interval, uniform_circle
+from conftest import asym21, euclid, gauss_interval, oblique_randers, uniform_circle
 
 INF = math.inf
 
@@ -42,7 +43,7 @@ def test_integrated_bochner(euclid_gauss6):
     from finslergamma import operators_for
     ops = operators_for(sp)
     integrand = np.einsum("mi,mi->m", ops.differential(ops.laplacian(x)),
-                          ops.gradient(x))
+                          ops.field(x).grad)
     assert np.max(np.abs(integrand + 1.0)[ops.interior]) < 2e-2
 
 
@@ -52,6 +53,20 @@ def test_integrated_bochner_sweep(asym_gauss6):
     for _, f in bank:
         rep = check_integrated_bochner(asym_gauss6, f, INF, K)
         assert rep.passed
+
+
+@pytest.mark.parametrize("N", [INF, 3.0])
+@pytest.mark.parametrize("space", ["asym", "randers"])
+def test_bochner_pointwise_evaluates_the_legendre_map_once(asym_gauss6, monkeypatch,
+                                                           space, N):
+    sp = asym_gauss6 if space == "asym" else build_space(
+        Domain("box", (2.0, 2.0), (12, 12)), oblique_randers(), "(x**2 + y**2)/2")
+    calls = []
+    legendre_map = type(sp.norm).legendre_map
+    monkeypatch.setattr(type(sp.norm), "legendre_map",
+                        lambda self, A_: calls.append(1) or legendre_map(self, A_))
+    check_bochner_pointwise(sp, make_test_bank(sp, size=4).members[-1][1], N, 0.25)
+    assert len(calls) == 1
 
 
 def test_bochner_pointwise(euclid_gauss6, asym_gauss6):

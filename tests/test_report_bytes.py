@@ -1,0 +1,150 @@
+"""Byte identity of every ``fg`` command on the shipped configs.
+
+Each invocation below runs ``cli.main`` in-process on a config that the test
+only reads (bank seed 0 where a bank is drawn).  The test pins the exit code
+and the SHA-256 of every report the command writes, of its stdout (with the
+output directory masked) and of its stderr.  A refactor that claims to leave
+the numbers alone must leave every digest alone.
+
+To recapture the digests after a change that alters the bytes on purpose,
+run from the root of a checkout
+
+    PYTHONPATH=src python tests/test_report_bytes.py
+
+and paste the printed ``DIGESTS`` over the one below.  A change that alters
+any digest must say in CHANGES.md which outputs changed and why.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+
+import pytest
+
+from finslergamma.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIGS = ("configs/gaussian_asym1d.json", "configs/circle_identities.json",
+           "perfbench/configs/randers_box2d.json")
+COMMANDS = (("space", "describe"), ("flow", "run"), ("ineq", "check"),
+            ("identities", "run"))
+MASK = "<out>"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_invocation(config: str, group: str, action: str) -> dict:
+    """Exit code and digests of one ``fg`` invocation in a fresh directory."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([group, action, "--config", os.path.join(ROOT, config),
+                         "--out", out_dir])
+        digests = {"exit": code,
+                   "stdout": _sha(stdout.getvalue().replace(out_dir, MASK).encode()),
+                   "stderr": _sha(stderr.getvalue().replace(out_dir, MASK).encode())}
+        for name in sorted(os.listdir(out_dir)):
+            with open(os.path.join(out_dir, name), "rb") as fh:
+                digests[name] = _sha(fh.read())
+    return digests
+
+
+def _key(config: str, group: str, action: str) -> str:
+    return f"{os.path.basename(config)} {group} {action}"
+
+
+DIGESTS = {
+    'gaussian_asym1d.json space describe': {
+        'exit': 0,
+        'stdout': 'fff4b10ecae49825862d84b6f9a5930ad51ad1e939e3df313aedc336d3eb3720',
+        'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'describe.json': '51828ed6fa4d4cc6d1c3ec2582d09f8906aa6f406d3b391f8fd5a01978364a9f',
+    },
+    'gaussian_asym1d.json flow run': {
+        'exit': 0,
+        'stdout': '62c8eb2a2d62f95e019cd803278b4105458b4cd46cbb4f656d05f54fba6c748b',
+        'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'flow_series.csv': 'c96fe35e6eebb45a9f3138db86ec6a6c9386716cb498bf5f5f10494a7788f971',
+        'flow_summary.json': '99d1d84f7701b3d4acdcf6aae7e39f1b09aaf37a24dcc9bc645b9ac1c89e7cb7',
+    },
+    'gaussian_asym1d.json ineq check': {
+        'exit': 0,
+        'stdout': '4c01e70c2c21e383592a47245d11a2b850a8afaf2462900ea14c0ea4441f15c5',
+        'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'ineq_report.json': '7559d1dc24ef6cf866e0c585efd757a9fbde3306e375fcf3ea5f34f833e4e2c1',
+    },
+    'gaussian_asym1d.json identities run': {
+        'exit': 2,
+        'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'stderr': 'e127a214717fd56e784e0358b17217018e316d7160d07a84887e274adac0c37e',
+    },
+    'circle_identities.json space describe': {
+        'exit': 0,
+        'stdout': '7081dad73ab531246b233200056b2b6f5fc7fd5b6936f7d1ecbb582e832bc6c9',
+        'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'describe.json': '088bcd59e49ff635505544e3c98aba7bbc3355e4912a56a2f0147ea4db0878ab',
+    },
+    'circle_identities.json flow run': {
+        'exit': 2,
+        'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'stderr': 'c265182c4c370e96fa17247b1e32465b6006da8064a4484bb5a04889ec0e3514',
+    },
+    'circle_identities.json ineq check': {
+        'exit': 2,
+        'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'stderr': '334b7b3d9862bb66e7ba4390f1f0fe4f31cc1adf7012a241a555c5b0ad42d057',
+    },
+    'circle_identities.json identities run': {
+        'exit': 0,
+        'stdout': '0ba03718385183d7da4eda9330798845950ac4235522b9d0cc777c01fa9eefdb',
+        'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'identities.json': 'e5b373f9e19da75a603735b15ff50f455cb12be14ddaffce1611ec875a481bec',
+    },
+    'randers_box2d.json space describe': {
+        'exit': 0,
+        'stdout': 'ddd58d717c7ceed1e2213a466764d425c186fd0896cf2de9881e62d3a7902a6e',
+        'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'describe.json': 'f1816e4375bd48849a03bdea1b983923341b9b23a2f1cdfa2c74023501c7452f',
+    },
+    'randers_box2d.json flow run': {
+        'exit': 0,
+        'stdout': '594b999d59e3894730735363b4373a42f4f71ff2a5d239b41c3a3cef490076d5',
+        'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'flow_series.csv': '644dad7dde473395854ffc42d50936d0b0aea6756993a8f9df9dba7c30774433',
+        'flow_summary.json': 'c51c4d8236f1b4d7d8ffb0a878e1883196616f1c7bdc7556b4ac34d524ddbb9d',
+    },
+    'randers_box2d.json ineq check': {
+        'exit': 0,
+        'stdout': '7af61aca0d35369098c1bd52ecb6362d49e5f288bf1d06f1337232a13a8df92a',
+        'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'ineq_report.json': 'a2a9ace0ba78b04c92f1f2bef873ac23f04fffcea56e503924a982136e8480b3',
+    },
+    'randers_box2d.json identities run': {
+        'exit': 2,
+        'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'stderr': 'e127a214717fd56e784e0358b17217018e316d7160d07a84887e274adac0c37e',
+    },
+}
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("group, action", COMMANDS)
+def test_outputs_are_byte_identical(config, group, action):
+    assert run_invocation(config, group, action) == DIGESTS[_key(config, group, action)]
+
+
+if __name__ == "__main__":
+    print("DIGESTS = {")
+    for config in CONFIGS:
+        for group, action in COMMANDS:
+            print(f"    {_key(config, group, action)!r}: {{")
+            for name, value in run_invocation(config, group, action).items():
+                print(f"        {name!r}: {value!r},")
+            print("    },")
+    print("}")
