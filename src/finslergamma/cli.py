@@ -27,7 +27,7 @@ import numpy as np
 
 from .calculus import DiffOperators, operators_for
 from .config import ConfigError, ExperimentConfig, load_config
-from .curvature import admissible_N, effective_K
+from .curvature import effective_K
 from .heatflow import FlowParams, check_dEdt_identity, decay_rates, evolve
 from .inequalities import CHECKER_IDS, make_test_bank, run_checker_matrix, runs_at
 from .norms import uniform_smoothness
@@ -109,11 +109,9 @@ def _expression_field(space, expr: str, key: str) -> np.ndarray:
 
 
 def _space_summary(config: ExperimentConfig, space, override_K=None) -> dict:
-    k_eff = {}
-    for N in config.n_values:
-        if admissible_N(N, space.dim):
-            k_eff[_num_key(N)] = (override_K if override_K is not None
-                                  else effective_K(space, N).K_eff)
+    k_eff = {_num_key(N): (override_K if override_K is not None
+                           else effective_K(space, N).K_eff)
+             for N in config.n_values}
     mass = space.cell_mass
     return {
         "S_F": uniform_smoothness(space.norm),
@@ -160,8 +158,6 @@ def cmd_flow_run(config: ExperimentConfig, out_dir: str, args) -> int:
     bounds = {}
     all_pass = True
     for N in config.n_values:
-        if not admissible_N(N, space.dim):
-            continue
         K = effective_K(space, N).K_eff
         if K <= 0:
             continue
@@ -335,9 +331,10 @@ def _build_parser() -> argparse.ArgumentParser:
         a = gsub.add_parser(action)
         a.add_argument("--config", required=True, help="experiment JSON")
         a.add_argument("--out", default=".", help="output directory")
-        a.add_argument("--seed", type=int, default=None, help="bank seed override")
-        a.add_argument("--override-k", type=float, default=None,
-                       help="pin the curvature constant (falsification runs only)")
+        if (group, action) == ("ineq", "check"):
+            a.add_argument("--seed", type=int, default=None, help="bank seed override")
+            a.add_argument("--override-k", type=float, default=None,
+                           help="pin the curvature constant (falsification runs only)")
     return parser
 
 

@@ -14,10 +14,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from .curvature import effective_K
+from .curvature import admissible_N, effective_K
 from .heatflow import FlowParams
 from .norms import AsymNorm1D, EuclideanNorm, MinkowskiNorm, RandersNorm
-from .space import Domain, WeightedSpace, build_space
+from .space import MIN_RESOLUTION, Domain, WeightedSpace, build_space
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config"]
 
@@ -95,10 +95,15 @@ def _parse_norm(obj, path: str) -> MinkowskiNorm:
 def _parse_domain(obj, path: str) -> Domain:
     _expect_mapping(obj, path, {"geometry", "lengths", "resolution"},
                     {"geometry", "lengths", "resolution"})
+    for key in ("lengths", "resolution"):
+        if not isinstance(obj[key], list):
+            _fail(f"{path}.{key}", f"expected a list, got {obj[key]!r}")
+    lengths = tuple(_number(L, f"{path}.lengths[{i}]")
+                    for i, L in enumerate(obj["lengths"]))
+    resolution = tuple(_integer(r, f"{path}.resolution[{i}]", MIN_RESOLUTION)
+                       for i, r in enumerate(obj["resolution"]))
     try:
-        return Domain(geometry=obj["geometry"],
-                      lengths=tuple(obj["lengths"]),
-                      resolution=tuple(obj["resolution"]))
+        return Domain(geometry=obj["geometry"], lengths=lengths, resolution=resolution)
     except (ValueError, TypeError) as exc:
         _fail(path, str(exc))
 
@@ -163,12 +168,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(psi, str):
         _fail("space.psi", "expected an expression string")
 
+    n_values = doc.get("n_values", [])
+    if not isinstance(n_values, list):
+        _fail("n_values", f"expected a list, got {n_values!r}")
     n_values = [_number(v, f"n_values[{i}]", allow_inf=True)
-                for i, v in enumerate(doc.get("n_values", []))]
+                for i, v in enumerate(n_values)]
     for i, N in enumerate(n_values):
-        if not (N < 0 or N >= domain.dim):
+        if not admissible_N(N, domain.dim):
             _fail(f"n_values[{i}]", f"N = {N} is inadmissible "
-                                    f"(need N < 0 or N >= {domain.dim})")
+                                    f"(need a finite N < 0, or N >= {domain.dim})")
 
     checkers = doc.get("checkers")
     if checkers is not None:
@@ -224,6 +232,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             _fail("identities.resolutions", "expected two increasing integers >= 8")
         identities.resolutions = list(res)
     if "a_values" in iobj:
+        if not isinstance(iobj["a_values"], list):
+            _fail("identities.a_values", f"expected a list, got {iobj['a_values']!r}")
         identities.a_values = [_number(a, f"identities.a_values[{i}]")
                                for i, a in enumerate(iobj["a_values"])]
         if any(a <= 0 for a in identities.a_values):

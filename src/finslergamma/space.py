@@ -131,19 +131,12 @@ class WeightedSpace:
     def field_from_expression(self, expr: str) -> np.ndarray:
         return scalar_field_from_expression(self, expr)
 
-    def displacement(self, i: int, j: int) -> np.ndarray:
-        """Representative displacement(s) from node i to node j.
-
-        Periodic axes return all lattice translates that can realize the
-        minimum, as an array of candidate vectors.
-        """
-        delta = self.coords[j] - self.coords[i]
+    def translates(self) -> np.ndarray:
+        """Lattice translates to add to a displacement, shape (T, dim): each
+        combination of -L, 0 and L on periodic axes (0 alone on the others)."""
         shifts = [(-L, 0.0, L) if self.domain.periodic else (0.0,)
                   for L in self.domain.lengths]
-        out = []
-        for combo in np.stack(np.meshgrid(*shifts, indexing="ij"), axis=-1).reshape(-1, self.dim):
-            out.append(delta + combo)
-        return np.array(out)
+        return np.stack(np.meshgrid(*shifts, indexing="ij"), axis=-1).reshape(-1, self.dim)
 
 
 def _node_coords(domain: Domain) -> np.ndarray:
@@ -196,5 +189,5 @@ def asym_distance(space: WeightedSpace, i: int, j: int) -> float:
     Geodesics of a constant norm are straight lines; periodic axes minimize
     over lattice translates.  d(j, i) may differ from d(i, j).
     """
-    candidates = space.displacement(i, j)
-    return float(np.min(space.norm.values(candidates)))
+    delta = space.coords[j] - space.coords[i]
+    return float(np.min(space.norm.values(delta + space.translates())))

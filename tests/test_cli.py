@@ -346,3 +346,51 @@ def test_ineq_check_with_one_interior_node_runs(tmp_path):
     assert main(["ineq", "check", "--config", cfg, "--out", str(tmp_path)]) in (0, 1)
     checks = json.loads((tmp_path / "ineq_report.json").read_text())["checks"]
     assert any(c["checker"] == "bochner_pointwise" for c in checks)
+
+
+_FLOWING = dict(ASYM_GAUSS, flow={"u0": "1 + 0.2*x", "tau": 5e-3, "t_end": 0.05})
+
+
+@pytest.mark.parametrize("minus_inf", ["-Infinity", "-1e400"])
+@pytest.mark.parametrize("command", [["space", "describe"], ["flow", "run"],
+                                     ["ineq", "check"]])
+def test_minus_infinite_N_is_config_error(tmp_path, capsys, command, minus_inf):
+    # before, describe and flow dropped the N and exited 0, and ineq exited 3
+    text = json.dumps(dict(_FLOWING, n_values=["inf", 0.0]))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text.replace("0.0]", minus_inf + "]"))
+    assert main([*command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "'n_values[1]'" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+def _with_domain(**domain):
+    space = dict(ASYM_GAUSS["space"], domain=dict(ASYM_GAUSS["space"]["domain"], **domain))
+    return dict(ASYM_GAUSS, space=space)
+
+
+@pytest.mark.parametrize("doc, key", [
+    (dict(ASYM_GAUSS, n_values=5), "n_values"),
+    (dict(CIRCLE, identities={"a_values": 5}), "identities.a_values"),
+    (_with_domain(resolution=[64.5]), "space.domain.resolution[0]"),
+    (_with_domain(resolution=[4]), "space.domain.resolution[0]"),
+    (_with_domain(resolution=128), "space.domain.resolution"),
+    (_with_domain(lengths=["6"]), "space.domain.lengths[0]"),
+    (_with_domain(lengths="66"), "space.domain.lengths"),
+], ids=["n_values-scalar", "a_values-scalar", "resolution-fraction", "resolution-small",
+        "resolution-scalar", "lengths-string-item", "lengths-string"])
+def test_malformed_config_value_is_config_error(tmp_path, capsys, doc, key):
+    cfg = write_config(tmp_path, doc)
+    assert main(["space", "describe", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"config key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--override-k", "2"]])
+@pytest.mark.parametrize("command", [["space", "describe"], ["flow", "run"],
+                                     ["identities", "run"]])
+def test_ineq_only_flags_are_rejected_elsewhere(tmp_path, command, flag):
+    # before, describe printed the computed K and flow checked the computed bound
+    cfg = write_config(tmp_path, _FLOWING)
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--config", cfg, "--out", str(tmp_path), *flag])
+    assert exc.value.code == 2

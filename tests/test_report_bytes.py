@@ -29,7 +29,8 @@ from finslergamma.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = ("configs/gaussian_asym1d.json", "configs/circle_identities.json",
-           "perfbench/configs/randers_box2d.json")
+           "perfbench/configs/randers_box2d.json",
+           "configs/gaussian_asym1d_finite_n.json")
 COMMANDS = (("space", "describe"), ("flow", "run"), ("ineq", "check"),
             ("identities", "run"))
 MASK = "<out>"
@@ -126,6 +127,28 @@ DIGESTS = {
         'ineq_report.json': 'a2a9ace0ba78b04c92f1f2bef873ac23f04fffcea56e503924a982136e8480b3',
     },
     'randers_box2d.json identities run': {
+        'exit': 2,
+        'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'stderr': 'e127a214717fd56e784e0358b17217018e316d7160d07a84887e274adac0c37e',
+    },
+    'gaussian_asym1d_finite_n.json space describe': {
+        'exit': 0,
+        'stdout': '2a6b9ddb97a0244a4f69267480585be4692d7f7725d38820919cfc10a2dead5c',
+        'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'describe.json': '8aa2eaf3d73ea1cfa718ed45e4b8457b13bf8b9fa13502a266157244831d1fdb',
+    },
+    'gaussian_asym1d_finite_n.json flow run': {
+        'exit': 2,
+        'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'stderr': 'c265182c4c370e96fa17247b1e32465b6006da8064a4484bb5a04889ec0e3514',
+    },
+    'gaussian_asym1d_finite_n.json ineq check': {
+        'exit': 0,
+        'stdout': '3445f01a17f80ab26ea3196100e9285c6a8891db946f7c146b38974de6f39ae7',
+        'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'ineq_report.json': '78b16e11f020d77fc8d67e5a2db2dd025a9881e51393a03320d91ba4ab15fa16',
+    },
+    'gaussian_asym1d_finite_n.json identities run': {
         'exit': 2,
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'stderr': 'e127a214717fd56e784e0358b17217018e316d7160d07a84887e274adac0c37e',

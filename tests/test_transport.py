@@ -7,10 +7,10 @@ import pytest
 from scipy.optimize import linprog
 
 import finslergamma
-from finslergamma import (Domain, build_space, lp_transport_cost,
-                          quantile_transport_cost, transport_cost_sq,
-                          wasserstein2)
-from finslergamma.transport import _pair_cost_matrix, coarsen_measure
+from finslergamma import (Domain, MinkowskiNorm, RandersNorm, build_space,
+                          lp_transport_cost, quantile_transport_cost,
+                          transport_cost_sq, wasserstein2)
+from finslergamma.transport import _check_marginal, _pair_cost_matrix, coarsen_measure
 
 from conftest import asym21, euclid, gauss_interval, oblique_randers
 
@@ -48,6 +48,120 @@ def test_quantile_matches_lp_oracle_on_32_nodes():
         C = _pair_cost_matrix(sp, sp.coords, sp.coords)
         lp = lp_transport_cost(C, mu, nu)
         assert abs(quantile - lp) < 1e-10
+
+
+def _quantile_by_merge_loop(space, mu, nu):
+    """Reference: the monotone coupling as a merge over the nodes, one
+    one-vector norm evaluation per moved piece."""
+    mu = _check_marginal(mu, "mu").copy()
+    nu = _check_marginal(nu, "nu").copy()
+    x = space.coords[:, 0]
+    cost = 0.0
+    i = j = 0
+    n = len(x)
+    while i < n and j < n:
+        if mu[i] <= 1e-18:
+            i += 1
+            continue
+        if nu[j] <= 1e-18:
+            j += 1
+            continue
+        moved = min(mu[i], nu[j])
+        cost += moved * space.norm(np.array([x[j] - x[i]])) ** 2
+        mu[i] -= moved
+        nu[j] -= moved
+    return float(cost)
+
+
+_COUPLING_NORMS = {"euclidean": euclid, "two-slope": asym21,
+                   "randers": lambda: RandersNorm(np.array([[1.7]]), (0.45,))}
+_COUPLING_KINDS = ("positive", "zero-mass", "dirac", "equal")
+
+
+def _coupling_case(rng, n, kind):
+    """A pair of probability vectors on n nodes of the given kind."""
+    def positive():
+        return rng.random(n) + 0.01
+
+    def zero_mass():  # scattered zeros and an empty run at one end
+        p = np.where(rng.random(n) < 0.5, 0.0, rng.random(n))
+        p[:n // 5] = 0.0
+        p[rng.integers(n // 5, n)] = 1.0
+        return p[::rng.choice((-1, 1))]
+
+    def dirac():
+        p = np.zeros(n)
+        p[rng.integers(n)] = 1.0
+        return p
+
+    if kind == "positive":
+        mu, nu = positive(), positive()
+    elif kind == "zero-mass":
+        mu, nu = zero_mass(), zero_mass()
+    elif kind == "dirac":
+        mu, nu = [(dirac(), zero_mass()), (positive(), dirac()),
+                  (dirac(), dirac())][rng.integers(3)]
+    else:
+        mu = nu = zero_mass()
+    return mu / mu.sum(), nu / nu.sum()
+
+
+def _random_interval(rng, norm, n):
+    return build_space(Domain("interval", (rng.uniform(0.5, 8.0),), (n,)), norm, "0")
+
+
+@pytest.mark.parametrize("kind", _COUPLING_KINDS)
+@pytest.mark.parametrize("norm", sorted(_COUPLING_NORMS))
+def test_quantile_equals_merge_loop(norm, kind):
+    rng = np.random.default_rng(sorted(_COUPLING_NORMS).index(norm) * 10
+                                + _COUPLING_KINDS.index(kind))
+    for _ in range(34):
+        sp = _random_interval(rng, _COUPLING_NORMS[norm](), int(rng.integers(9, 601)))
+        mu, nu = _coupling_case(rng, sp.n_nodes, kind)
+        ref = _quantile_by_merge_loop(sp, mu, nu)
+        assert abs(quantile_transport_cost(sp, mu, nu) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("kind", _COUPLING_KINDS)
+@pytest.mark.parametrize("norm", sorted(_COUPLING_NORMS))
+def test_quantile_equals_lp_oracle(norm, kind):
+    rng = np.random.default_rng(100 + sorted(_COUPLING_NORMS).index(norm) * 10
+                                + _COUPLING_KINDS.index(kind))
+    for _ in range(3):
+        sp = _random_interval(rng, _COUPLING_NORMS[norm](), int(rng.integers(9, 65)))
+        mu, nu = _coupling_case(rng, sp.n_nodes, kind)
+        lp = lp_transport_cost(_pair_cost_matrix(sp, sp.coords, sp.coords), mu, nu)
+        assert abs(quantile_transport_cost(sp, mu, nu) - lp) < 1e-10
+
+
+@pytest.mark.parametrize("norm", sorted(_COUPLING_NORMS))
+def test_quantile_of_a_measure_onto_itself_is_zero(norm):
+    rng = np.random.default_rng(7)
+    sp = _random_interval(rng, _COUPLING_NORMS[norm](), 300)
+    for kind in ("zero-mass", "positive"):
+        mu, _ = _coupling_case(rng, sp.n_nodes, kind)
+        assert quantile_transport_cost(sp, mu, mu) == 0.0
+    assert quantile_transport_cost(sp, sp.cell_mass, sp.cell_mass) == 0.0
+
+
+def test_quantile_evaluates_the_norm_once(monkeypatch):
+    sp = gauss_interval(asym21(), res=256)
+    calls = {"values": 0, "__call__": 0}
+    values = type(sp.norm).values
+
+    def counting_values(self, V):
+        calls["values"] += 1
+        return values(self, V)
+
+    def counting_call(self, v):
+        calls["__call__"] += 1
+        return float(values(self, np.atleast_1d(v)[None, :])[0])
+
+    monkeypatch.setattr(type(sp.norm), "values", counting_values)
+    monkeypatch.setattr(MinkowskiNorm, "__call__", counting_call)
+    mu = (1.0 + 0.3 * np.sin(sp.coords[:, 0])) * sp.cell_mass
+    quantile_transport_cost(sp, mu / mu.sum(), sp.cell_mass)
+    assert calls == {"values": 1, "__call__": 0}
 
 
 def test_quantile_requires_1d_interval():
