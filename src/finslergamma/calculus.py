@@ -145,10 +145,11 @@ class Field:
 
     @cached_property
     def Ginv(self) -> np.ndarray:
-        """Inverse metric tensors at grad f; at the first axis direction
-        where degenerate."""
-        at = np.where(self.degenerate[:, None], np.eye(self.ops.space.dim)[0], self.legendre)
-        return self.ops.space.norm.inverse_metric_tensors(at)
+        """Inverse metric tensors at grad f: the dual metric at Df, and at the
+        covector of the first axis direction where degenerate."""
+        norm = self.ops.space.norm
+        at = np.where(self.degenerate[:, None], norm.covectors(np.eye(norm.dim)[:1]), self.Df)
+        return norm.dual_norm.metric_tensors(at)
 
     @cached_property
     def g2(self) -> np.ndarray:

@@ -321,6 +321,18 @@ _COMMANDS = {
 }
 
 
+def _flag_type(parse, valid, expected: str):
+    """An argparse ``type``: a bad value exits 2 with a message naming the flag."""
+    def convert(text: str):
+        try:
+            if valid(value := parse(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return convert
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fg", description="flat weighted Minkowski space verification toolkit")
@@ -332,8 +344,10 @@ def _build_parser() -> argparse.ArgumentParser:
         a.add_argument("--config", required=True, help="experiment JSON")
         a.add_argument("--out", default=".", help="output directory")
         if (group, action) == ("ineq", "check"):
-            a.add_argument("--seed", type=int, default=None, help="bank seed override")
-            a.add_argument("--override-k", type=float, default=None,
+            a.add_argument("--seed", default=None, help="bank seed override",
+                           type=_flag_type(int, lambda n: n >= 0, "a non-negative integer"))
+            a.add_argument("--override-k", default=None,
+                           type=_flag_type(float, math.isfinite, "a finite number"),
                            help="pin the curvature constant (falsification runs only)")
     return parser
 

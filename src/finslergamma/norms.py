@@ -19,13 +19,14 @@ The dual norm is the support function of the unit ball,
 
     F*(a) = sup { a(v) : F(v) <= 1 },
 
-and the Legendre transform L* sends a covector a to the unique vector v with
-F(v) = F*(a) and a(v) = F*(a)^2.  Each variant states each operation once,
-as a closed form vectorized over (M, dim) stacks: F, F*^2, L*, g_v and its
-inverse.  ``MinkowskiNorm`` reads the one-vector methods off those forms,
-and ``uniform_smoothness`` is closed-form too.  The Randers formulas hold in
-every dimension and no operation samples the indicatrix; the tests check
-them against dense sampling and finite-difference Hessians.
+and each variant's dual is a norm of the same family, built once as
+``dual_norm``: AsymNorm1D(1/alpha, 1/beta), and Randers(A~, b~) for a Randers
+norm (Euclidean(A^-1) at b = 0).  Each variant states F, g_v and the
+covector map v -> g_v v = F(v) grad F(v) as closed forms over (M, dim)
+stacks.  The rest is derived once: F*^2; the Legendre transform L*, the
+dual's covector map, with F(L*a) = F*(a) and a(L*a) = F*(a)^2; inv(g_v),
+the dual metric at the covector of v.  No form samples or inverts per row;
+the tests check them against dense sampling and finite-difference Hessians.
 
 All operations are pure functions of immutable inputs and safe to call from
 any number of threads.
@@ -34,6 +35,7 @@ any number of threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,11 +72,25 @@ def _as_vector(v, dim: int) -> np.ndarray:
 
 
 class MinkowskiNorm:
-    """Common interface of the concrete norm variants: the one-vector methods
-    are read off each variant's ``values``, ``dual_sq_values``,
-    ``legendre_map`` and ``metric_tensors`` over (M, dim) stacks."""
+    """Common interface of the concrete norm variants.  Each variant states
+    ``values``, ``covectors``, ``metric_tensors`` over (M, dim) stacks, its
+    ``dual_norm`` and ``reverse`` (the norm v -> F(-v)); the dual operations
+    and the one-vector methods are derived here once."""
 
     dim: int
+
+    # -- dual operations, through the dual norm -------------------------------
+    def dual_sq_values(self, A_):
+        """F*(a)^2 across rows of A_."""
+        return self.dual_norm.values(A_) ** 2
+
+    def legendre_map(self, A_):
+        """L*(a) = F*(a) grad F*(a) across rows of A_; 0 at a = 0."""
+        return self.dual_norm.covectors(A_)
+
+    def inverse_metric_tensors(self, V):
+        """inv(g_v) across rows of V (all rows nonzero): the dual metric at g_v v."""
+        return self.dual_norm.metric_tensors(self.covectors(V))
 
     # -- one-vector interface ---------------------------------------------
     def __call__(self, v) -> float:
@@ -84,10 +100,16 @@ class MinkowskiNorm:
         return float(np.sqrt(self.dual_sq_values(_as_vector(a, self.dim)[None, :])[0]))
 
     def legendre(self, a) -> np.ndarray:
+        """L*(a), verified post hoc against the Legendre identities."""
         a = _as_vector(a, self.dim)
-        if not np.any(a):
-            return np.zeros(self.dim)
-        return self._verify_legendre(a, self.legendre_map(a[None, :])[0])
+        v = self.legendre_map(a[None, :])[0]
+        fstar = self.dual(a)
+        err1 = abs(self(v) - fstar) / max(fstar, 1e-300)
+        err2 = abs(float(a @ v) - fstar * fstar) / max(fstar * fstar, 1e-300)
+        if not (err1 <= LEGENDRE_TOL and err2 <= LEGENDRE_TOL):  # catches NaN too
+            raise LegendreError(f"Legendre identities violated (rel. errors {err1:.2e}, "
+                                f"{err2:.2e}); input norm may not be strongly convex")
+        return v
 
     def metric_tensor(self, v) -> np.ndarray:
         v = _as_vector(v, self.dim)
@@ -95,25 +117,9 @@ class MinkowskiNorm:
             raise ValueError("metric tensor is undefined at v = 0")
         return self.metric_tensors(v[None, :])[0]
 
-    def reverse(self) -> "MinkowskiNorm":
-        """The norm v -> F(-v)."""
-        raise NotImplementedError
-
     def dual_metric_tensor(self, a) -> np.ndarray:
-        """g*_a as the inverse-matrix form: inv(g_v) at v = L*(a)."""
-        return np.linalg.inv(self.metric_tensor(self.legendre(a)))
-
-    def _verify_legendre(self, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-        fstar = self.dual(a)
-        scale = max(fstar * fstar, 1e-300)
-        err1 = abs(self(v) - fstar) / max(fstar, 1e-300)
-        err2 = abs(float(a @ v) - fstar * fstar) / scale
-        if not (err1 <= LEGENDRE_TOL and err2 <= LEGENDRE_TOL):  # catches NaN too
-            raise LegendreError(
-                f"Legendre identities violated (rel. errors {err1:.2e}, {err2:.2e}); "
-                "input norm may not be strongly convex"
-            )
-        return v
+        """g*_a = Hess(F*^2/2)(a), which is inv(g_v) at v = L*(a)."""
+        return self.dual_norm.metric_tensor(a)
 
 
 @dataclass(frozen=True)
@@ -122,6 +128,7 @@ class AsymNorm1D(MinkowskiNorm):
 
     The minimal genuinely non-reversible example; every operation has a
     closed form, which makes it the workhorse oracle norm of the test suite.
+    Its dual is the two-slope norm AsymNorm1D(1/alpha, 1/beta).
     """
 
     alpha: float
@@ -131,36 +138,26 @@ class AsymNorm1D(MinkowskiNorm):
         if not (self.alpha > 0 and self.beta > 0):
             raise ValueError("alpha and beta must be positive")
 
-    @property
-    def dim(self) -> int:
-        return 1
+    dim = 1
 
     def reverse(self) -> "AsymNorm1D":
         return AsymNorm1D(self.beta, self.alpha)
 
-    def _branch(self, s: np.ndarray) -> np.ndarray:
-        return np.where(np.asarray(s) >= 0, self.alpha, self.beta)
+    @cached_property
+    def dual_norm(self) -> "AsymNorm1D":
+        return AsymNorm1D(1.0 / self.alpha, 1.0 / self.beta)
 
     def values(self, V):
         s = np.asarray(V, dtype=float)[:, 0]
-        return self._branch(s) * np.abs(s)
+        return np.maximum(self.alpha * s, -self.beta * s)
 
-    def dual_sq_values(self, A_):
-        s = np.asarray(A_, dtype=float)[:, 0]
-        return (s / self._branch(s)) ** 2
-
-    def legendre_map(self, A_):
-        s = np.asarray(A_, dtype=float)[:, 0]
-        return (s / self._branch(s) ** 2)[:, None]
+    def covectors(self, V):
+        s = np.asarray(V, dtype=float)[:, 0]
+        return (np.where(s >= 0, self.alpha ** 2, self.beta ** 2) * s)[:, None]
 
     def metric_tensors(self, V):
         s = np.asarray(V, dtype=float)[:, 0]
-        return (self._branch(s) ** 2)[:, None, None]
-
-    def inverse_metric_tensors(self, V):
-        s = np.asarray(V, dtype=float)[:, 0]
-        # branch at 0 irrelevant: callers route exact zeros to a fallback
-        return (1.0 / self._branch(s) ** 2)[:, None, None]
+        return np.where(s >= 0, self.alpha ** 2, self.beta ** 2)[:, None, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,15 +166,18 @@ class RandersNorm(MinkowskiNorm):
 
     Strong convexity requires |b|_{A^-1} < 1; construction rejects anything
     above RANDERS_MAX_DRIFT.  Every operation has a closed form in any
-    dimension (Bao-Chern-Shen 2000, Shen 2001).  With lam = 1 - |b|^2_{A^-1},
-    z = A^-1 a and beta* = b.z, the dual is again a Randers norm,
-
-        F*(a) = (s - beta*) / lam,      s = sqrt(lam a.z + beta*^2),
-
-    and the Legendre transform L*(a) = F*(a) grad F*(a) simplifies to
-    (F*/s)(z - F* A^-1 b).  With alpha = sqrt(v' A v) and l = A v/alpha + b,
+    dimension (Bao-Chern-Shen 2000, Shen 2001).  With alpha = sqrt(v' A v)
+    and l = A v/alpha + b = grad F(v), the covector of v is F(v) l and
 
         g_v = (F/alpha) (A - A v v' A / alpha^2) + l l'.
+
+    The dual is again a Randers norm with the same drift |b~|_{A~^-1} =
+    |b|_{A^-1} (Shen 2001; Bao-Robles-Shen 2004).  With z = A^-1 b and
+    lam = 1 - b.z it is built from the closed forms
+
+        A~ = (lam A^-1 + z z') / lam^2,   b~ = -z / lam,   A~^-1 = lam (A - b b'),
+
+    and not validated again, which rounding near RANDERS_MAX_DRIFT could fail.
     """
 
     A: np.ndarray
@@ -214,31 +214,32 @@ class RandersNorm(MinkowskiNorm):
     def dim(self) -> int:
         return self.A.shape[0]
 
-    def values(self, V):
-        V = np.asarray(V, dtype=float)
-        return np.sqrt(np.einsum("mi,ij,mj->m", V, self.A, V)) + V @ self.b
-
-    # -- closed-form duality --------------------------------------------------
-
-    def _duals(self, A_: np.ndarray):
-        """(z, s, F*) per row of A_; lam <= 0 means no strongly convex dual."""
-        lam = 1.0 - float(self.b @ self._Ainv @ self.b)
+    @cached_property
+    def dual_norm(self) -> "RandersNorm":
+        z = self._Ainv @ self.b
+        lam = 1.0 - float(self.b @ z)
         if not lam > 0:
             raise LegendreError(f"Randers drift |b|_(A^-1) >= 1 (lam = {lam:.3g}); "
                                 "input norm is not strongly convex")
-        A_ = np.asarray(A_, dtype=float)
-        Z = A_ @ self._Ainv
-        beta = Z @ self.b
-        s = np.sqrt(lam * np.einsum("mi,mi->m", A_, Z) + beta * beta)
-        return Z, s, (s - beta) / lam
+        dual = object.__new__(RandersNorm)
+        dual.__dict__.update(A=(lam * self._Ainv + np.outer(z, z)) / lam ** 2, b=-z / lam,
+                             _Ainv=lam * (self.A - np.outer(self.b, self.b)))
+        return dual
 
-    def dual_sq_values(self, A_):
-        return self._duals(A_)[2] ** 2
+    # perfbench/test_perfbench.py reads this name from the class dict
+    dual_sq_values = MinkowskiNorm.dual_sq_values
 
-    def legendre_map(self, A_):
-        Z, s, fstar = self._duals(A_)
-        ratio = np.divide(fstar, s, out=np.zeros_like(s), where=s > 0)
-        return ratio[:, None] * (Z - fstar[:, None] * (self._Ainv @ self.b))
+    def values(self, V):
+        V = np.asarray(V, dtype=float)
+        return np.sqrt(np.einsum("mi,mi->m", V, V @ self.A)) + V @ self.b
+
+    def covectors(self, V):
+        V = np.asarray(V, dtype=float)
+        AV = V @ self.A
+        alpha = np.sqrt(np.einsum("mi,mi->m", V, AV))
+        F = alpha + V @ self.b
+        ratio = np.divide(F, alpha, out=np.zeros_like(alpha), where=alpha > 0)
+        return ratio[:, None] * AV + F[:, None] * self.b
 
     def metric_tensors(self, V):
         """Metric tensors g_v across rows of V (all rows nonzero)."""
@@ -251,9 +252,6 @@ class RandersNorm(MinkowskiNorm):
         return (ratio[:, None, None] * (self.A - U[:, :, None] * U[:, None, :])
                 + ell[:, :, None] * ell[:, None, :])
 
-    def inverse_metric_tensors(self, V):
-        return np.linalg.inv(self.metric_tensors(V))
-
     def reverse(self) -> "RandersNorm":
         return RandersNorm(self.A, -self.b)
 
@@ -261,23 +259,9 @@ class RandersNorm(MinkowskiNorm):
 @dataclass(frozen=True, eq=False)
 class EuclideanNorm(RandersNorm):
     """F(v) = sqrt(v' A v) with A symmetric positive-definite: the Randers
-    norm with b = 0.  Its dual, Legendre map and metric are constant-matrix
-    forms, which the general Randers formulas would rebuild at every row."""
+    norm with b = 0, whose dual is the Randers form of Euclidean(A^-1)."""
 
     b: np.ndarray = field(init=False, default=None, repr=False)
-
-    def dual_sq_values(self, A_):
-        A_ = np.asarray(A_, dtype=float)
-        return np.einsum("mi,ij,mj->m", A_, self._Ainv, A_)
-
-    def legendre_map(self, A_):
-        return np.asarray(A_, dtype=float) @ self._Ainv.T
-
-    def metric_tensors(self, V):
-        return np.broadcast_to(self.A, (len(V),) + self.A.shape).copy()
-
-    def inverse_metric_tensors(self, V):
-        return np.broadcast_to(self._Ainv, (len(V),) + self._Ainv.shape).copy()
 
     def reverse(self) -> "EuclideanNorm":
         return self

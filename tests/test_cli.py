@@ -394,3 +394,16 @@ def test_ineq_only_flags_are_rejected_elsewhere(tmp_path, command, flag):
     with pytest.raises(SystemExit) as exc:
         main([*command, "--config", cfg, "--out", str(tmp_path), *flag])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", [["--override-k", "nan"], ["--override-k", "inf"],
+                                  ["--seed", "-1"]], ids=["k-nan", "k-inf", "seed-negative"])
+def test_bad_ineq_flag_values_exit_2(tmp_path, capsys, flag):
+    # before, a nan or inf K wrote FAILs with margin = nan and exited 1, and a
+    # negative seed exited 3 from the bank's random generator
+    cfg = write_config(tmp_path, _shipped("gaussian_asym1d.json"))
+    with pytest.raises(SystemExit) as exc:
+        main(["ineq", "check", "--config", cfg, "--out", str(tmp_path), *flag])
+    assert exc.value.code == 2
+    assert f"argument {flag[0]}: expected a" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]

@@ -234,7 +234,11 @@ def summed_products_step(ops, u, tau, tol=1e-10, max_iter=50):
     # the Jacobians' exact zeros change SuperLU's rounding here
     (lambda: build_space(Domain("box", (2.0, 2.0), (24, 24)), oblique_randers(),
                          "(x**2 + y**2)/2"), "2 + x", 0.1),
-], ids=["interval", "interval-large-tau", "randers-box", "randers-box-pruned"])
+    # which sign of the slope leaves exact zeros depends on how Ginv rounds
+    (lambda: build_space(Domain("box", (2.0, 2.0), (24, 24)), oblique_randers(),
+                         "(x**2 + y**2)/2"), "2 - x", 0.1),
+], ids=["interval", "interval-large-tau", "randers-box", "randers-box-pruned",
+        "randers-box-pruned-reflected"])
 def test_step_is_bit_identical_to_summed_products(space, u0, tau):
     sp = space()
     ops = DiffOperators(sp)

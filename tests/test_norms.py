@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from finslergamma import (AsymNorm1D, EuclideanNorm, LegendreError, MinkowskiNorm,
-                          RandersNorm, uniform_smoothness)
+from finslergamma import (AsymNorm1D, DiffOperators, Domain, EuclideanNorm, LegendreError,
+                          MinkowskiNorm, RandersNorm, build_space, uniform_smoothness)
 
 RANDERS = RandersNorm(np.eye(2), (0.5, 0.0))
 # non-diagonal A and an oblique drift, |b|_{A^-1} ~ 0.92
@@ -350,3 +350,71 @@ def test_randers_uniform_smoothness_closed_form_bounds_dense_sampling():
     sf = uniform_smoothness(RANDERS_GEN)
     assert sampled <= sf * (1 + 1e-12)
     assert sampled == pytest.approx(sf, rel=1e-4)
+
+
+# -- duality as a constructor -------------------------------------------------
+
+@pytest.mark.parametrize("norm", ALL_NORMS, ids=lambda n: type(n).__name__)
+def test_dual_of_the_dual_is_the_norm(norm):
+    V = np.random.default_rng(14).standard_normal((40, norm.dim))
+    assert type(norm.dual_norm.dual_norm) is type(norm.dual_norm)
+    assert np.allclose(norm.dual_norm.dual_norm.values(V), norm.values(V),
+                       rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("norm", ALL_NORMS, ids=lambda n: type(n).__name__)
+def test_dual_norm_data(norm):
+    dual = norm.dual_norm
+    assert norm.dual_norm is dual  # built once
+    if isinstance(norm, AsymNorm1D):
+        assert dual == AsymNorm1D(1.0 / norm.alpha, 1.0 / norm.beta)
+        return
+    Ainv = np.linalg.inv(norm.A)
+    z = Ainv @ norm.b
+    lam = 1.0 - norm.b @ z
+    assert np.allclose(dual.A, (lam * Ainv + np.outer(z, z)) / lam**2, rtol=1e-14)
+    assert np.allclose(dual.b, -z / lam, rtol=1e-14, atol=0)
+    assert np.allclose(dual._Ainv, np.linalg.inv(dual.A), rtol=1e-12)
+    if isinstance(norm, EuclideanNorm):
+        assert np.allclose(dual.A, Ainv, rtol=1e-15) and not np.any(dual.b)
+    drift = lambda n: np.sqrt(n.b @ np.linalg.inv(n.A) @ n.b)
+    assert drift(dual) == pytest.approx(drift(norm), rel=1e-13, abs=1e-15)
+    assert uniform_smoothness(dual) == pytest.approx(uniform_smoothness(norm), rel=1e-12)
+
+
+def test_dual_of_a_norm_just_below_the_drift_cap_is_built():
+    # the drift check, run again on the dual, rejected some of these by
+    # rounding; lam ~ 0.02 here, so the round trip keeps fewer digits
+    rng = np.random.default_rng(16)
+    for _ in range(50):
+        B = rng.standard_normal((2, 2))
+        A = B @ B.T + 0.1 * np.eye(2)
+        d = rng.standard_normal(2)
+        norm = RandersNorm(A, d / np.sqrt(d @ np.linalg.solve(A, d)) * (0.99 - 1e-15))
+        dual = norm.dual_norm
+        assert np.sqrt(dual.b @ dual._Ainv @ dual.b) == pytest.approx(0.99, rel=1e-12)
+        V = rng.standard_normal((10, 2))
+        assert np.allclose(dual.dual_norm.values(V), norm.values(V), rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("norm", ALL_NORMS, ids=lambda n: type(n).__name__)
+def test_legendre_map_of_a_zero_covector_is_zero(norm):
+    A_ = np.zeros((3, norm.dim))
+    A_[1] = 0.5  # a nonzero row between zero rows
+    V = norm.legendre_map(A_)
+    assert np.all(V[[0, 2]] == 0.0) and np.all(np.isfinite(V))
+    assert np.all(norm.covectors(np.zeros((2, norm.dim))) == 0.0)
+
+
+@pytest.mark.parametrize("norm", ALL_NORMS, ids=lambda n: type(n).__name__)
+def test_field_Ginv_is_the_inverse_metric_at_the_legendre_map(norm):
+    resolution = (16,) * norm.dim
+    sp = build_space(Domain("interval" if norm.dim == 1 else "box",
+                            (2.0,) * norm.dim, resolution), norm, "0")
+    f = np.random.default_rng(15).standard_normal(sp.n_nodes)
+    f.reshape(resolution)[tuple(slice(3, 9) for _ in resolution)] = 0.4  # flat patch
+    field = DiffOperators(sp).field(f)
+    assert np.any(field.degenerate) and not np.all(field.degenerate)
+    at = np.where(field.degenerate[:, None], np.eye(norm.dim)[0], field.legendre)
+    oracle = np.linalg.inv(norm.metric_tensors(at))
+    assert np.allclose(field.Ginv, oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())

@@ -117,14 +117,14 @@ DIGESTS = {
         'exit': 0,
         'stdout': '594b999d59e3894730735363b4373a42f4f71ff2a5d239b41c3a3cef490076d5',
         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'flow_series.csv': '644dad7dde473395854ffc42d50936d0b0aea6756993a8f9df9dba7c30774433',
-        'flow_summary.json': 'c51c4d8236f1b4d7d8ffb0a878e1883196616f1c7bdc7556b4ac34d524ddbb9d',
+        'flow_series.csv': '00edbca2f4da131742381be5dc400d2a42b719b3914c1303f5c8ce1df2aef633',
+        'flow_summary.json': 'c9aa6c2c64dc5c182e4346eea806ce5548ea018e463ef955b845a45514f9269b',
     },
     'randers_box2d.json ineq check': {
         'exit': 0,
         'stdout': '7af61aca0d35369098c1bd52ecb6362d49e5f288bf1d06f1337232a13a8df92a',
         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'ineq_report.json': 'a2a9ace0ba78b04c92f1f2bef873ac23f04fffcea56e503924a982136e8480b3',
+        'ineq_report.json': 'd80284efc901828a4c83afddd3e4e100a6975fa2dc9097240ba3dd48fdd2eb0e',
     },
     'randers_box2d.json identities run': {
         'exit': 2,
