@@ -124,7 +124,7 @@ DIGESTS = {
         'exit': 0,
         'stdout': '7af61aca0d35369098c1bd52ecb6362d49e5f288bf1d06f1337232a13a8df92a',
         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'ineq_report.json': 'd80284efc901828a4c83afddd3e4e100a6975fa2dc9097240ba3dd48fdd2eb0e',
+        'ineq_report.json': '1c2eaf20d02a54c5206be88d240e8af22818ef8f4c849c68d93ee84c2ba11a56',
     },
     'randers_box2d.json identities run': {
         'exit': 2,

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import linprog
 
 import finslergamma
@@ -282,3 +283,109 @@ def test_2d_transport_periodic_shift():
     mu = np.roll(sp.cell_mass.reshape(16, 16), 1, axis=0).reshape(-1)
     cost = transport_cost_sq(sp, mu, sp.cell_mass)
     assert 0.0 <= cost <= (1.0 / 16) ** 2 + 1e-12
+
+
+def _counting_linprog(monkeypatch):
+    """Record the number of arcs of every LP solve made by lp_transport_cost."""
+    arcs = []
+    solve = scipy.optimize.linprog
+
+    def counting(c, **kwargs):
+        arcs.append(len(c))
+        return solve(c, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    return arcs
+
+
+def _assert_matches_dense_lp(C, mu, nu):
+    ref = _lp_by_dense_rows(C, mu, nu)
+    assert abs(lp_transport_cost(C, mu, nu) - ref) <= 1e-12 * abs(ref) + 1e-15
+
+
+def _random_marginal(rng, n, zero_share):
+    p = np.where(rng.random(n) < zero_share, 0.0, rng.random(n))
+    p[rng.integers(n)] = 1.0
+    return p / p.sum()
+
+
+def test_lp_equals_dense_row_lp_on_random_costs():
+    rng = np.random.default_rng(11)
+    for case in range(40):
+        m, n = rng.integers(1, 65, size=2)
+        # uniform, heavy-tailed, and small integers with many tied arcs
+        C = [rng.random((m, n)), rng.exponential(size=(m, n)) ** 3,
+             rng.integers(0, 4, size=(m, n)).astype(float)][case % 3]
+        zero_share = 0.4 if case % 2 else 0.0
+        _assert_matches_dense_lp(C, _random_marginal(rng, m, zero_share),
+                                 _random_marginal(rng, n, zero_share))
+
+
+@pytest.mark.parametrize("geometry", ["box", "torus"])
+@pytest.mark.parametrize("res", [16, 32, 64])
+def test_lp_equals_dense_row_lp_on_oblique_randers(geometry, res):
+    norm = RandersNorm(np.array([[1.3, 0.4], [0.4, 0.8]]), (0.3, -0.2))
+    sp = build_space(Domain(geometry, (2.0, 2.0), (res, res)), norm, "0")
+    rng = np.random.default_rng(res)
+    x, y = sp.coords.T
+    for _ in range(3):
+        a, b, c = rng.uniform(-0.8, 0.8, size=3)
+        mu = np.exp(a * np.sin(np.pi * x) + b * np.cos(np.pi * y) + c * x * y) * sp.cell_mass
+        xs, wx = coarsen_measure(sp, mu / mu.sum())
+        ys, wy = coarsen_measure(sp, sp.cell_mass)
+        _assert_matches_dense_lp(_pair_cost_matrix(sp, xs, ys), wx, wy)
+
+
+def test_lp_adds_arcs_until_no_reduced_cost_is_negative(monkeypatch):
+    # one start arc per row and column, and points in the plane in an order
+    # that makes the monotone coupling far from optimal: the LP must grow
+    monkeypatch.setattr(finslergamma.transport, "_START_ARCS", 1)
+    arcs = _counting_linprog(monkeypatch)
+    rng = np.random.default_rng(5)
+    xs, ys = rng.random((40, 2)), rng.random((40, 2))
+    C = ((ys[None, :, :] - xs[:, None, :]) ** 2).sum(axis=2)
+    mu, nu = _random_marginal(rng, 40, 0.0), _random_marginal(rng, 40, 0.0)
+    _assert_matches_dense_lp(C, mu, nu)
+    assert len(arcs) >= 2
+    assert arcs == sorted(arcs)
+
+
+def test_lp_solves_on_a_small_share_of_the_arcs(monkeypatch):
+    arcs = _counting_linprog(monkeypatch)
+    sp = build_space(Domain("box", (2.0, 2.0), (32, 32)), oblique_randers(), "x**2/2")
+    mu = (1.0 + 0.45 * np.sin(np.pi * sp.coords[:, 0])) * sp.cell_mass
+    transport_cost_sq(sp, mu / mu.sum())
+    assert max(arcs) < 64 * 64 // 4
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 0.5, 0.5], [0.5, 0.5], [[0.5, 0.5, 0.0]]])
+def test_lp_rejects_bad_marginals(bad):
+    with pytest.raises(ValueError, match="mu"):
+        lp_transport_cost(np.ones((3, 4)), bad, np.full(4, 0.25))
+    with pytest.raises(ValueError, match="nu"):
+        lp_transport_cost(np.ones((4, 3)), np.full(4, 0.25), bad)
+
+
+def _far_nan_cost():
+    C = np.add.outer(np.arange(20.0), np.arange(20.0)) ** 2
+    C[0, -1] = np.nan  # among the dearest arcs of its row and of its column
+    return C
+
+
+@pytest.mark.parametrize("C", [np.full((3, 3), np.inf), _far_nan_cost(), np.ones(9),
+                               np.ones((3, 3, 1))])
+def test_lp_rejects_bad_cost_matrices(C):
+    p = np.full(len(C), 1 / len(C))
+    with pytest.raises(ValueError, match="cost matrix"):
+        lp_transport_cost(C, p, p)
+
+
+def test_quantile_rejects_bad_marginals():
+    sp = gauss_interval(euclid(), res=32)
+    nan = sp.cell_mass.copy()
+    nan[3] = np.nan
+    for bad in (nan, sp.cell_mass[:-1], sp.cell_mass[None, :]):
+        with pytest.raises(ValueError, match="mu"):
+            quantile_transport_cost(sp, bad, sp.cell_mass)
+        with pytest.raises(ValueError, match="nu"):
+            quantile_transport_cost(sp, sp.cell_mass, bad)
