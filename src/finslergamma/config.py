@@ -15,7 +15,7 @@ from typing import List, Optional
 import numpy as np
 
 from .curvature import admissible_N, effective_K
-from .heatflow import FlowParams
+from .heatflow import MIN_RATE_SAMPLES, FlowParams
 from .norms import AsymNorm1D, EuclideanNorm, MinkowskiNorm, RandersNorm
 from .space import MIN_RESOLUTION, Domain, WeightedSpace, build_space
 
@@ -132,7 +132,6 @@ class ExperimentConfig:
     bank_size: int
     flow: Optional[FlowConfig]
     identities: IdentityConfig
-    tol_sweep: float
     raw: dict
 
     def build_space(self) -> WeightedSpace:
@@ -150,8 +149,7 @@ class ExperimentConfig:
         return space
 
 
-_TOP_KEYS = {"space", "n_values", "checkers", "bank", "flow", "identities",
-             "tolerances"}
+_TOP_KEYS = {"space", "n_values", "checkers", "bank", "flow", "identities"}
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -177,6 +175,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if not admissible_N(N, domain.dim):
             _fail(f"n_values[{i}]", f"N = {N} is inadmissible "
                                     f"(need a finite N < 0, or N >= {domain.dim})")
+    duplicates = sorted({N for N in n_values if n_values.count(N) > 1})
+    if duplicates:
+        _fail("n_values", f"duplicate N {duplicates}")
 
     checkers = doc.get("checkers")
     if checkers is not None:
@@ -220,6 +221,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if not (math.isfinite(n_steps) and 1 <= round(n_steps) <= MAX_FLOW_STEPS):
             _fail("flow.t_end", f"t_end / tau = {n_steps:g} must round to a step "
                                 f"count in [1, {MAX_FLOW_STEPS}]")
+        samples = 1 + math.ceil(round(n_steps) / flow.params.stride)
+        if samples < MIN_RATE_SAMPLES:
+            _fail("flow.stride", f"records {samples} samples (1 + ceil(steps / stride)); "
+                                 f"a decay rate needs {MIN_RATE_SAMPLES}")
 
     iobj = _expect_mapping(doc.get("identities", {}), "identities",
                            {"resolutions", "a_values", "h_expr"})
@@ -243,15 +248,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
             _fail("identities.h_expr", "expected an expression string")
         identities.h_expr = iobj["h_expr"]
 
-    tol_obj = _expect_mapping(doc.get("tolerances", {}), "tolerances", {"sweep"})
-    tol_sweep = _number(tol_obj.get("sweep", 2e-2), "tolerances.sweep")
-    if tol_sweep < 0:
-        _fail("tolerances.sweep", "must be nonnegative")
-
     return ExperimentConfig(domain=domain, norm=norm, psi=psi, n_values=n_values,
                             checkers=checkers, bank_seed=bank_seed,
                             bank_size=bank_size, flow=flow, identities=identities,
-                            tol_sweep=tol_sweep, raw=doc)
+                            raw=doc)
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -46,6 +46,8 @@ __all__ = ["FlowParams", "FlowState", "FlowSolverError", "DissipationReport",
 #: reported decay rate for observables that are identically ~0 (nothing to fit)
 RATE_SENTINEL = math.inf
 
+MIN_RATE_SAMPLES = 10  # fewest recorded samples that decay_rates fits
+
 ENTROPY_FLOOR = 1e-14
 
 
@@ -163,20 +165,22 @@ def evolve(ops: DiffOperators, u0: np.ndarray, params: FlowParams) -> List[FlowS
 
 def decay_rates(states: List[FlowState]) -> dict:
     """Least-squares exponential rates of variance and entropy on the tail
-    half of the series; RATE_SENTINEL where there is nothing to fit."""
-    if len(states) < 10:
-        raise ValueError("need at least 10 recorded samples to fit rates")
+    half of the series; RATE_SENTINEL where the tail is <= 0 or ~0 (nothing
+    to fit), and NaN where it holds a non-finite value (no rate is known)."""
+    if len(states) < MIN_RATE_SAMPLES:
+        raise ValueError(f"need at least {MIN_RATE_SAMPLES} recorded samples to fit rates")
     t = np.array([s.t for s in states])
     out = {}
     for name in ("variance", "entropy"):
         y = np.array([getattr(s, name) for s in states])
         tail = slice(len(t) // 2, None)
         yt = y[tail]
-        if not np.all(np.isfinite(yt)) or np.any(yt <= 0) or np.max(yt) < 1e-15:
+        if not np.all(np.isfinite(yt)):
+            out[f"{name}_rate"] = math.nan
+        elif np.any(yt <= 0) or np.max(yt) < 1e-15:
             out[f"{name}_rate"] = RATE_SENTINEL
-            continue
-        slope = np.polyfit(t[tail], np.log(yt), 1)[0]
-        out[f"{name}_rate"] = float(-slope)
+        else:
+            out[f"{name}_rate"] = float(-np.polyfit(t[tail], np.log(yt), 1)[0])
     return out
 
 

@@ -3,18 +3,18 @@ r"""Checkers and constant estimators for the functional inequalities.
 Every checker evaluates one inequality instance on a given space with the
 curvature constant K supplied by the caller (normally
 ``curvature.effective_K`` on the same computational domain) and returns a
-``CheckReport``.  The pass rule is
+``CheckReport``.  The pass rule is fixed:
 
     margin = rhs - lhs  >=  -(tol_rel * |rhs| + tol_abs),
 
-with ``tol_rel`` defaulting to 2e-2 for discretization-grade sweeps and
-1e-6 for exact-function checks; pointwise floors additionally carry a small
-absolute tolerance because their reference side is zero.
+with tol_rel = ``TOL_SWEEP`` = 2e-2 and tol_abs = 0, except that the pointwise
+Bochner floor, whose reference side is zero, has tol_rel = 0 and tol_abs =
+``POINTWISE_TOL_ABS`` = 2e-2.
 
 The dimension parameter N ranges over (-inf, 0) and [n, inf] (n the grid
 dimension); the coefficient (N-1)/(K N) is read as 1/K at N = inf.  Each
-checker rejects N and K outside its own range; the N range and K sign the
-regression matrix runs it at are its entry in one table, ``_MATRIX``.
+checker's N range and K sign are its row of one table, ``_MATRIX``: the
+checker rejects N and K outside it, and the regression matrix runs it there.
 
 Sign-changing test functions are routed through the positive/negative part
 device: the gradient energy of f is accumulated as the energy of f_+ under
@@ -53,7 +53,6 @@ __all__ = [
 ]
 
 TOL_SWEEP = 2e-2
-TOL_EXACT = 1e-6
 POINTWISE_TOL_ABS = 2e-2
 
 
@@ -74,8 +73,10 @@ class CheckReport:
 
 
 def _report(checker: str, N: float, K: float, lhs: float, rhs: float,
-            tol_rel: float, tol_abs: float = 0.0, **metadata) -> CheckReport:
+            **metadata) -> CheckReport:
     margin = rhs - lhs
+    tol_rel, tol_abs = ((0.0, POINTWISE_TOL_ABS) if checker == "bochner_pointwise"
+                        else (TOL_SWEEP, 0.0))
     # the 1e-13 term keeps exact-equality cases (rhs = 0) from failing on
     # floating-point dust
     allowance = tol_rel * abs(rhs) + tol_abs + 1e-13 * max(1.0, abs(lhs), abs(rhs))
@@ -94,16 +95,21 @@ def lichnerowicz_coeff(N: float, K: float) -> float:
     return (N - 1.0) / (K * N)
 
 
-def _require_N(checker: str, N: float, dim: int, lo: Optional[float] = None,
-               finite: bool = False, allow_negative: bool = False) -> None:
-    if not admissible_N(N, dim):
-        raise ValueError(f"{checker}: N = {N} not admissible on a {dim}D space")
-    if N < 0 and not allow_negative:
-        raise ValueError(f"{checker}: N < 0 is outside this inequality's range")
-    if finite and math.isinf(N):
-        raise ValueError(f"{checker}: N must be finite")
-    if lo is not None and not math.isinf(N) and N <= lo:
-        raise ValueError(f"{checker}: need N > {lo}")
+def _admit(checker: str, N: float, K: float, dim: int,
+           n_range: Optional[str] = None) -> None:
+    """Reject N and K outside the checker's ``_MATRIX`` row (or ``n_range``)."""
+    row_range, needs_positive_K, _ = _MATRIX[checker]
+    n_range = n_range or row_range
+    if not (admissible_N(N, dim) and _N_RANGES[n_range](N)):
+        raise ValueError(f"{checker}: N = {N} is outside its range ({n_range}, "
+                         f"admissible on a {dim}D space)")
+    if needs_positive_K and not K > 0:
+        raise ValueError(f"{checker} needs a positive curvature constant, got K = {K}")
+
+
+def _sobolev_p_max(N: float) -> float:
+    """2(N+1)/N, the largest proved sharp Sobolev exponent; 2 at N = inf."""
+    return 2.0 if math.isinf(N) else 2.0 * (N + 1.0) / N
 
 
 # ----------------------------------------------------------------------
@@ -144,7 +150,7 @@ def gradient_energy_integral(space: WeightedSpace, f: np.ndarray) -> float:
 # Bochner-type checks
 
 def check_integrated_bochner(space: WeightedSpace, f: np.ndarray, N: float,
-                             K: float, tol_rel: float = TOL_SWEEP) -> CheckReport:
+                             K: float) -> CheckReport:
     """Integrated Bochner inequality, rearranged through the exact discrete
     identity int D[Lap f](grad f) dm = -int (Lap f)^2 dm:
 
@@ -152,7 +158,7 @@ def check_integrated_bochner(space: WeightedSpace, f: np.ndarray, N: float,
 
     When K > 0 the metadata carries the equivalent gradient-vs-Laplacian
     form with coefficient (N-1)/(K N)."""
-    _require_N("integrated_bochner", N, space.dim, allow_negative=True)
+    _admit("integrated_bochner", N, K, space.dim)
     f = operators_for(space).field(f)
     grad_sq = integrate(space, f.dual_sq)
     lap_sq = integrate(space, f.lap * f.lap)
@@ -162,25 +168,25 @@ def check_integrated_bochner(space: WeightedSpace, f: np.ndarray, N: float,
     if K > 0:
         meta["dual_lhs"] = grad_sq
         meta["dual_rhs"] = lichnerowicz_coeff(N, K) * lap_sq
-    return _report("integrated_bochner", N, K, lhs, lap_sq, tol_rel, **meta)
+    return _report("integrated_bochner", N, K, lhs, lap_sq, **meta)
 
 
-def check_bochner_pointwise(space: WeightedSpace, f: np.ndarray, N: float, K: float,
-                            tol_abs: float = POINTWISE_TOL_ABS) -> CheckReport:
+def check_bochner_pointwise(space: WeightedSpace, f: np.ndarray, N: float,
+                            K: float) -> CheckReport:
     """Pointwise Bochner floor: min over interior nodes of
 
-        Gamma2(f) - K F^2(grad f) - (Lap f)^2 / N   >=   -tol_abs.
+        Gamma2(f) - K F^2(grad f) - (Lap f)^2 / N   >=   -POINTWISE_TOL_ABS.
 
     Nodes in the gradient-zero band are excluded from the floor for
     non-smooth norms (the unmasked minimum is reported in the metadata)."""
-    _require_N("bochner_pointwise", N, space.dim, allow_negative=True)
+    _admit("bochner_pointwise", N, K, space.dim)
     ops = operators_for(space)
     f = ops.field(f)
     expr = f.g2 - K * f.dual_sq
     if not math.isinf(N):
         expr = expr - f.lap ** 2 / N
     floor = float(np.min(expr[f.pointwise]))
-    return _report("bochner_pointwise", N, K, -floor, 0.0, 0.0, tol_abs,
+    return _report("bochner_pointwise", N, K, -floor, 0.0,
                    unmasked_floor=float(np.min(expr[ops.interior])),
                    excluded_nodes=int(np.sum(ops.interior & ~f.kink)))
 
@@ -188,14 +194,13 @@ def check_bochner_pointwise(space: WeightedSpace, f: np.ndarray, N: float, K: fl
 # ----------------------------------------------------------------------
 # Poincare
 
-def check_poincare(space: WeightedSpace, f: np.ndarray, N: float, K: float,
-                   tol_rel: float = TOL_SWEEP) -> CheckReport:
+def check_poincare(space: WeightedSpace, f: np.ndarray, N: float, K: float) -> CheckReport:
     """Var_m(f) <= (N-1)/(K N) * int F^2(grad f) dm, K > 0."""
-    _require_N("poincare", N, space.dim, allow_negative=True)
+    _admit("poincare", N, K, space.dim)
     coeff = lichnerowicz_coeff(N, K)
     f = operators_for(space).field(f)
     grad_sq = integrate(space, f.dual_sq)
-    return _report("poincare", N, K, _variance(space, f.f), coeff * grad_sq, tol_rel)
+    return _report("poincare", N, K, _variance(space, f.f), coeff * grad_sq)
 
 
 #: gradient-ascent steps that ``estimate_poincare_constant`` refines the
@@ -248,8 +253,7 @@ def estimate_poincare_constant(space: WeightedSpace) -> float:
 # ----------------------------------------------------------------------
 # entropy-type checks
 
-def check_logsobolev(space: WeightedSpace, f: np.ndarray, N: float, K: float,
-                     tol_rel: float = TOL_SWEEP) -> CheckReport:
+def check_logsobolev(space: WeightedSpace, f: np.ndarray, N: float, K: float) -> CheckReport:
     """Ent_m(f m) <= (N-1)/(2 K N) * int_{f>0} F^2(grad f)/f dm for a
     nonnegative density f (auto-normalized to unit mass, with a flag).
 
@@ -257,7 +261,7 @@ def check_logsobolev(space: WeightedSpace, f: np.ndarray, N: float, K: float,
     classical limit with coefficient 1/(2K), and N < 0 is accepted as an
     *experiment* (flagged in metadata) since the bound can genuinely fail
     there."""
-    _require_N("logsobolev", N, space.dim, allow_negative=True)
+    _admit("logsobolev", N, K, space.dim, "all")
     f = np.asarray(f, dtype=float)
     if np.min(f) < -1e-12:
         raise ValueError("logsobolev needs a nonnegative function")
@@ -276,14 +280,14 @@ def check_logsobolev(space: WeightedSpace, f: np.ndarray, N: float, K: float,
     fisher = integrate(space, np.where(mask, grad_sq / np.where(mask, f, 1.0), 0.0))
     lhs = _entropy_of_density(space, f)
     rhs = 0.5 * lichnerowicz_coeff(N, K) * fisher
-    return _report("logsobolev", N, K, lhs, rhs, tol_rel, fisher=fisher, **meta)
+    return _report("logsobolev", N, K, lhs, rhs, fisher=fisher, **meta)
 
 
-def check_gamma2_integral(space: WeightedSpace, u: np.ndarray, N: float, K: float,
-                          tol_rel: float = TOL_SWEEP) -> CheckReport:
+def check_gamma2_integral(space: WeightedSpace, u: np.ndarray, N: float,
+                          K: float) -> CheckReport:
     """int u F^2(grad log u) dm <= (N-1)/(K N) * int u Gamma2(log u) dm
     for u bounded away from zero."""
-    _require_N("gamma2_integral", N, space.dim)
+    _admit("gamma2_integral", N, K, space.dim)
     u = np.asarray(u, dtype=float)
     if np.min(u) <= 0:
         raise ValueError("gamma2_integral needs inf u > 0")
@@ -291,14 +295,13 @@ def check_gamma2_integral(space: WeightedSpace, u: np.ndarray, N: float, K: floa
     log_u = operators_for(space).field(np.log(u))
     lhs = integrate(space, u * log_u.dual_sq)
     rhs = coeff * integrate(space, u * log_u.g2)
-    return _report("gamma2_integral", N, K, lhs, rhs, tol_rel)
+    return _report("gamma2_integral", N, K, lhs, rhs)
 
 
-def check_talagrand(space: WeightedSpace, mu: np.ndarray, N: float, K: float,
-                    tol_rel: float = TOL_SWEEP) -> CheckReport:
+def check_talagrand(space: WeightedSpace, mu: np.ndarray, N: float, K: float) -> CheckReport:
     """W2^2(mu, m) <= 2 (N-1)/(K N) * Ent_m(mu) for N in [n, inf), with the
     asymmetric squared-distance transport cost (mu is the source)."""
-    _require_N("talagrand", N, space.dim, finite=True)
+    _admit("talagrand", N, K, space.dim)
     coeff = lichnerowicz_coeff(N, K)
     mu = np.asarray(mu, dtype=float)
     m = space.cell_mass
@@ -307,16 +310,14 @@ def check_talagrand(space: WeightedSpace, mu: np.ndarray, N: float, K: float,
         raise ValueError("mu charges a node of zero reference mass: entropy infinite")
     ent = float(np.sum(mu[mask] * np.log(mu[mask] / m[mask])))
     lhs = transport_cost_sq(space, mu, m)
-    return _report("talagrand", N, K, lhs, 2.0 * coeff * ent, tol_rel, entropy=ent)
+    return _report("talagrand", N, K, lhs, 2.0 * coeff * ent, entropy=ent)
 
 
-def check_entropy_energy(space: WeightedSpace, f: np.ndarray, N: float, K: float,
-                         tol_rel: float = TOL_SWEEP) -> CheckReport:
+def check_entropy_energy(space: WeightedSpace, f: np.ndarray, N: float,
+                         K: float) -> CheckReport:
     """Ent_m(f^2 m) <= (N/2) log(1 + 4/(K N) int F^2(grad f) dm) for
     N in [n, inf), f normalized to unit L2 mass (flagged if rescaled)."""
-    _require_N("entropy_energy", N, space.dim, finite=True)
-    if K <= 0:
-        raise ValueError("entropy_energy needs K > 0")
+    _admit("entropy_energy", N, K, space.dim)
     f = np.asarray(f, dtype=float)
     meta = {}
     total = integrate(space, f * f)
@@ -328,49 +329,44 @@ def check_entropy_energy(space: WeightedSpace, f: np.ndarray, N: float, K: float
     lhs = _entropy_of_density(space, f * f)
     grad_sq = gradient_energy_integral(space, f)
     rhs = 0.5 * N * math.log1p(4.0 * grad_sq / (K * N))
-    return _report("entropy_energy", N, K, lhs, rhs, tol_rel, **meta)
+    return _report("entropy_energy", N, K, lhs, rhs, **meta)
 
 
-def check_nash(space: WeightedSpace, f: np.ndarray, N: float, K: float,
-               tol_rel: float = TOL_SWEEP) -> CheckReport:
+def check_nash(space: WeightedSpace, f: np.ndarray, N: float, K: float) -> CheckReport:
     """Nash inequality ||f||_2^{N+2} <= (||f||_2^2 + 4/(K N) E(f))^{N/2} ||f||_1^2,
     compared in the log domain so that large N neither overflows nor
     underflows."""
-    _require_N("nash", N, space.dim, finite=True)
-    if K <= 0:
-        raise ValueError("nash needs K > 0")
+    _admit("nash", N, K, space.dim)
     f = np.asarray(f, dtype=float)
     l2 = _lp_norm(space, f, 2.0)
     l1 = _lp_norm(space, f, 1.0)
     if l2 < 1e-300:
-        return _report("nash", N, K, 0.0, 0.0, tol_rel, log_domain=True)
+        return _report("nash", N, K, 0.0, 0.0, log_domain=True)
     energy = 0.5 * gradient_energy_integral(space, f)
     lhs = (N + 2.0) * math.log(l2)
     rhs = 0.5 * N * math.log(l2 * l2 + 4.0 * energy / (K * N)) + 2.0 * math.log(l1)
-    return _report("nash", N, K, lhs, rhs, tol_rel, log_domain=True)
+    return _report("nash", N, K, lhs, rhs, log_domain=True)
 
 
-def check_nonsharp_sobolev(space: WeightedSpace, f: np.ndarray, N: float, K: float,
-                           tol_rel: float = TOL_SWEEP) -> CheckReport:
+def check_nonsharp_sobolev(space: WeightedSpace, f: np.ndarray, N: float,
+                           K: float) -> CheckReport:
     """Non-sharp Sobolev bound with fully explicit constants:
     ||f||_p^2 <= 2^{4N/(N-2)} ( (4/3)||f||_2^2 + 4/(K N) E(f) ), p = 2N/(N-2)."""
-    _require_N("nonsharp_sobolev", N, space.dim, lo=2.0, finite=True)
-    if K <= 0:
-        raise ValueError("nonsharp_sobolev needs K > 0")
+    _admit("nonsharp_sobolev", N, K, space.dim)
     f = np.asarray(f, dtype=float)
     p = 2.0 * N / (N - 2.0)
     lhs = _lp_norm(space, f, p) ** 2
     energy = 0.5 * gradient_energy_integral(space, f)
     const = 2.0 ** (4.0 * N / (N - 2.0))
     rhs = const * ((4.0 / 3.0) * _lp_norm(space, f, 2.0) ** 2 + 4.0 * energy / (K * N))
-    return _report("nonsharp_sobolev", N, K, lhs, rhs, tol_rel, p=p, constant=const)
+    return _report("nonsharp_sobolev", N, K, lhs, rhs, p=p, constant=const)
 
 
 def _sobolev(checker: str, space: WeightedSpace, f: np.ndarray, p: float, N: float,
-             K: float, tol_rel: float) -> CheckReport:
+             K: float) -> CheckReport:
     """The sharp Sobolev family at one p.  At N = inf the rhs is E / K, which
     rounds differently from lichnerowicz_coeff(inf, K) * E."""
-    p_max = 2.0 if math.isinf(N) else 2.0 * (N + 1.0) / N
+    p_max = _sobolev_p_max(N)
     if not (1.0 - 1e-12 <= p <= p_max + 1e-12):
         raise ValueError(f"{checker}: p = {p} outside [1, {p_max}]")
     f = np.asarray(f, dtype=float)
@@ -378,7 +374,7 @@ def _sobolev(checker: str, space: WeightedSpace, f: np.ndarray, p: float, N: flo
         total = integrate(space, f * f)
         if total <= 0:
             raise ValueError(f"{checker}: zero function")
-        report = check_logsobolev(space, f * f / total, N, K, tol_rel=tol_rel)
+        report = check_logsobolev(space, f * f / total, N, K)
         return replace(report, checker=checker, metadata={
             **report.metadata, "p": 2.0, "dispatched_from": checker})
     l2 = _lp_norm(space, f, 2.0)
@@ -386,32 +382,31 @@ def _sobolev(checker: str, space: WeightedSpace, f: np.ndarray, p: float, N: flo
     lhs = (lp * lp - l2 * l2) / (p - 2.0)
     energy = gradient_energy_integral(space, f)
     rhs = energy / K if math.isinf(N) else lichnerowicz_coeff(N, K) * energy
-    return _report(checker, N, K, lhs, rhs, tol_rel, p=p)
+    return _report(checker, N, K, lhs, rhs, p=p)
 
 
-def check_sobolev(space: WeightedSpace, f: np.ndarray, p: float, N: float, K: float,
-                  tol_rel: float = TOL_SWEEP) -> CheckReport:
+def check_sobolev(space: WeightedSpace, f: np.ndarray, p: float, N: float,
+                  K: float) -> CheckReport:
     """Sharp Sobolev family for N in [n, inf):
 
         (||f||_p^2 - ||f||_2^2)/(p - 2) <= (N-1)/(K N) int F^2(grad f) dm
 
     for 1 <= p <= 2(N+1)/N.  p = 2 dispatches to the log-Sobolev checker as
     the stated limit (applied to f^2 normalized to unit mass)."""
-    _require_N("sobolev", N, space.dim, finite=True)
-    return _sobolev("sobolev", space, f, p, N, K, tol_rel)
+    _admit("sobolev", N, K, space.dim)
+    return _sobolev("sobolev", space, f, p, N, K)
 
 
-def check_sobolev_inf(space: WeightedSpace, f: np.ndarray, p: float, K: float,
-                      tol_rel: float = TOL_SWEEP) -> CheckReport:
+def check_sobolev_inf(space: WeightedSpace, f: np.ndarray, p: float,
+                      K: float) -> CheckReport:
     """Dimension-free Sobolev family (N = inf): for 1 <= p <= 2,
 
         (||f||_p^2 - ||f||_2^2)/(p - 2) <= (1/K) int F^2(grad f) dm,
 
     where the p < 2 sign of (p - 2) keeps the quotient nonnegative.
     p = 2 dispatches to log-Sobolev at N = inf."""
-    if K <= 0:
-        raise ValueError("sobolev_inf needs K > 0")
-    return _sobolev("sobolev_inf", space, f, p, math.inf, K, tol_rel)
+    _admit("sobolev_inf", math.inf, K, space.dim)
+    return _sobolev("sobolev_inf", space, f, p, math.inf, K)
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +429,7 @@ def sobolev_exponent_table(N: float) -> SobolevExponents:
     is (b0, a0) = (2(N-3)/(N-2), -2/(N-2)) with a0 < 0 (infeasible)."""
     if N <= 2:
         raise ValueError("exponent table needs N > 2")
-    p_basic = 2.0 * (N + 1.0) / N
+    p_basic = _sobolev_p_max(N)
     p_ext = (7.0 * N * N + 2.0 * N + (N + 2.0) * math.sqrt(N * N + 8.0 * N)) \
         / (4.0 * N * (N - 1.0))
     p_crit = 2.0 * N / (N - 2.0)
@@ -591,9 +586,8 @@ def _positive_density(space: WeightedSpace, g: np.ndarray) -> np.ndarray:
 
 
 def _sobolev_p_grid(N: float) -> List[float]:
-    p_max = 2.0 * (N + 1.0) / N
-    grid = [1.0, 1.5, 2.0, p_max]
-    return sorted({p for p in grid if 1.0 <= p <= p_max + 1e-12})
+    p_max = _sobolev_p_max(N)
+    return sorted({p for p in (1.0, 1.5, 2.0, p_max) if p <= p_max + 1e-12})
 
 
 def _measure_from_member(space: WeightedSpace, g: np.ndarray) -> np.ndarray:
@@ -610,30 +604,32 @@ _N_RANGES = {
     "N = inf": lambda N: N == math.inf,
 }
 
-# checker id -> (the N range the matrix runs it on, whether it needs K > 0,
-# the reports for one bank member g).  Each adapter looks its checker up by
-# module-level name at call time, so a wrapper set on the module is seen.
+# checker id -> (the N range where the checker is defined, whether it needs
+# K > 0, the reports for one bank member g).  ``_admit`` holds each checker to
+# its row (log-Sobolev also admits N < 0, as a flagged experiment) and the
+# matrix runs it there.  Each adapter looks its checker up by module-level
+# name at call time, so a wrapper set on the module is seen.
 _MATRIX = {
-    "integrated_bochner": ("all", False, lambda s, g, N, K, t: [
-        check_integrated_bochner(s, g, N, K, t)]),
-    "bochner_pointwise": ("all", False, lambda s, g, N, K, t: [
+    "integrated_bochner": ("all", False, lambda s, g, N, K: [
+        check_integrated_bochner(s, g, N, K)]),
+    "bochner_pointwise": ("all", False, lambda s, g, N, K: [
         check_bochner_pointwise(s, g, N, K)]),
-    "poincare": ("all", True, lambda s, g, N, K, t: [check_poincare(s, g, N, K, t)]),
-    "logsobolev": ("N > 0", True, lambda s, g, N, K, t: [
-        check_logsobolev(s, _positive_density(s, g), N, K, t)]),
-    "gamma2_integral": ("N > 0", True, lambda s, g, N, K, t: [
-        check_gamma2_integral(s, 1.0 + 0.45 * g, N, K, t)]),
-    "talagrand": ("finite N > 0", True, lambda s, g, N, K, t: [
-        check_talagrand(s, _measure_from_member(s, g), N, K, t)]),
-    "entropy_energy": ("finite N > 0", True, lambda s, g, N, K, t: [
-        check_entropy_energy(s, g, N, K, t)]),
-    "nash": ("finite N > 0", True, lambda s, g, N, K, t: [check_nash(s, g, N, K, t)]),
-    "nonsharp_sobolev": ("finite N > 2", True, lambda s, g, N, K, t: [
-        check_nonsharp_sobolev(s, g, N, K, t)]),
-    "sobolev": ("finite N > 0", True, lambda s, g, N, K, t: [
-        check_sobolev(s, g, p, N, K, t) for p in _sobolev_p_grid(N)]),
-    "sobolev_inf": ("N = inf", True, lambda s, g, N, K, t: [
-        check_sobolev_inf(s, g, p, K, t) for p in (1.0, 1.5, 2.0)]),
+    "poincare": ("all", True, lambda s, g, N, K: [check_poincare(s, g, N, K)]),
+    "logsobolev": ("N > 0", True, lambda s, g, N, K: [
+        check_logsobolev(s, _positive_density(s, g), N, K)]),
+    "gamma2_integral": ("N > 0", True, lambda s, g, N, K: [
+        check_gamma2_integral(s, 1.0 + 0.45 * g, N, K)]),
+    "talagrand": ("finite N > 0", True, lambda s, g, N, K: [
+        check_talagrand(s, _measure_from_member(s, g), N, K)]),
+    "entropy_energy": ("finite N > 0", True, lambda s, g, N, K: [
+        check_entropy_energy(s, g, N, K)]),
+    "nash": ("finite N > 0", True, lambda s, g, N, K: [check_nash(s, g, N, K)]),
+    "nonsharp_sobolev": ("finite N > 2", True, lambda s, g, N, K: [
+        check_nonsharp_sobolev(s, g, N, K)]),
+    "sobolev": ("finite N > 0", True, lambda s, g, N, K: [
+        check_sobolev(s, g, p, N, K) for p in _sobolev_p_grid(N)]),
+    "sobolev_inf": ("N = inf", True, lambda s, g, N, K: [
+        check_sobolev_inf(s, g, p, K) for p in _sobolev_p_grid(N)]),
 }
 
 CHECKER_IDS = tuple(_MATRIX)
@@ -649,8 +645,8 @@ def runs_at(checker: str, N: float, K: float = math.inf) -> bool:
 def run_checker_matrix(space: WeightedSpace, N_values: Sequence[float],
                        checkers: Optional[Sequence[str]] = None,
                        bank: Optional[TestBank] = None, seed: int = 0,
-                       bank_size: int = 12, override_K: Optional[float] = None,
-                       tol_rel: float = TOL_SWEEP) -> List[CheckReport]:
+                       bank_size: int = 12,
+                       override_K: Optional[float] = None) -> List[CheckReport]:
     """Run the (checker x N x bank) matrix on one space.
 
     K is taken from ``effective_K`` on this very space for each N unless
@@ -670,5 +666,5 @@ def run_checker_matrix(space: WeightedSpace, N_values: Sequence[float],
         for checker in (c for c in chosen if runs_at(c, N, K)):
             for label, g in bank:
                 reports.extend(replace(rep, metadata={**rep.metadata, "member": label})
-                               for rep in _MATRIX[checker][2](space, g, N, K, tol_rel))
+                               for rep in _MATRIX[checker][2](space, g, N, K))
     return reports

@@ -93,7 +93,7 @@ def test_criterion_3_bochner_floor():
         for N in (3.0, 10.0, INF):
             K = effective_K(sp, N).K_eff
             for _, f in bank:
-                rep = check_bochner_pointwise(sp, f, N, K, tol_abs=2e-2)
+                rep = check_bochner_pointwise(sp, f, N, K)
                 worst = min(worst, rep.margin)
                 assert rep.passed
     report(3, worst >= -2e-2, f"worst interior floor {worst:.2e} >= -2e-2")

@@ -139,7 +139,7 @@ def test_identities_requires_periodic(tmp_path):
 
 def test_solver_failure_exits_3(tmp_path):
     doc = dict(ASYM_GAUSS)
-    doc["flow"] = {"u0": "1 + 0.3*sin(3*x)", "tau": 1.0, "t_end": 2.0,
+    doc["flow"] = {"u0": "1 + 0.3*sin(3*x)", "tau": 1.0, "t_end": 10.0,
                    "tol": 1e-300, "max_iter": 2}
     cfg = write_config(tmp_path, doc)
     assert main(["flow", "run", "--config", cfg, "--out", str(tmp_path)]) == 3
@@ -206,12 +206,17 @@ def test_flow_step_count_is_checked(tmp_path, capsys, tau, t_end):
     assert "'flow.t_end'" in capsys.readouterr().err
 
 
-def test_negative_sweep_tolerance_is_config_error(tmp_path, capsys):
-    doc = dict(ASYM_GAUSS)
-    doc["tolerances"] = {"sweep": -1}
+def test_tolerances_section_is_config_error(tmp_path, capsys):
+    # the pass rule is fixed; before, "tolerances": {"sweep": 1e6} turned every
+    # FAIL into a PASS
+    doc = _with_domain(resolution=[64])
+    doc.update(checkers=["poincare"], tolerances={"sweep": 1e6})
     cfg = write_config(tmp_path, doc)
-    assert main(["ineq", "check", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "'tolerances.sweep'" in capsys.readouterr().err
+    assert main(["ineq", "check", "--config", cfg, "--out", str(tmp_path),
+                 "--override-k", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert "'<root>'" in err and "'tolerances'" in err
+    assert not (tmp_path / "ineq_report.json").exists()
 
 
 @pytest.mark.parametrize("checkers", [[], ["poincare", "poincare"]])
@@ -406,4 +411,51 @@ def test_bad_ineq_flag_values_exit_2(tmp_path, capsys, flag):
         main(["ineq", "check", "--config", cfg, "--out", str(tmp_path), *flag])
     assert exc.value.code == 2
     assert f"argument {flag[0]}: expected a" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+def test_flow_with_a_non_finite_entropy_has_no_entropy_verdict(tmp_path):
+    # u0 = x changes sign, so the entropy is NaN at every sample; before, the
+    # rate read "inf" and entropy_pass read true
+    doc = _with_domain(resolution=[64])
+    doc["flow"] = {"u0": "x", "tau": 1e-2, "t_end": 0.1}
+    cfg = write_config(tmp_path, doc)
+    assert main(["flow", "run", "--config", cfg, "--out", str(tmp_path)]) in (0, 1)
+    summary = json.loads((tmp_path / "flow_summary.json").read_text())
+    assert summary["rates"]["entropy_rate"] == "nan"
+    entry = summary["bounds"]["inf"]
+    assert entry["entropy_rate"] == "nan" and entry["entropy_pass"] is None
+    assert isinstance(entry["variance_pass"], bool)
+
+
+@pytest.mark.parametrize("command", [["space", "describe"], ["flow", "run"],
+                                     ["ineq", "check"]])
+def test_flow_recording_fewer_than_10_samples_is_config_error(tmp_path, capsys, command):
+    # 5 steps record 6 samples, too few to fit a decay rate; before, flow run
+    # wrote null verdicts and exited 0
+    doc = dict(_FLOWING, flow={"u0": "1 + 0.2*x", "tau": 0.01, "t_end": 0.05})
+    cfg = write_config(tmp_path, doc)
+    assert main([*command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "'flow.stride'" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+@pytest.mark.parametrize("t_end, code", [(0.16, 2), (0.17, 0)])
+def test_flow_sample_count_counts_the_last_step(tmp_path, t_end, code):
+    # at stride 2, 16 steps record 1 + 8 samples and 17 steps 1 + 9 (the
+    # last step is always recorded)
+    doc = dict(_FLOWING, flow={"u0": "1 + 0.2*x", "tau": 0.01, "t_end": t_end,
+                               "stride": 2})
+    cfg = write_config(tmp_path, doc)
+    assert main(["space", "describe", "--config", cfg, "--out", str(tmp_path)]) == code
+
+
+@pytest.mark.parametrize("command", [["space", "describe"], ["flow", "run"],
+                                     ["ineq", "check"]])
+def test_duplicate_N_is_config_error(tmp_path, capsys, command):
+    # before, describe.json held 2 K_eff keys for 3 N and ineq ran N = 8 twice
+    doc = dict(_FLOWING, n_values=[8, 8.0, "inf"])
+    cfg = write_config(tmp_path, doc)
+    assert main([*command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "'n_values'" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["config.json"]

@@ -114,6 +114,16 @@ def test_decay_rates_sentinel_and_validation():
         decay_rates(states[:5])
 
 
+def test_decay_rate_of_a_non_finite_tail_is_nan():
+    # a sign-changing datum has no entropy; the sentinel would read as a PASS
+    sp = gauss_interval(euclid(), res=64)
+    states = evolve(operators_for(sp), sp.coords[:, 0], FlowParams(tau=1e-2, t_end=0.1))
+    assert all(math.isnan(s.entropy) for s in states)
+    rates = decay_rates(states)
+    assert math.isnan(rates["entropy_rate"])
+    assert math.isfinite(rates["variance_rate"]) and rates["variance_rate"] > 0
+
+
 def test_linear_circle_variance_rate():
     sp = uniform_circle(euclid(), res=128)
     ops = operators_for(sp)

@@ -14,7 +14,8 @@ from finslergamma import (Domain, ab_parameter_solver, build_space,
                           make_test_bank, run_checker_matrix,
                           sobolev_exponent_table)
 import finslergamma.inequalities as inequalities
-from finslergamma.inequalities import gradient_energy_integral
+from finslergamma.curvature import admissible_N
+from finslergamma.inequalities import CHECKER_IDS, gradient_energy_integral, runs_at
 
 from conftest import asym21, euclid, gauss_interval, oblique_randers, uniform_circle
 
@@ -404,3 +405,45 @@ def test_run_checker_matrix_looks_checkers_up_on_the_module(monkeypatch):
     assert len(calls) == 2 * len(bank)
     assert [r.metadata["member"] for r in reports if r.checker == "poincare"] == \
         [label for label, _ in bank] * 2
+
+
+# one valid input per checker, so that only N and K can make a call fail
+_CALLS = {
+    "integrated_bochner": lambda s, g, N, K: check_integrated_bochner(s, g, N, K),
+    "bochner_pointwise": lambda s, g, N, K: check_bochner_pointwise(s, g, N, K),
+    "poincare": lambda s, g, N, K: check_poincare(s, g, N, K),
+    "logsobolev": lambda s, g, N, K: check_logsobolev(
+        s, inequalities._positive_density(s, g), N, K),
+    "gamma2_integral": lambda s, g, N, K: check_gamma2_integral(s, 1.0 + 0.45 * g, N, K),
+    "talagrand": lambda s, g, N, K: check_talagrand(
+        s, inequalities._measure_from_member(s, g), N, K),
+    "entropy_energy": lambda s, g, N, K: check_entropy_energy(s, g, N, K),
+    "nash": lambda s, g, N, K: check_nash(s, g, N, K),
+    "nonsharp_sobolev": lambda s, g, N, K: check_nonsharp_sobolev(s, g, N, K),
+    "sobolev": lambda s, g, N, K: check_sobolev(s, g, 1.5, N, K),
+    "sobolev_inf": lambda s, g, N, K: check_sobolev_inf(s, g, 1.5, K),
+}
+
+
+@pytest.mark.parametrize("space", ["interval", "randers-box"])
+def test_checkers_raise_exactly_outside_their_matrix_row(space):
+    sp = gauss_interval(asym21(), res=32) if space == "interval" else build_space(
+        Domain("box", (2.0, 2.0), (12, 12)), oblique_randers(), "(x**2 + y**2)/2")
+    g = make_test_bank(sp, seed=0, size=8).members[-1][1]
+    assert set(_CALLS) == set(CHECKER_IDS)
+    for checker, call in _CALLS.items():
+        # sobolev_inf takes no N: it is the N = inf member of the family
+        for N in (INF,) if checker == "sobolev_inf" else \
+                (-5.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 8.0, INF):
+            for K in (-1.0, 0.0, 1.0):
+                admissible = admissible_N(N, sp.dim)
+                # the one listed exception: log-Sobolev at N < 0 runs as a
+                # flagged experiment, outside the proved range
+                experiment = checker == "logsobolev" and admissible and N < 0 and K > 0
+                if experiment or (admissible and runs_at(checker, N, K)):
+                    rep = call(sp, g, N, K)
+                    assert (rep.checker, rep.N, rep.K) == (checker, N, K)
+                    assert rep.metadata.get("outside_proved_range", False) == experiment
+                else:
+                    with pytest.raises(ValueError, match=checker):
+                        call(sp, g, N, K)
