@@ -13,7 +13,7 @@ from .heatflow import (FlowParams, FlowState, FlowSolverError, check_dEdt_identi
                        decay_rates, evolve, observables, step)
 from .transport import (lp_transport_cost, quantile_transport_cost,
                         transport_cost_sq, wasserstein2)
-from .inequalities import (ABParameters, CheckReport, SobolevExponents, TestBank,
+from .inequalities import (ABParameters, CheckReport, SobolevExponents,
                            ab_parameter_solver, check_bochner_pointwise,
                            check_entropy_energy, check_gamma2_integral,
                            check_integrated_bochner, check_logsobolev, check_nash,

@@ -100,22 +100,18 @@ def _report_to_dict(rep) -> dict:
     return doc
 
 
-def _expression_field(space, expr: str, key: str) -> np.ndarray:
-    """``expr`` on the grid of ``space``; a bad expression is a config error."""
-    try:
-        return space.field_from_expression(expr)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: {exc}") from exc
+def _curvature_table(config: ExperimentConfig, space, override_K=None) -> dict:
+    """{N: K} for each N of the config: ``effective_K`` on ``space``, or the
+    pinned ``override_K``."""
+    return {N: override_K if override_K is not None else effective_K(space, N).K_eff
+            for N in config.n_values}
 
 
-def _space_summary(config: ExperimentConfig, space, override_K=None) -> dict:
-    k_eff = {_num_key(N): (override_K if override_K is not None
-                           else effective_K(space, N).K_eff)
-             for N in config.n_values}
+def _space_summary(space, K: dict) -> dict:
     mass = space.cell_mass
     return {
         "S_F": uniform_smoothness(space.norm),
-        "K_eff": k_eff,
+        "K_eff": {_num_key(N): k for N, k in K.items()},
         "measure": {
             "nodes": space.n_nodes,
             "total_mass": float(mass.sum()),
@@ -130,7 +126,8 @@ def _space_summary(config: ExperimentConfig, space, override_K=None) -> dict:
 
 def cmd_space_describe(config: ExperimentConfig, out_dir: str, args) -> int:
     space = config.build_space()
-    doc = {"config": config.raw, "space": _space_summary(config, space)}
+    doc = {"config": config.raw,
+           "space": _space_summary(space, _curvature_table(config, space))}
     path = _write(out_dir, "describe.json", render_json(doc) + "\n")
     summary = doc["space"]
     print(f"S_F = {summary['S_F']:.6g}")
@@ -144,9 +141,16 @@ def cmd_flow_run(config: ExperimentConfig, out_dir: str, args) -> int:
     if config.flow is None:
         raise ConfigError("config key 'flow': required for `fg flow run`")
     space = config.build_space()
-    ops = operators_for(space)
-    u0 = _expression_field(space, config.flow.u0, "flow.u0")
-    states = evolve(ops, u0, config.flow.params)
+    K = _curvature_table(config, space)
+    bounded = {N: k for N, k in K.items() if k > 0}
+    if not bounded:
+        raise ConfigError("config key 'n_values': `fg flow run` needs an N with K > 0, "
+                          "or no decay rate has a bound to be checked against")
+    try:
+        u0 = space.field_from_expression(config.flow.u0)
+    except ValueError as exc:
+        raise ConfigError(f"config key 'flow.u0': {exc}") from exc
+    states = evolve(operators_for(space), u0, config.flow.params)
 
     lines = ["t,energy,variance,entropy,fisher"]
     for s in states:
@@ -157,12 +161,9 @@ def cmd_flow_run(config: ExperimentConfig, out_dir: str, args) -> int:
     rates = decay_rates(states)
     bounds = {}
     all_pass = True
-    for N in config.n_values:
-        K = effective_K(space, N).K_eff
-        if K <= 0:
-            continue
-        bound = 2.0 * K if math.isinf(N) else 2.0 * K * N / (N - 1.0)
-        entry = {"K": K, "rate_bound": bound}
+    for N, k in bounded.items():
+        bound = 2.0 * k if math.isinf(N) else 2.0 * k * N / (N - 1.0)
+        entry = {"K": k, "rate_bound": bound}
         for name in ("variance", "entropy"):
             rate = rates[f"{name}_rate"]
             # a NaN rate (a tail with a non-finite value) is no verdict: null
@@ -171,7 +172,7 @@ def cmd_flow_run(config: ExperimentConfig, out_dir: str, args) -> int:
             all_pass = all_pass and ok is not False
         bounds[_num_key(N)] = entry
 
-    doc = {"config": config.raw, "space": _space_summary(config, space),
+    doc = {"config": config.raw, "space": _space_summary(space, K),
            "rates": rates, "bounds": bounds,
            "mass_drift": abs(integrate(space, states[-1].u) - integrate(space, states[0].u))}
     summary_path = _write(out_dir, "flow_summary.json", render_json(doc) + "\n")
@@ -186,8 +187,7 @@ def cmd_ineq_check(config: ExperimentConfig, out_dir: str, args) -> int:
     if not config.n_values:
         raise ConfigError("config key 'n_values': required for `fg ineq check`")
     space = config.build_space()
-    K = {N: args.override_k if args.override_k is not None else effective_K(space, N).K_eff
-         for N in config.n_values}
+    K = _curvature_table(config, space, args.override_k)
     chosen = config.checkers or CHECKER_IDS
     if not any(runs_at(c, N, K[N]) for c in chosen for N in config.n_values):
         raise ConfigError("config key 'checkers': none of them runs at any N in "
@@ -214,7 +214,7 @@ def cmd_ineq_check(config: ExperimentConfig, out_dir: str, args) -> int:
         "config": config.raw,
         "seed": seed,
         "override_k": args.override_k,
-        "space": _space_summary(config, space, override_K=args.override_k),
+        "space": _space_summary(space, K),
         "checks": [_report_to_dict(r) for r in reports],
         "identities": [],
         "error": error,
@@ -259,10 +259,7 @@ def cmd_identities(config: ExperimentConfig, out_dir: str, args) -> int:
         domain = Domain(config.domain.geometry, config.domain.lengths, (res,))
         space = dataclasses.replace(config, domain=domain).build_space()
         ops = operators_for(space)
-        if ident.h_expr is not None:
-            h = _expression_field(space, ident.h_expr, "identities.h_expr")
-        else:
-            h = 0.3 * np.sin(2 * np.pi * space.coords[:, 0] / L)
+        h = 0.3 * np.sin(2 * np.pi * space.coords[:, 0] / L)
         entry = {}
         for a in ident.a_values:
             entry[f"exp_chain(a={a:g})"] = ops.identity_exp_chain(h, a)
@@ -295,8 +292,8 @@ def cmd_identities(config: ExperimentConfig, out_dir: str, args) -> int:
         all_pass = all_pass and passed
 
     doc = {"config": config.raw, "resolutions": list(ident.resolutions),
-           "space": _space_summary(config, space), "checks": [],
-           "identities": table}
+           "space": _space_summary(space, _curvature_table(config, space)),
+           "checks": [], "identities": table}
     path = _write(out_dir, "identities.json", render_json(doc) + "\n")
     for row in table:
         order = row["order"]

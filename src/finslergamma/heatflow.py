@@ -64,7 +64,6 @@ class FlowParams:
     tau: float
     t_end: float
     tol: float = 1e-10
-    max_iter: int = 50
     stride: int = 1
 
     def __post_init__(self):
@@ -72,8 +71,8 @@ class FlowParams:
             raise ValueError("tau must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.stride < 1 or self.max_iter < 1:
-            raise ValueError("stride and max_iter must be >= 1")
+        if self.stride < 1:
+            raise ValueError("stride must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,7 @@ def evolve(ops: DiffOperators, u0: np.ndarray, params: FlowParams) -> List[FlowS
     u = u0.copy()
     for k in range(1, n_steps + 1):
         try:
-            u = step(ops, u, params.tau, tol=params.tol, max_iter=params.max_iter)
+            u = step(ops, u, params.tau, tol=params.tol)
         except FlowSolverError as exc:
             raise FlowSolverError(f"step {k} of {n_steps} (t = {k * params.tau:g}) "
                                   "did not converge", exc.residual) from exc

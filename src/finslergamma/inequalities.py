@@ -21,8 +21,8 @@ device: the gradient energy of f is accumulated as the energy of f_+ under
 F plus the energy of f_- under the reversed norm, which agrees with
 int F^2(grad f) dm in the continuum and respects non-reversibility.
 
-``TestBank`` provides the reproducible function bank quantifying "for all f"
-in the sweeps, and ``run_checker_matrix`` drives the (checker x N x bank)
+``make_test_bank`` draws the reproducible function bank quantifying "for all
+f" in the sweeps, and ``run_checker_matrix`` drives the (checker x N x bank)
 regression matrix with deterministic report ordering.
 """
 
@@ -40,7 +40,7 @@ from .space import WeightedSpace, integrate
 from .transport import transport_cost_sq
 
 __all__ = [
-    "CheckReport", "TestBank", "make_test_bank",
+    "CheckReport", "make_test_bank",
     "lichnerowicz_coeff", "gradient_energy_integral",
     "check_integrated_bochner", "check_bochner_pointwise",
     "check_poincare", "estimate_poincare_constant",
@@ -220,7 +220,7 @@ def estimate_poincare_constant(space: WeightedSpace) -> float:
         return _variance(space, g.f) / w
 
     q, f = -math.inf, None  # the best quotient so far, and its field
-    for _, g in make_test_bank(space).members:
+    for _, g in make_test_bank(space):
         g = ops.field(g)
         q_g = quotient(g)
         if q_g > q:
@@ -477,14 +477,17 @@ def ab_parameter_solver(N: float, p: float) -> ABParameters:
     return ABParameters(a0=a0, b0=b0, feasible=bool(a0 >= 0.0), residuals=(res1, res2))
 
 
-def feasibility_boundary(N: float, tol: float = 1e-12) -> float:
+FEASIBILITY_BISECTION_WIDTH = 1e-12  # bracket width at which the bisection stops
+
+
+def feasibility_boundary(N: float) -> float:
     """Largest p with a feasible parameter pair, located by bisection on the
     sign of a0 between 2(N+1)/N and the critical exponent."""
     table = sobolev_exponent_table(N)
     lo, hi = table.p_basic_max, 2.0 * N / (N - 2.0)
     if ab_parameter_solver(N, lo).a0 < 0:
         raise ArithmeticError("a0 must be feasible at p = 2(N+1)/N")
-    while hi - lo > tol:
+    while hi - lo > FEASIBILITY_BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
         if ab_parameter_solver(N, mid).a0 >= 0:
             lo = mid
@@ -496,21 +499,6 @@ def feasibility_boundary(N: float, tol: float = 1e-12) -> float:
 # ----------------------------------------------------------------------
 # test bank
 
-@dataclass(frozen=True)
-class TestBank:
-    """Reproducible bank of smooth scalar fields, mean-zero and amplitude-
-    normalized, quantifying the 'for all f' of the sweeps."""
-
-    members: tuple  # of (label, ndarray) pairs
-    seed: int
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-
 def _normalize_member(space: WeightedSpace, f: np.ndarray) -> Optional[np.ndarray]:
     f = np.asarray(f, dtype=float)
     f = f - integrate(space, f)
@@ -520,7 +508,10 @@ def _normalize_member(space: WeightedSpace, f: np.ndarray) -> Optional[np.ndarra
     return f / amp
 
 
-def make_test_bank(space: WeightedSpace, seed: int = 0, size: int = 12) -> TestBank:
+def make_test_bank(space: WeightedSpace, seed: int = 0, size: int = 12) -> tuple:
+    """Reproducible bank of ``size`` smooth scalar fields, mean-zero and
+    amplitude-normalized, as (label, field) pairs: the named fields of the
+    space's dimension first, then seeded random modes."""
     if size < 1:
         raise ValueError("bank size must be >= 1")
     x = space.coords[:, 0]
@@ -574,7 +565,7 @@ def make_test_bank(space: WeightedSpace, seed: int = 0, size: int = 12) -> TestB
         if g is not None:
             members.append((f"noise-{k}", g))
         k += 1
-    return TestBank(members=tuple(members), seed=seed)
+    return tuple(members)
 
 
 # ----------------------------------------------------------------------
@@ -644,7 +635,7 @@ def runs_at(checker: str, N: float, K: float = math.inf) -> bool:
 
 def run_checker_matrix(space: WeightedSpace, N_values: Sequence[float],
                        checkers: Optional[Sequence[str]] = None,
-                       bank: Optional[TestBank] = None, seed: int = 0,
+                       bank: Optional[Sequence] = None, seed: int = 0,
                        bank_size: int = 12,
                        override_K: Optional[float] = None) -> List[CheckReport]:
     """Run the (checker x N x bank) matrix on one space.

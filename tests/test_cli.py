@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from finslergamma import heatflow, inequalities
 from finslergamma.cli import main
+from finslergamma.config import parse_config
 
 EUCLID_GAUSS = {
     "space": {
@@ -137,10 +139,12 @@ def test_identities_requires_periodic(tmp_path):
     assert main(["identities", "run", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
-def test_solver_failure_exits_3(tmp_path):
+def test_solver_failure_exits_3(tmp_path, monkeypatch):
+    step = heatflow.step
+    monkeypatch.setattr(heatflow, "step",
+                        lambda ops, u, tau, **_: step(ops, u, tau, tol=1e-300, max_iter=2))
     doc = dict(ASYM_GAUSS)
-    doc["flow"] = {"u0": "1 + 0.3*sin(3*x)", "tau": 1.0, "t_end": 10.0,
-                   "tol": 1e-300, "max_iter": 2}
+    doc["flow"] = {"u0": "1 + 0.3*sin(3*x)", "tau": 1.0, "t_end": 10.0}
     cfg = write_config(tmp_path, doc)
     assert main(["flow", "run", "--config", cfg, "--out", str(tmp_path)]) == 3
 
@@ -154,11 +158,9 @@ def test_unknown_checker_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("stride", 0),
-    ("tol", 0),
+    ("stride", 2.7),
     ("tau", float("nan")),
     ("t_end", float("inf")),
-    ("max_iter", 2.7),
-    ("max_iter", 0),
     ("tau", -1e-3),
 ])
 def test_bad_flow_values_are_config_errors(tmp_path, capsys, key, value):
@@ -184,17 +186,77 @@ def test_bad_bank_values_are_config_errors(tmp_path, capsys, key, value):
     ("space", "psi", "log(x)"),
     ("flow", "u0", "1 + y"),
     ("flow", "u0", "sqrt(x)"),
-    ("identities", "h_expr", "1 + y"),
 ])
 def test_bad_expressions_are_config_errors(tmp_path, capsys, section, key, value):
-    doc = json.loads(json.dumps(CIRCLE if section == "identities" else ASYM_GAUSS))
+    doc = json.loads(json.dumps(ASYM_GAUSS))
     doc["flow"] = {"u0": "1 + 0.2*x", "tau": 1e-2, "t_end": 0.1}
     doc.setdefault(section, {})[key] = value
     cfg = write_config(tmp_path, doc)
-    command = {"space": ["space", "describe"], "flow": ["flow", "run"],
-               "identities": ["identities", "run"]}[section]
+    command = {"space": ["space", "describe"], "flow": ["flow", "run"]}[section]
     assert main([*command, "--config", cfg, "--out", str(tmp_path)]) == 2
     assert f"'{section}.{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, section, key, value, command", [
+    ("gaussian_asym1d.json", "flow", "tol", 1e-2, ["flow", "run"]),
+    ("gaussian_asym1d.json", "flow", "max_iter", 50, ["flow", "run"]),
+    ("circle_identities.json", "identities", "h_expr", "0", ["identities", "run"]),
+], ids=["flow.tol", "flow.max_iter", "identities.h_expr"])
+def test_deleted_solver_and_field_keys_are_config_errors(tmp_path, capsys, config,
+                                                         section, key, value, command):
+    # before, flow.tol = 1e-2 left the flow unmoved and failed both rate checks,
+    # and identities.h_expr = "0" passed every exponential identity at residual 0
+    doc = _shipped(config)
+    doc[section][key] = value
+    cfg = write_config(tmp_path, doc)
+    assert main([*command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config key '{section}'" in err and f"'{key}'" in err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+@pytest.mark.parametrize("n_values", [None, [], [3]], ids=["absent", "empty", "negative-K"])
+def test_flow_run_without_a_positive_K_is_config_error(tmp_path, capsys, n_values):
+    # K(N = 3) = -3.5 on this space; before, each wrote "bounds": {} and exited 0
+    doc = {"space": ASYM_GAUSS["space"], "flow": _FLOWING["flow"]}
+    if n_values is not None:
+        doc["n_values"] = n_values
+    cfg = write_config(tmp_path, doc)
+    assert main(["flow", "run", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config key 'n_values'" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+def test_ineq_check_error_at_the_second_N_keeps_the_first(tmp_path, capsys, monkeypatch):
+    check_nash = inequalities.check_nash
+
+    def failing_at_10(space, f, N, K):
+        if N == 10:
+            raise ArithmeticError("injected")
+        return check_nash(space, f, N, K)
+
+    monkeypatch.setattr(inequalities, "check_nash", failing_at_10)
+    doc = _shipped("gaussian_asym1d_finite_n.json")
+    doc.update(n_values=[3, 10, "inf"], checkers=["nash"], bank={"size": 2})
+    doc["space"]["domain"]["resolution"] = [64]
+    cfg = write_config(tmp_path, doc)
+    assert main(["ineq", "check", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "at N = 10" in capsys.readouterr().err
+    report = json.loads((tmp_path / "ineq_report.json").read_text())
+    assert report["error"] == "ArithmeticError: injected (at N = 10)"
+    assert [(c["checker"], c["N"]) for c in report["checks"]] == [("nash", 3)] * 2
+
+
+def test_integer_config_values_stay_exact():
+    # 2**53 + 1 has no float; before, the bank drew with seed 2**53
+    doc = dict(ASYM_GAUSS, bank={"seed": 2**53 + 1})
+    assert parse_config(doc).bank_seed == 2**53 + 1
+
+
+def test_identity_resolutions_accept_whole_floats():
+    # before, [64.0, 128.0] was rejected here while space.domain.resolution took 64.0
+    doc = dict(CIRCLE, identities={"resolutions": [64.0, 128.0]})
+    assert parse_config(doc).identities.resolutions == [64, 128]
 
 
 @pytest.mark.parametrize("tau, t_end", [(1e-10, 1e300), (1.0, 0.1), (1e-12, 1.0)])
@@ -382,8 +444,13 @@ def _with_domain(**domain):
     (_with_domain(resolution=128), "space.domain.resolution"),
     (_with_domain(lengths=["6"]), "space.domain.lengths[0]"),
     (_with_domain(lengths="66"), "space.domain.lengths"),
+    (dict(CIRCLE, identities={"resolutions": [64, 128.5]}), "identities.resolutions[1]"),
+    (dict(CIRCLE, identities={"resolutions": [4, 128]}), "identities.resolutions[0]"),
+    (dict(CIRCLE, identities={"resolutions": [128, 64]}), "identities.resolutions"),
 ], ids=["n_values-scalar", "a_values-scalar", "resolution-fraction", "resolution-small",
-        "resolution-scalar", "lengths-string-item", "lengths-string"])
+        "resolution-scalar", "lengths-string-item", "lengths-string",
+        "identity-resolution-fraction", "identity-resolution-small",
+        "identity-resolutions-decreasing"])
 def test_malformed_config_value_is_config_error(tmp_path, capsys, doc, key):
     cfg = write_config(tmp_path, doc)
     assert main(["space", "describe", "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -66,7 +66,7 @@ def test_bochner_pointwise_evaluates_the_legendre_map_once(asym_gauss6, monkeypa
     legendre_map = type(sp.norm).legendre_map
     monkeypatch.setattr(type(sp.norm), "legendre_map",
                         lambda self, A_: calls.append(1) or legendre_map(self, A_))
-    check_bochner_pointwise(sp, make_test_bank(sp, size=4).members[-1][1], N, 0.25)
+    check_bochner_pointwise(sp, make_test_bank(sp, size=4)[-1][1], N, 0.25)
     assert len(calls) == 1
 
 
@@ -429,7 +429,7 @@ _CALLS = {
 def test_checkers_raise_exactly_outside_their_matrix_row(space):
     sp = gauss_interval(asym21(), res=32) if space == "interval" else build_space(
         Domain("box", (2.0, 2.0), (12, 12)), oblique_randers(), "(x**2 + y**2)/2")
-    g = make_test_bank(sp, seed=0, size=8).members[-1][1]
+    g = make_test_bank(sp, seed=0, size=8)[-1][1]
     assert set(_CALLS) == set(CHECKER_IDS)
     for checker, call in _CALLS.items():
         # sobolev_inf takes no N: it is the N = inf member of the family
