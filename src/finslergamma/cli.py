@@ -7,8 +7,8 @@ Subcommands
 * ``fg flow run``        -- heat flow with observable series (CSV) and fitted
   decay rates checked against 2KN/(N-1) (JSON summary).
 * ``fg ineq check``      -- the inequality checker matrix (JSON report).
-* ``fg identities run``  -- identity residuals at two resolutions with
-  convergence orders (JSON table).
+* ``fg identities run``  -- identity residuals at a resolution and its double,
+  with convergence orders log2 of their ratio (JSON table).
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 invalid config,
 3 runtime/solver error.  Outputs are deterministic for a fixed config and

@@ -235,8 +235,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             _fail("identities.resolutions", f"expected a list of two, got {res!r}")
         res = [_integer(r, f"identities.resolutions[{i}]", MIN_RESOLUTION)
                for i, r in enumerate(res)]
-        if not res[0] < res[1]:
-            _fail("identities.resolutions", "expected two increasing resolutions")
+        if res[1] != 2 * res[0]:  # the convergence order is log2 of the residual ratio
+            _fail("identities.resolutions", f"expected a resolution and its double, got {res}")
         identities.resolutions = res
     if "a_values" in iobj:
         if not isinstance(iobj["a_values"], list):

@@ -13,10 +13,10 @@ exact minimizer conserves mass because the discrete Laplacian integrates to
 zero, so the solver projects out the (residual-sized) mean of its inner
 iteration error to keep mass constant to rounding over long runs.
 
-``evolve`` records observables (energy, variance, entropy, Fisher
-information) along the flow, ``decay_rates`` fits exponential rates on the
-tail half of a recorded series, and ``check_dEdt_identity`` verifies the
-energy-dissipation identity
+``evolve`` records the energy and ``space``'s variance, entropy and Fisher
+information (the checkers' functionals), reading ``FlowParams.tol`` relative
+to osc(u0); ``decay_rates`` fits exponential rates on the tail half of a
+series; ``check_dEdt_identity`` verifies the energy-dissipation identity
 
     d/dt [ F^2(grad u) ] = 2 D[Lap u](grad u)
 
@@ -37,7 +37,7 @@ import scipy.sparse.linalg as spla
 
 # gradient_kink_mask is re-exported: perfbench/tracer.py wraps the name here
 from .calculus import DiffOperators, gradient_kink_mask  # noqa: F401
-from .space import integrate
+from .space import entropy_of_density, fisher_information, integrate, variance
 
 __all__ = ["FlowParams", "FlowState", "FlowSolverError", "DissipationReport",
            "step", "evolve", "observables", "decay_rates", "check_dEdt_identity",
@@ -47,8 +47,6 @@ __all__ = ["FlowParams", "FlowState", "FlowSolverError", "DissipationReport",
 RATE_SENTINEL = math.inf
 
 MIN_RATE_SAMPLES = 10  # fewest recorded samples that decay_rates fits
-
-ENTROPY_FLOOR = 1e-14
 
 
 class FlowSolverError(RuntimeError):
@@ -63,7 +61,7 @@ class FlowSolverError(RuntimeError):
 class FlowParams:
     tau: float
     t_end: float
-    tol: float = 1e-10
+    tol: float = 1e-10  # Newton residual stop, relative to osc(u0): see evolve
     stride: int = 1
 
     def __post_init__(self):
@@ -126,34 +124,33 @@ def step(ops: DiffOperators, u: np.ndarray, tau: float,
 
 
 def observables(ops: DiffOperators, t: float, u: np.ndarray) -> FlowState:
+    """Energy, variance, entropy m Ent(u/m) (m = int u dm) and Fisher information
+    of u; the entropy and the Fisher information are NaN unless u > 0."""
     space = ops.space
     u = np.asarray(u, dtype=float)
-    mean = integrate(space, u)
-    variance = integrate(space, u * u) - mean * mean
     f2 = ops.field(u).dual_sq
-    energy = 0.5 * integrate(space, f2)
+    entropy = fisher = math.nan
     if np.min(u) > 0:
-        uc = np.clip(u, ENTROPY_FLOOR, None)
-        entropy = integrate(space, uc * np.log(uc))
-        fisher = integrate(space, f2 / uc)
-    else:
-        entropy = math.nan
-        fisher = math.nan
-    return FlowState(t=t, u=u.copy(), energy=energy, variance=variance,
-                     entropy=entropy, fisher=fisher)
+        mass = integrate(space, u)
+        entropy = mass * entropy_of_density(space, u / mass)
+        fisher = fisher_information(space, u, f2)
+    return FlowState(t=t, u=u.copy(), energy=0.5 * integrate(space, f2),
+                     variance=variance(space, u), entropy=entropy, fisher=fisher)
 
 
 def evolve(ops: DiffOperators, u0: np.ndarray, params: FlowParams) -> List[FlowState]:
-    """Run the flow to t_end, recording observables every ``stride`` steps."""
+    """Run the flow to t_end, recording observables every ``stride`` steps; the
+    Newton stop tol * osc(u0) (max|u0| if constant) scales with u0, ignores + c."""
     u0 = np.asarray(u0, dtype=float)
     if not np.all(np.isfinite(u0)):
         raise ValueError("initial datum has non-finite values")
+    tol = params.tol * float(np.ptp(u0) or np.max(np.abs(u0)))
     n_steps = int(round(params.t_end / params.tau))
     states = [observables(ops, 0.0, u0)]
     u = u0.copy()
     for k in range(1, n_steps + 1):
         try:
-            u = step(ops, u, params.tau, tol=params.tol)
+            u = step(ops, u, params.tau, tol=tol)
         except FlowSolverError as exc:
             raise FlowSolverError(f"step {k} of {n_steps} (t = {k * params.tau:g}) "
                                   "did not converge", exc.residual) from exc
@@ -164,19 +161,22 @@ def evolve(ops: DiffOperators, u0: np.ndarray, params: FlowParams) -> List[FlowS
 
 def decay_rates(states: List[FlowState]) -> dict:
     """Least-squares exponential rates of variance and entropy on the tail
-    half of the series; RATE_SENTINEL where the tail is <= 0 or ~0 (nothing
-    to fit), and NaN where it holds a non-finite value (no rate is known)."""
+    half of the series; RATE_SENTINEL where the tail is <= 0 or at rounding
+    level (nothing to fit), and NaN where it holds a non-finite value (no
+    rate is known).  Rounding level is 1e-15 max|u0| for the entropy and its
+    square for the variance, so no rescaling of u0 moves a verdict."""
     if len(states) < MIN_RATE_SAMPLES:
         raise ValueError(f"need at least {MIN_RATE_SAMPLES} recorded samples to fit rates")
     t = np.array([s.t for s in states])
+    level = 1e-15 * float(np.max(np.abs(states[0].u)))
     out = {}
-    for name in ("variance", "entropy"):
+    for name, floor in (("variance", level * level), ("entropy", level)):
         y = np.array([getattr(s, name) for s in states])
         tail = slice(len(t) // 2, None)
         yt = y[tail]
         if not np.all(np.isfinite(yt)):
             out[f"{name}_rate"] = math.nan
-        elif np.any(yt <= 0) or np.max(yt) < 1e-15:
+        elif np.any(yt <= 0) or np.max(yt) < floor:
             out[f"{name}_rate"] = RATE_SENTINEL
         else:
             out[f"{name}_rate"] = float(-np.polyfit(t[tail], np.log(yt), 1)[0])

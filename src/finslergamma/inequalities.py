@@ -36,7 +36,8 @@ import numpy as np
 
 from .calculus import operators_for
 from .curvature import admissible_N, effective_K
-from .space import WeightedSpace, integrate
+from .space import (WeightedSpace, entropy_of_density, fisher_information, integrate,
+                    variance)
 from .transport import transport_cost_sq
 
 __all__ = [
@@ -119,19 +120,6 @@ def _lp_norm(space: WeightedSpace, f: np.ndarray, p: float) -> float:
     return float(integrate(space, np.abs(f) ** p) ** (1.0 / p))
 
 
-def _variance(space: WeightedSpace, f: np.ndarray) -> float:
-    centered = f - integrate(space, f)
-    return integrate(space, centered * centered)
-
-
-def _entropy_of_density(space: WeightedSpace, f: np.ndarray) -> float:
-    """int_{f>0} f log f dm for a nonnegative density f."""
-    mask = f > 1e-300
-    out = np.zeros_like(f)
-    out[mask] = f[mask] * np.log(f[mask])
-    return integrate(space, out)
-
-
 def gradient_energy_integral(space: WeightedSpace, f: np.ndarray) -> float:
     """int F^2(grad f) dm via the positive/negative part device.
 
@@ -200,7 +188,7 @@ def check_poincare(space: WeightedSpace, f: np.ndarray, N: float, K: float) -> C
     coeff = lichnerowicz_coeff(N, K)
     f = operators_for(space).field(f)
     grad_sq = integrate(space, f.dual_sq)
-    return _report("poincare", N, K, _variance(space, f.f), coeff * grad_sq)
+    return _report("poincare", N, K, variance(space, f.f), coeff * grad_sq)
 
 
 #: gradient-ascent steps that ``estimate_poincare_constant`` refines the
@@ -217,7 +205,7 @@ def estimate_poincare_constant(space: WeightedSpace) -> float:
         w = integrate(space, g.dual_sq)
         if w < 1e-14:
             return -math.inf
-        return _variance(space, g.f) / w
+        return variance(space, g.f) / w
 
     q, f = -math.inf, None  # the best quotient so far, and its field
     for _, g in make_test_bank(space):
@@ -275,10 +263,8 @@ def check_logsobolev(space: WeightedSpace, f: np.ndarray, N: float, K: float) ->
         meta["normalized"] = True
     if N < 0:
         meta["outside_proved_range"] = True
-    grad_sq = operators_for(space).field(f).dual_sq
-    mask = f > 1e-300
-    fisher = integrate(space, np.where(mask, grad_sq / np.where(mask, f, 1.0), 0.0))
-    lhs = _entropy_of_density(space, f)
+    fisher = fisher_information(space, f, operators_for(space).field(f).dual_sq)
+    lhs = entropy_of_density(space, f)
     rhs = 0.5 * lichnerowicz_coeff(N, K) * fisher
     return _report("logsobolev", N, K, lhs, rhs, fisher=fisher, **meta)
 
@@ -326,7 +312,7 @@ def check_entropy_energy(space: WeightedSpace, f: np.ndarray, N: float,
             raise ValueError("entropy_energy: zero function")
         f = f / math.sqrt(total)
         meta["normalized"] = True
-    lhs = _entropy_of_density(space, f * f)
+    lhs = entropy_of_density(space, f * f)
     grad_sq = gradient_energy_integral(space, f)
     rhs = 0.5 * N * math.log1p(4.0 * grad_sq / (K * N))
     return _report("entropy_energy", N, K, lhs, rhs, **meta)

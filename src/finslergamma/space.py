@@ -24,8 +24,8 @@ import numpy as np
 
 from .norms import MinkowskiNorm
 
-__all__ = ["Domain", "WeightedSpace", "build_space", "integrate", "asym_distance",
-           "scalar_field_from_expression"]
+__all__ = ["Domain", "WeightedSpace", "build_space", "integrate", "variance",
+           "entropy_of_density", "fisher_information", "asym_distance"]
 
 MIN_RESOLUTION = 8
 
@@ -129,7 +129,8 @@ class WeightedSpace:
         return int(np.argmin(d2))
 
     def field_from_expression(self, expr: str) -> np.ndarray:
-        return scalar_field_from_expression(self, expr)
+        """Evaluate a closed-form expression of x (and y in 2D) at the nodes."""
+        return _evaluate(expr, self.coords)
 
     def translates(self) -> np.ndarray:
         """Lattice translates to add to a displacement, shape (T, dim): each
@@ -162,11 +163,6 @@ def _evaluate(expr: str, coords: np.ndarray) -> np.ndarray:
     return field
 
 
-def scalar_field_from_expression(space: WeightedSpace, expr: str) -> np.ndarray:
-    """Evaluate a closed-form expression of x (and y in 2D) at the nodes."""
-    return _evaluate(expr, space.coords)
-
-
 def build_space(domain: Domain, norm: MinkowskiNorm,
                 psi: Union[str, np.ndarray, float] = 0.0) -> WeightedSpace:
     """Construct a validated WeightedSpace; ``psi`` may be an expression
@@ -181,6 +177,24 @@ def build_space(domain: Domain, norm: MinkowskiNorm,
 def integrate(space: WeightedSpace, f: np.ndarray) -> float:
     """Integral of a scalar field against the normalized reference measure."""
     return float(space.cell_mass @ np.asarray(f, dtype=float))
+
+
+def variance(space: WeightedSpace, f: np.ndarray) -> float:
+    """Centered variance int (f - int f dm)^2 dm."""
+    centered = f - integrate(space, f)
+    return integrate(space, centered * centered)
+
+
+def entropy_of_density(space: WeightedSpace, f: np.ndarray) -> float:
+    """int_{f>0} f log f dm for a nonnegative density f."""
+    pos = f > 1e-300
+    return integrate(space, np.where(pos, f * np.log(np.where(pos, f, 1.0)), 0.0))
+
+
+def fisher_information(space: WeightedSpace, f: np.ndarray, grad_sq: np.ndarray) -> float:
+    """int_{f>0} F*^2(Df)/f dm for a nonnegative f, given grad_sq = F*^2(Df)."""
+    pos = f > 1e-300
+    return integrate(space, np.where(pos, grad_sq / np.where(pos, f, 1.0), 0.0))
 
 
 def asym_distance(space: WeightedSpace, i: int, j: int) -> float:

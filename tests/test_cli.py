@@ -1,11 +1,15 @@
+import functools
 import json
 import os
+import tempfile
 
 import pytest
 
 from finslergamma import heatflow, inequalities
 from finslergamma.cli import main
 from finslergamma.config import parse_config
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 EUCLID_GAUSS = {
     "space": {
@@ -447,10 +451,14 @@ def _with_domain(**domain):
     (dict(CIRCLE, identities={"resolutions": [64, 128.5]}), "identities.resolutions[1]"),
     (dict(CIRCLE, identities={"resolutions": [4, 128]}), "identities.resolutions[0]"),
     (dict(CIRCLE, identities={"resolutions": [128, 64]}), "identities.resolutions"),
+    # the order is log2(r1 / r2): right only when the second doubles the first
+    (dict(CIRCLE, identities={"resolutions": [128, 130]}), "identities.resolutions"),
+    (dict(CIRCLE, identities={"resolutions": [32, 256]}), "identities.resolutions"),
 ], ids=["n_values-scalar", "a_values-scalar", "resolution-fraction", "resolution-small",
         "resolution-scalar", "lengths-string-item", "lengths-string",
         "identity-resolution-fraction", "identity-resolution-small",
-        "identity-resolutions-decreasing"])
+        "identity-resolutions-decreasing", "identity-resolutions-not-doubling",
+        "identity-resolutions-octupling"])
 def test_malformed_config_value_is_config_error(tmp_path, capsys, doc, key):
     cfg = write_config(tmp_path, doc)
     assert main(["space", "describe", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -526,3 +534,60 @@ def test_duplicate_N_is_config_error(tmp_path, capsys, command):
     assert main([*command, "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "'n_values'" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+with open(os.path.join(ROOT, "configs", "gaussian_asym1d.json")) as fh:
+    SHIPPED_FLOW = json.load(fh)
+RANDERS_FLOW = dict(RANDERS_BOX, n_values=["inf", 8],
+                    flow={"u0": "1 + 0.2*x", "tau": 1e-3, "t_end": 0.02, "stride": 2})
+
+
+@functools.lru_cache(maxsize=None)
+def _flow_outcome(text):
+    """Exit code, verdicts and rates of ``fg flow run`` on a JSON config text."""
+    with tempfile.TemporaryDirectory() as out:
+        cfg = os.path.join(out, "config.json")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        code = main(["flow", "run", "--config", cfg, "--out", out])
+        if not os.path.exists(os.path.join(out, "flow_summary.json")):
+            return code, None, None
+        with open(os.path.join(out, "flow_summary.json")) as fh:
+            summary = json.load(fh)
+    verdicts = {(N, name): entry[f"{name}_pass"] for N, entry in summary["bounds"].items()
+                for name in ("variance", "entropy")}
+    return code, verdicts, summary["rates"]
+
+
+@pytest.mark.parametrize("doc, u0, scale", [
+    (SHIPPED_FLOW, "1e-5*(1 + 0.2*x)", 1e-5),
+    (SHIPPED_FLOW, "0.25*(1 + 0.2*x)", 0.25),
+    (SHIPPED_FLOW, "3*(1 + 0.2*x)", 3.0),
+    (SHIPPED_FLOW, "1e6*(1 + 0.2*x)", 1e6),
+    (SHIPPED_FLOW, "1 + 0.2*x + 10", None),
+    (SHIPPED_FLOW, "1 + 0.2*x + 1e4", None),
+    (RANDERS_FLOW, "3*(1 + 0.2*x)", 3.0),
+], ids=["1e-5*u0", "0.25*u0", "3*u0", "1e6*u0", "u0+10", "u0+1e4", "randers-3*u0"])
+def test_flow_verdicts_are_invariant_under_rescaling_and_shifts(doc, u0, scale):
+    # the flow is 1-homogeneous and blind to added constants, so the verdicts
+    # are too, and a rescaling leaves both rates unchanged
+    assert doc["flow"]["u0"] == "1 + 0.2*x"
+    base_code, base_verdicts, base_rates = _flow_outcome(json.dumps(doc))
+    assert base_code == 0 and all(base_verdicts.values())
+    code, verdicts, rates = _flow_outcome(json.dumps(dict(doc, flow=dict(doc["flow"], u0=u0))))
+    assert (code, verdicts) == (base_code, base_verdicts)
+    if scale is not None:
+        for name, rate in base_rates.items():
+            assert rates[name] == pytest.approx(rate, rel=1e-9), name
+
+
+@pytest.mark.parametrize("config, solves", [("configs/gaussian_asym1d.json", 801),
+                                            ("perfbench/configs/randers_box2d.json", 43)])
+def test_shipped_flow_newton_solve_count(tmp_path, monkeypatch, config, solves):
+    # a stopping rule that adds Newton solves to the shipped flows shows here
+    calls = []
+    spsolve = heatflow.spla.spsolve
+    monkeypatch.setattr(heatflow.spla, "spsolve", lambda *a: calls.append(1) or spsolve(*a))
+    assert main(["flow", "run", "--config", os.path.join(ROOT, config),
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == solves

@@ -7,11 +7,10 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from finslergamma import (DiffOperators, Domain, FlowParams, FlowSolverError,
-                          build_space, check_dEdt_identity, decay_rates, evolve,
+                          FlowState, build_space, check_dEdt_identity, decay_rates, evolve,
                           integrate, observables, operators_for, step)
 from finslergamma import calculus
 from finslergamma.heatflow import RATE_SENTINEL, _l2m_norm
-from finslergamma.space import scalar_field_from_expression
 
 from conftest import (asym21, euclid, gauss_interval, oblique_randers,
                       summed_products_matrix, uniform_circle)
@@ -124,6 +123,35 @@ def test_decay_rate_of_a_non_finite_tail_is_nan():
     assert math.isfinite(rates["variance_rate"]) and rates["variance_rate"] > 0
 
 
+def _synthetic_series(u0, variance, entropy):
+    """FlowStates at t = 0, 0.1, ..., 1.9 with the given observable values."""
+    return [FlowState(t=0.1 * k, u=u0, energy=0.0, variance=v, entropy=e, fisher=0.0)
+            for k, (v, e) in enumerate(zip(variance, entropy))]
+
+
+@pytest.mark.parametrize("amplitude", [1e-20, 1.0, 1e20])
+def test_decay_rates_fit_a_tail_at_any_amplitude(amplitude):
+    # a datum a*u0 has variance a^2 V and entropy a E: the rates do not see a
+    t = 0.1 * np.arange(20)
+    u0 = amplitude * (1.0 + 0.2 * np.linspace(-3.0, 3.0, 16))
+    states = _synthetic_series(u0, amplitude**2 * 0.04 * np.exp(-0.5 * t),
+                               amplitude * 0.02 * np.exp(-0.6 * t))
+    rates = decay_rates(states)
+    assert rates["variance_rate"] == pytest.approx(0.5, rel=1e-12)
+    assert rates["entropy_rate"] == pytest.approx(0.6, rel=1e-12)
+
+
+@pytest.mark.parametrize("amplitude", [1e-20, 1.0, 1e20])
+def test_decay_rates_of_a_rounding_level_tail_are_the_sentinel(amplitude):
+    # observables at rounding level relative to the datum carry no rate
+    wobble = 1.0 + 0.5 * (-1.0) ** np.arange(20)
+    u0 = np.full(16, amplitude)
+    states = _synthetic_series(u0, (1e-16 * amplitude) ** 2 * wobble,
+                               1e-16 * amplitude * wobble)
+    assert decay_rates(states) == {"variance_rate": RATE_SENTINEL,
+                                   "entropy_rate": RATE_SENTINEL}
+
+
 def test_linear_circle_variance_rate():
     sp = uniform_circle(euclid(), res=128)
     ops = operators_for(sp)
@@ -197,6 +225,21 @@ def test_observables_flag_nonpositive_data():
     assert np.isfinite(state.entropy) and np.isfinite(state.fisher)
 
 
+def test_observables_are_homogeneous_and_blind_to_constants():
+    # variance is 2-homogeneous, entropy m Ent(u/m) and Fisher 1-homogeneous,
+    # and the variance ignores an added constant; a constant has zero entropy
+    sp = gauss_interval(asym21(), res=96)
+    ops = operators_for(sp)
+    u = 1.0 + 0.2 * sp.coords[:, 0]
+    base, scaled, shifted = (observables(ops, 0.0, v) for v in (u, 3.0 * u, u + 1e4))
+    assert scaled.variance == pytest.approx(9.0 * base.variance, rel=1e-12)
+    assert scaled.entropy == pytest.approx(3.0 * base.entropy, rel=1e-12)
+    assert scaled.fisher == pytest.approx(3.0 * base.fisher, rel=1e-12)
+    # the uncentered E[u^2] - mean^2 is off by 1.4e-8 relative here
+    assert shifted.variance == pytest.approx(base.variance, rel=1e-10)
+    assert abs(observables(ops, 0.0, np.full(sp.n_nodes, 5.0)).entropy) < 1e-14
+
+
 def test_randers_2d_flow_smoke():
     from finslergamma import Domain, RandersNorm, build_space
 
@@ -252,7 +295,7 @@ def summed_products_step(ops, u, tau, tol=1e-10, max_iter=50):
 def test_step_is_bit_identical_to_summed_products(space, u0, tau):
     sp = space()
     ops = DiffOperators(sp)
-    u = scalar_field_from_expression(sp, u0)
+    u = sp.field_from_expression(u0)
     for _ in range(4):
         v = step(ops, u, tau)
         assert np.array_equal(v, summed_products_step(ops, u, tau))

@@ -69,10 +69,10 @@ DIGESTS = {
     },
     'gaussian_asym1d.json flow run': {
         'exit': 0,
-        'stdout': '62c8eb2a2d62f95e019cd803278b4105458b4cd46cbb4f656d05f54fba6c748b',
+        'stdout': '4842f0b7207886ee366f2991dc74d70d0d2e0c110afd6de4b2e46eb8a6dde527',
         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'flow_series.csv': 'c96fe35e6eebb45a9f3138db86ec6a6c9386716cb498bf5f5f10494a7788f971',
-        'flow_summary.json': '99d1d84f7701b3d4acdcf6aae7e39f1b09aaf37a24dcc9bc645b9ac1c89e7cb7',
+        'flow_series.csv': 'd86a7d8ecf1d5f47ad49898b7c3f40ce5886894a4bb2cc0fe70021182516f52c',
+        'flow_summary.json': '69ba51f4f7e3dba3d16febfb406f47be3c894203484473b5172a2405b307f24f',
     },
     'gaussian_asym1d.json ineq check': {
         'exit': 0,
@@ -115,10 +115,10 @@ DIGESTS = {
     },
     'randers_box2d.json flow run': {
         'exit': 0,
-        'stdout': '594b999d59e3894730735363b4373a42f4f71ff2a5d239b41c3a3cef490076d5',
+        'stdout': 'a85cb5c49e9e52736c78f34966c6c727379a525bd702d6b204731c19089b0d86',
         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'flow_series.csv': '00edbca2f4da131742381be5dc400d2a42b719b3914c1303f5c8ce1df2aef633',
-        'flow_summary.json': 'c9aa6c2c64dc5c182e4346eea806ce5548ea018e463ef955b845a45514f9269b',
+        'flow_series.csv': 'bf7f9923252186dae38f5ffe5767dfa94715e231c55345ff3ad27c4e3215418a',
+        'flow_summary.json': '250cc5fe55d4c96b3101b0e110f3a2160b14de3a4c2391a59440f5fd3e6bb51d',
     },
     'randers_box2d.json ineq check': {
         'exit': 0,
