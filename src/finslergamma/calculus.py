@@ -66,14 +66,15 @@ class LinearizedPattern(NamedTuple):
     indices: np.ndarray
     indptr: np.ndarray
     diagonal: np.ndarray  # positions of the (i, i) entries in ``data``
+    inv_m: np.ndarray  # 1/m at each entry's row
     terms: list
 
 
 def _linearized_pattern(D: list, inv_m: np.ndarray) -> LinearizedPattern:
-    """Pattern of sum_ab D_a^T diag(w_ab) D_b, and per term (a, b) the
-    ``entries`` it reaches (1/m at their rows) with their products
-    c * (w[k] * d) as zero-padded rows in ascending k: summed row by row,
-    they round exactly as the sparse products accumulate."""
+    """Pattern of sum_ab D_a^T diag(w_ab) D_b, and per term (a, b) the factors
+    of its products c * (w[k] * d) with the CSC ``entry`` each one reaches,
+    sorted by (entry, k): ``np.bincount`` adds each entry's products from 0.0
+    in ascending k, so it rounds exactly as the sparse products accumulate."""
     n = len(inv_m)
     terms = []
     for a in range(len(D)):
@@ -84,22 +85,15 @@ def _linearized_pattern(D: list, inv_m: np.ndarray) -> LinearizedPattern:
             pb = np.arange(cnt.sum()) + np.repeat(B.indptr[A.row] - np.cumsum(cnt) + cnt, cnt)
             k, key = A.row[pa], B.indices[pb].astype(np.int64) * n + A.col[pa]
             order = np.lexsort((k, key))
-            key, k, c, d = key[order], k[order], A.data[pa][order], B.data[pb][order]
-            new = np.r_[True, key[1:] != key[:-1]]
-            seg = np.cumsum(new) - 1
-            pos = np.arange(len(key)) - np.flatnonzero(new)[seg]
-            # padding multiplies c = d = 0 by a weight the entry already uses
-            K = np.tile(k[new], (pos.max() + 1, 1))
-            C, Dd = np.zeros(K.shape), np.zeros(K.shape)
-            K[pos, seg], C[pos, seg], Dd[pos, seg] = k, c, d
-            terms.append((a, b, key[new], inv_m[key[new] % n], K, C, Dd))
+            terms.append((a, b, key[order], k[order], A.data[pa][order], B.data[pb][order]))
     keys = np.unique(np.concatenate([t[2] for t in terms]))  # column-major
     indices = (keys % n).astype(np.int32)
     indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
     # shared by every matrix built on it: in-place pruning must fail loudly
     indices.flags.writeable = indptr.flags.writeable = False
-    terms = [(a, b, np.searchsorted(keys, e), *rest) for a, b, e, *rest in terms]
-    return LinearizedPattern(indices, indptr, np.flatnonzero(indices == keys // n), terms)
+    terms = [(a, b, np.searchsorted(keys, key), *rest) for a, b, key, *rest in terms]
+    return LinearizedPattern(indices, indptr, np.flatnonzero(indices == keys // n),
+                             inv_m[indices], terms)
 
 
 class Field:
@@ -246,19 +240,17 @@ class DiffOperators:
     def linearized_laplacian_matrix(self, f: np.ndarray | Field) -> sp.csc_matrix:
         """Sparse matrix of u -> linearized_laplacian(f, u); the Newton
         Jacobian of the nonlinear Laplacian away from degenerate nodes.
-        CSC on the shared ``linearized_pattern`` with fresh ``data``, equal bit
-        for bit to sum_ab -(1/m) D_a^T diag(m Ginv_ab) D_b as sparse products,
-        except that entries which cancel are stored as zeros."""
+        CSC on the shared ``linearized_pattern`` with fresh ``data``, filled by
+        one ``np.bincount`` per term (a, b) and equal bit for bit to
+        sum_ab -(1/m) D_a^T diag(m Ginv_ab) D_b as sparse products, except
+        that entries which cancel are stored as zeros."""
         Ginv = self.field(f).Ginv
         m = self.space.cell_mass
         pat = self.linearized_pattern
         data = np.zeros(len(pat.indices))
-        for a, b, entries, inv_m, k, c, d in pat.terms:
+        for a, b, entry, k, c, d in pat.terms:
             w = m * Ginv[:, a, b]
-            acc = np.zeros(len(entries))
-            for products in c * (w[k] * d):
-                acc += products
-            data[entries] += inv_m * -acc
+            data += pat.inv_m * -np.bincount(entry, c * (w[k] * d), len(data))
         return sp.csc_matrix((data, pat.indices, pat.indptr), shape=(len(m), len(m)))
 
     # ------------------------------------------------------------------

@@ -4,15 +4,16 @@ The schema is validated eagerly with key-path diagnostics, and unknown keys
 are rejected so that a typo cannot silently drop part of an experiment.
 ``"inf"`` is the spelling of N = infinity in JSON.  No key sets a pass rule,
 the heat flow's Newton tolerance or iteration cap, or the identity suite's
-test field: those are fixed in code, so a config chooses what is checked,
-never how strictly.  JSON integers are kept exact.
+test field, exponents or grids (the suite runs on the domain's resolution
+and its double): those are fixed in code, so a config chooses what is
+checked, never how strictly.  JSON integers are kept exact.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -120,12 +121,6 @@ class FlowConfig:
 
 
 @dataclass
-class IdentityConfig:
-    resolutions: List[int] = field(default_factory=lambda: [128, 256])
-    a_values: List[float] = field(default_factory=lambda: [0.25, 0.5, 1.0])
-
-
-@dataclass
 class ExperimentConfig:
     domain: Domain
     norm: MinkowskiNorm
@@ -135,7 +130,6 @@ class ExperimentConfig:
     bank_seed: int
     bank_size: int
     flow: Optional[FlowConfig]
-    identities: IdentityConfig
     raw: dict
 
     def build_space(self) -> WeightedSpace:
@@ -153,7 +147,7 @@ class ExperimentConfig:
         return space
 
 
-_TOP_KEYS = {"space", "n_values", "checkers", "bank", "flow", "identities"}
+_TOP_KEYS = {"space", "n_values", "checkers", "bank", "flow"}
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -226,30 +220,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
             _fail("flow.stride", f"records {samples} samples (1 + ceil(steps / stride)); "
                                  f"a decay rate needs {MIN_RATE_SAMPLES}")
 
-    iobj = _expect_mapping(doc.get("identities", {}), "identities",
-                           {"resolutions", "a_values"})
-    identities = IdentityConfig()
-    if "resolutions" in iobj:
-        res = iobj["resolutions"]
-        if not isinstance(res, list) or len(res) != 2:
-            _fail("identities.resolutions", f"expected a list of two, got {res!r}")
-        res = [_integer(r, f"identities.resolutions[{i}]", MIN_RESOLUTION)
-               for i, r in enumerate(res)]
-        if res[1] != 2 * res[0]:  # the convergence order is log2 of the residual ratio
-            _fail("identities.resolutions", f"expected a resolution and its double, got {res}")
-        identities.resolutions = res
-    if "a_values" in iobj:
-        if not isinstance(iobj["a_values"], list):
-            _fail("identities.a_values", f"expected a list, got {iobj['a_values']!r}")
-        identities.a_values = [_number(a, f"identities.a_values[{i}]")
-                               for i, a in enumerate(iobj["a_values"])]
-        if any(a <= 0 for a in identities.a_values):
-            _fail("identities.a_values", "exponents must be positive")
-
     return ExperimentConfig(domain=domain, norm=norm, psi=psi, n_values=n_values,
                             checkers=checkers, bank_seed=bank_seed,
-                            bank_size=bank_size, flow=flow, identities=identities,
-                            raw=doc)
+                            bank_size=bank_size, flow=flow, raw=doc)
 
 
 def load_config(path: str) -> ExperimentConfig:

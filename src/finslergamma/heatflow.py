@@ -7,7 +7,8 @@ One time step from u solves the minimizing-movement problem
 whose optimality system v - u = tau * Lap(v) is solved by a damped Newton
 iteration, refreshing the linearized Laplacian at the current iterate.  Its
 Jacobian I - tau L is filled in place on the operator bundle's fixed CSC
-pattern (``DiffOperators.linearized_pattern``), built once per bundle.  The
+pattern (``DiffOperators.linearized_pattern``), built once per bundle, by
+one ``np.bincount`` per term of the linearized Laplacian.  The
 scheme is unconditionally stable and decreases the energy at every step; the
 exact minimizer conserves mass because the discrete Laplacian integrates to
 zero, so the solver projects out the (residual-sized) mean of its inner
@@ -15,8 +16,9 @@ iteration error to keep mass constant to rounding over long runs.
 
 ``evolve`` records the energy and ``space``'s variance, entropy and Fisher
 information (the checkers' functionals), reading ``FlowParams.tol`` relative
-to osc(u0); ``decay_rates`` fits exponential rates on the tail half of a
-series; ``check_dEdt_identity`` verifies the energy-dissipation identity
+to osc(u0) and never stopping below the rounding level of max|u0|;
+``decay_rates`` fits exponential rates on the tail half of a series;
+``check_dEdt_identity`` verifies the energy-dissipation identity
 
     d/dt [ F^2(grad u) ] = 2 D[Lap u](grad u)
 
@@ -140,11 +142,13 @@ def observables(ops: DiffOperators, t: float, u: np.ndarray) -> FlowState:
 
 def evolve(ops: DiffOperators, u0: np.ndarray, params: FlowParams) -> List[FlowState]:
     """Run the flow to t_end, recording observables every ``stride`` steps; the
-    Newton stop tol * osc(u0) (max|u0| if constant) scales with u0, ignores + c."""
+    Newton stop tol * osc(u0) (max|u0| if constant) scales with u0, ignores + c,
+    and never falls below 16 eps max|u0|, the rounding level of the residual."""
     u0 = np.asarray(u0, dtype=float)
     if not np.all(np.isfinite(u0)):
         raise ValueError("initial datum has non-finite values")
-    tol = params.tol * float(np.ptp(u0) or np.max(np.abs(u0)))
+    top = float(np.max(np.abs(u0)))
+    tol = max(params.tol * float(np.ptp(u0) or top), 16 * np.finfo(float).eps * top)
     n_steps = int(round(params.t_end / params.tau))
     states = [observables(ops, 0.0, u0)]
     u = u0.copy()

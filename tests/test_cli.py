@@ -35,7 +35,6 @@ CIRCLE = {
         "norm": {"variant": "euclidean", "matrix": [[1.0]]},
         "psi": "0",
     },
-    "identities": {"resolutions": [64, 128], "a_values": [0.5]},
 }
 
 
@@ -130,12 +129,23 @@ def test_identities_run(tmp_path):
     code = main(["identities", "run", "--config", cfg, "--out", str(tmp_path)])
     assert code == 0
     doc = json.loads((tmp_path / "identities.json").read_text())
+    assert doc["resolutions"] == [64, 128]  # the config's resolution and its double
     names = {row["name"] for row in doc["identities"]}
     assert "adjointness" in names and "dissipation" in names
+    assert len(doc["identities"]) == 11  # 3 identities at 3 exponents, and 2 more
     for row in doc["identities"]:
         assert row["pass"]
         if row["order"] is not None:
             assert row["order"] >= 1.8
+
+
+def test_identity_suite_runs_on_a_whole_float_resolution(tmp_path):
+    # the suite's grids are the domain's resolution, which takes 64.0, and its double
+    doc = json.loads(json.dumps(CIRCLE))
+    doc["space"]["domain"]["resolution"] = [64.0]
+    cfg = write_config(tmp_path, doc)
+    assert main(["identities", "run", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "identities.json").read_text())["resolutions"] == [64, 128]
 
 
 def test_identities_requires_periodic(tmp_path):
@@ -205,17 +215,23 @@ def test_bad_expressions_are_config_errors(tmp_path, capsys, section, key, value
     ("gaussian_asym1d.json", "flow", "tol", 1e-2, ["flow", "run"]),
     ("gaussian_asym1d.json", "flow", "max_iter", 50, ["flow", "run"]),
     ("circle_identities.json", "identities", "h_expr", "0", ["identities", "run"]),
-], ids=["flow.tol", "flow.max_iter", "identities.h_expr"])
+    ("circle_identities.json", "identities", "resolutions", [128, 256],
+     ["identities", "run"]),
+    ("circle_identities.json", "identities", "a_values", [0.5], ["identities", "run"]),
+], ids=["flow.tol", "flow.max_iter", "identities.h_expr", "identities.resolutions",
+        "identities.a_values"])
 def test_deleted_solver_and_field_keys_are_config_errors(tmp_path, capsys, config,
                                                          section, key, value, command):
     # before, flow.tol = 1e-2 left the flow unmoved and failed both rate checks,
-    # and identities.h_expr = "0" passed every exponential identity at residual 0
+    # identities.h_expr = "0" passed every exponential identity at residual 0,
+    # and identities.resolutions could differ from the grid the config names
     doc = _shipped(config)
-    doc[section][key] = value
+    # a deleted key is unknown in its section; a deleted section, at the root
+    where, unknown = (section, key) if section in doc else ("<root>", section)
+    doc.setdefault(section, {})[key] = value
     cfg = write_config(tmp_path, doc)
     assert main([*command, "--config", cfg, "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert f"config key '{section}'" in err and f"'{key}'" in err
+    assert f"config key '{where}': unknown keys ['{unknown}']" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
@@ -255,12 +271,6 @@ def test_integer_config_values_stay_exact():
     # 2**53 + 1 has no float; before, the bank drew with seed 2**53
     doc = dict(ASYM_GAUSS, bank={"seed": 2**53 + 1})
     assert parse_config(doc).bank_seed == 2**53 + 1
-
-
-def test_identity_resolutions_accept_whole_floats():
-    # before, [64.0, 128.0] was rejected here while space.domain.resolution took 64.0
-    doc = dict(CIRCLE, identities={"resolutions": [64.0, 128.0]})
-    assert parse_config(doc).identities.resolutions == [64, 128]
 
 
 @pytest.mark.parametrize("tau, t_end", [(1e-10, 1e300), (1.0, 0.1), (1e-12, 1.0)])
@@ -442,19 +452,18 @@ def _with_domain(**domain):
 
 @pytest.mark.parametrize("doc, key", [
     (dict(ASYM_GAUSS, n_values=5), "n_values"),
-    (dict(CIRCLE, identities={"a_values": 5}), "identities.a_values"),
     (_with_domain(resolution=[64.5]), "space.domain.resolution[0]"),
     (_with_domain(resolution=[4]), "space.domain.resolution[0]"),
     (_with_domain(resolution=128), "space.domain.resolution"),
     (_with_domain(lengths=["6"]), "space.domain.lengths[0]"),
     (_with_domain(lengths="66"), "space.domain.lengths"),
-    (dict(CIRCLE, identities={"resolutions": [64, 128.5]}), "identities.resolutions[1]"),
-    (dict(CIRCLE, identities={"resolutions": [4, 128]}), "identities.resolutions[0]"),
-    (dict(CIRCLE, identities={"resolutions": [128, 64]}), "identities.resolutions"),
-    # the order is log2(r1 / r2): right only when the second doubles the first
-    (dict(CIRCLE, identities={"resolutions": [128, 130]}), "identities.resolutions"),
-    (dict(CIRCLE, identities={"resolutions": [32, 256]}), "identities.resolutions"),
-], ids=["n_values-scalar", "a_values-scalar", "resolution-fraction", "resolution-small",
+    # identities.resolutions is deleted: a malformed value is an unknown section
+    (dict(CIRCLE, identities={"resolutions": [64, 128.5]}), "<root>"),
+    (dict(CIRCLE, identities={"resolutions": [4, 128]}), "<root>"),
+    (dict(CIRCLE, identities={"resolutions": [128, 64]}), "<root>"),
+    (dict(CIRCLE, identities={"resolutions": [128, 130]}), "<root>"),
+    (dict(CIRCLE, identities={"resolutions": [32, 256]}), "<root>"),
+], ids=["n_values-scalar", "resolution-fraction", "resolution-small",
         "resolution-scalar", "lengths-string-item", "lengths-string",
         "identity-resolution-fraction", "identity-resolution-small",
         "identity-resolutions-decreasing", "identity-resolutions-not-doubling",
@@ -566,8 +575,12 @@ def _flow_outcome(text):
     (SHIPPED_FLOW, "1e6*(1 + 0.2*x)", 1e6),
     (SHIPPED_FLOW, "1 + 0.2*x + 10", None),
     (SHIPPED_FLOW, "1 + 0.2*x + 1e4", None),
+    # before, these exited 3 at step 1: the Newton stop fell below rounding
+    (SHIPPED_FLOW, "1 + 0.2*x + 1e7", None),
+    (SHIPPED_FLOW, "1 + 0.2*x + 1e10", None),
     (RANDERS_FLOW, "3*(1 + 0.2*x)", 3.0),
-], ids=["1e-5*u0", "0.25*u0", "3*u0", "1e6*u0", "u0+10", "u0+1e4", "randers-3*u0"])
+], ids=["1e-5*u0", "0.25*u0", "3*u0", "1e6*u0", "u0+10", "u0+1e4", "u0+1e7", "u0+1e10",
+        "randers-3*u0"])
 def test_flow_verdicts_are_invariant_under_rescaling_and_shifts(doc, u0, scale):
     # the flow is 1-homogeneous and blind to added constants, so the verdicts
     # are too, and a rescaling leaves both rates unchanged

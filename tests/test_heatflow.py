@@ -290,8 +290,12 @@ def summed_products_step(ops, u, tau, tol=1e-10, max_iter=50):
     # which sign of the slope leaves exact zeros depends on how Ginv rounds
     (lambda: build_space(Domain("box", (2.0, 2.0), (24, 24)), oblique_randers(),
                          "(x**2 + y**2)/2"), "2 - x", 0.1),
+    # periodic wrap: the stencils' corner entries join the products
+    (lambda: build_space(Domain("torus", (1.0, 1.0), (12, 15)), oblique_randers(), "0"),
+     "1 + 0.2*sin(2*pi*x)*cos(2*pi*y) + 0.1*cos(2*pi*y)", 1e-3),
+    (lambda: uniform_circle(asym21(), res=48), "1 + 0.3*sin(2*pi*x)", 1e-3),
 ], ids=["interval", "interval-large-tau", "randers-box", "randers-box-pruned",
-        "randers-box-pruned-reflected"])
+        "randers-box-pruned-reflected", "randers-torus", "asym-circle"])
 def test_step_is_bit_identical_to_summed_products(space, u0, tau):
     sp = space()
     ops = DiffOperators(sp)

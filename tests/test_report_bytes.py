@@ -89,7 +89,7 @@ DIGESTS = {
         'exit': 0,
         'stdout': '7081dad73ab531246b233200056b2b6f5fc7fd5b6936f7d1ecbb582e832bc6c9',
         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'describe.json': '088bcd59e49ff635505544e3c98aba7bbc3355e4912a56a2f0147ea4db0878ab',
+        'describe.json': 'fe05f8f1cc4ad650504e1ef38b71fa79e6c6900abc5d33a2d70b1408bbf34a5d',
     },
     'circle_identities.json flow run': {
         'exit': 2,
@@ -105,7 +105,7 @@ DIGESTS = {
         'exit': 0,
         'stdout': '0ba03718385183d7da4eda9330798845950ac4235522b9d0cc777c01fa9eefdb',
         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'identities.json': 'e5b373f9e19da75a603735b15ff50f455cb12be14ddaffce1611ec875a481bec',
+        'identities.json': '70f826816f9e8f356ce6216a3308cbb3ee995a89a461c3b5ac7ccfdd595f224a',
     },
     'randers_box2d.json space describe': {
         'exit': 0,
