@@ -195,12 +195,15 @@ def cmd_ineq_check(config: ExperimentConfig, out_dir: str, args) -> int:
     if not any(runs_at(c, N, K[N]) for c in chosen for N in config.n_values):
         raise ConfigError("config key 'checkers': none of them runs at any N in "
                           "'n_values' with the K there (most need K > 0)")
-    if "bochner_pointwise" in chosen and not operators_for(space).interior.any():
+    ops = operators_for(space)
+    if "bochner_pointwise" in chosen and not ops.interior.any():
         raise ConfigError("config key 'space.domain.resolution': the pointwise Bochner "
                           f"check needs more than {2 * DiffOperators.BOUNDARY_WIDTH} "
                           "nodes on each axis, or it has no interior node")
     seed = args.seed if args.seed is not None else config.bank_seed
-    bank = make_test_bank(space, seed=seed, size=config.bank_size)
+    # one record per member, read at every N
+    bank = [(label, ops.field(g))
+            for label, g in make_test_bank(space, seed=seed, size=config.bank_size)]
     reports = []
     error = None
     # N values run one at a time so a checker error still leaves a partial
@@ -219,7 +222,6 @@ def cmd_ineq_check(config: ExperimentConfig, out_dir: str, args) -> int:
         "override_k": args.override_k,
         "space": _space_summary(space, K),
         "checks": [_report_to_dict(r) for r in reports],
-        "identities": [],
         "error": error,
     }
     path = _write(out_dir, "ineq_report.json", render_json(doc) + "\n")
@@ -257,11 +259,11 @@ def cmd_identities(config: ExperimentConfig, out_dir: str, args) -> int:
                           "runs on circles")
     n = config.domain.resolution[0]
     resolutions = [n, 2 * n]  # the convergence order is log2 of the residual ratio
+    double = Domain(config.domain.geometry, config.domain.lengths, (2 * n,))
+    spaces = [config.build_space(), dataclasses.replace(config, domain=double).build_space()]
     results = []
     L = config.domain.lengths[0]
-    for res in resolutions:
-        domain = Domain(config.domain.geometry, config.domain.lengths, (res,))
-        space = dataclasses.replace(config, domain=domain).build_space()
+    for space in spaces:
         ops = operators_for(space)
         h = 0.3 * np.sin(2 * np.pi * space.coords[:, 0] / L)
         entry = {}
@@ -293,8 +295,8 @@ def cmd_identities(config: ExperimentConfig, out_dir: str, args) -> int:
         all_pass = all_pass and passed
 
     doc = {"config": config.raw, "resolutions": resolutions,
-           "space": _space_summary(space, _curvature_table(config, space)),
-           "checks": [], "identities": table}
+           "space": _space_summary(spaces[0], _curvature_table(config, spaces[0])),
+           "identities": table}
     path = _write(out_dir, "identities.json", render_json(doc) + "\n")
     for row in table:
         order = row["order"]

@@ -16,14 +16,15 @@ dimension); the coefficient (N-1)/(K N) is read as 1/K at N = inf.  Each
 checker's N range and K sign are its row of one table, ``_MATRIX``: the
 checker rejects N and K outside it, and the regression matrix runs it there.
 
-Sign-changing test functions are routed through the positive/negative part
-device: the gradient energy of f is accumulated as the energy of f_+ under
-F plus the energy of f_- under the reversed norm, which agrees with
-int F^2(grad f) dm in the continuum and respects non-reversibility.
+Every checker that bounds by the gradient energy reads it as
+int F^2(grad f) dm = ``integrate(space, rec.dual_sq)`` on the record ``rec``
+of its function (``calculus.Field``).  Checkers of a test function f (not of
+a density or measure made from it) take f as an array or as its record.
 
 ``make_test_bank`` draws the reproducible function bank quantifying "for all
 f" in the sweeps, and ``run_checker_matrix`` drives the (checker x N x bank)
-regression matrix with deterministic report ordering.
+regression matrix with deterministic report ordering, on one record per bank
+member shared by every N and checker.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .calculus import operators_for
+from .calculus import Field, operators_for
 from .curvature import admissible_N, effective_K
 from .space import (WeightedSpace, entropy_of_density, fisher_information, integrate,
                     variance)
@@ -42,7 +43,7 @@ from .transport import transport_cost_sq
 
 __all__ = [
     "CheckReport", "make_test_bank",
-    "lichnerowicz_coeff", "gradient_energy_integral",
+    "lichnerowicz_coeff",
     "check_integrated_bochner", "check_bochner_pointwise",
     "check_poincare", "estimate_poincare_constant",
     "check_logsobolev", "check_gamma2_integral", "check_talagrand",
@@ -120,24 +121,10 @@ def _lp_norm(space: WeightedSpace, f: np.ndarray, p: float) -> float:
     return float(integrate(space, np.abs(f) ** p) ** (1.0 / p))
 
 
-def gradient_energy_integral(space: WeightedSpace, f: np.ndarray) -> float:
-    """int F^2(grad f) dm via the positive/negative part device.
-
-    Accumulates the energies of f_+ and of -f_- = min(f, 0) (that of f_- under
-    the reversed norm); for single-signed f this is the direct integral exactly.
-    """
-    ops = operators_for(space)
-    f = np.asarray(f, dtype=float)
-    total = integrate(space, ops.field(np.clip(f, 0.0, None)).dual_sq)
-    if np.any(f < 0):
-        total += integrate(space, ops.field(np.clip(f, None, 0.0)).dual_sq)
-    return total
-
-
 # ----------------------------------------------------------------------
 # Bochner-type checks
 
-def check_integrated_bochner(space: WeightedSpace, f: np.ndarray, N: float,
+def check_integrated_bochner(space: WeightedSpace, f: np.ndarray | Field, N: float,
                              K: float) -> CheckReport:
     """Integrated Bochner inequality, rearranged through the exact discrete
     identity int D[Lap f](grad f) dm = -int (Lap f)^2 dm:
@@ -159,7 +146,7 @@ def check_integrated_bochner(space: WeightedSpace, f: np.ndarray, N: float,
     return _report("integrated_bochner", N, K, lhs, lap_sq, **meta)
 
 
-def check_bochner_pointwise(space: WeightedSpace, f: np.ndarray, N: float,
+def check_bochner_pointwise(space: WeightedSpace, f: np.ndarray | Field, N: float,
                             K: float) -> CheckReport:
     """Pointwise Bochner floor: min over interior nodes of
 
@@ -182,7 +169,8 @@ def check_bochner_pointwise(space: WeightedSpace, f: np.ndarray, N: float,
 # ----------------------------------------------------------------------
 # Poincare
 
-def check_poincare(space: WeightedSpace, f: np.ndarray, N: float, K: float) -> CheckReport:
+def check_poincare(space: WeightedSpace, f: np.ndarray | Field, N: float,
+                   K: float) -> CheckReport:
     """Var_m(f) <= (N-1)/(K N) * int F^2(grad f) dm, K > 0."""
     _admit("poincare", N, K, space.dim)
     coeff = lichnerowicz_coeff(N, K)
@@ -299,79 +287,80 @@ def check_talagrand(space: WeightedSpace, mu: np.ndarray, N: float, K: float) ->
     return _report("talagrand", N, K, lhs, 2.0 * coeff * ent, entropy=ent)
 
 
-def check_entropy_energy(space: WeightedSpace, f: np.ndarray, N: float,
+def check_entropy_energy(space: WeightedSpace, f: np.ndarray | Field, N: float,
                          K: float) -> CheckReport:
     """Ent_m(f^2 m) <= (N/2) log(1 + 4/(K N) int F^2(grad f) dm) for
     N in [n, inf), f normalized to unit L2 mass (flagged if rescaled)."""
     _admit("entropy_energy", N, K, space.dim)
-    f = np.asarray(f, dtype=float)
+    ops = operators_for(space)
+    f = ops.field(f)
     meta = {}
-    total = integrate(space, f * f)
+    total = integrate(space, f.f * f.f)
     if abs(total - 1.0) > 1e-8:
         if total <= 0:
             raise ValueError("entropy_energy: zero function")
-        f = f / math.sqrt(total)
+        f = ops.field(f.f / math.sqrt(total))
         meta["normalized"] = True
-    lhs = entropy_of_density(space, f * f)
-    grad_sq = gradient_energy_integral(space, f)
+    lhs = entropy_of_density(space, f.f * f.f)
+    grad_sq = integrate(space, f.dual_sq)
     rhs = 0.5 * N * math.log1p(4.0 * grad_sq / (K * N))
     return _report("entropy_energy", N, K, lhs, rhs, **meta)
 
 
-def check_nash(space: WeightedSpace, f: np.ndarray, N: float, K: float) -> CheckReport:
-    """Nash inequality ||f||_2^{N+2} <= (||f||_2^2 + 4/(K N) E(f))^{N/2} ||f||_1^2,
-    compared in the log domain so that large N neither overflows nor
-    underflows."""
+def check_nash(space: WeightedSpace, f: np.ndarray | Field, N: float,
+               K: float) -> CheckReport:
+    """Nash inequality ||f||_2^{N+2} <= (||f||_2^2 + 4/(K N) E(f))^{N/2} ||f||_1^2
+    with E(f) = (1/2) int F^2(grad f) dm, compared in the log domain so that
+    large N neither overflows nor underflows."""
     _admit("nash", N, K, space.dim)
-    f = np.asarray(f, dtype=float)
-    l2 = _lp_norm(space, f, 2.0)
-    l1 = _lp_norm(space, f, 1.0)
+    f = operators_for(space).field(f)
+    l2 = _lp_norm(space, f.f, 2.0)
+    l1 = _lp_norm(space, f.f, 1.0)
     if l2 < 1e-300:
         return _report("nash", N, K, 0.0, 0.0, log_domain=True)
-    energy = 0.5 * gradient_energy_integral(space, f)
+    energy = 0.5 * integrate(space, f.dual_sq)
     lhs = (N + 2.0) * math.log(l2)
     rhs = 0.5 * N * math.log(l2 * l2 + 4.0 * energy / (K * N)) + 2.0 * math.log(l1)
     return _report("nash", N, K, lhs, rhs, log_domain=True)
 
 
-def check_nonsharp_sobolev(space: WeightedSpace, f: np.ndarray, N: float,
+def check_nonsharp_sobolev(space: WeightedSpace, f: np.ndarray | Field, N: float,
                            K: float) -> CheckReport:
     """Non-sharp Sobolev bound with fully explicit constants:
-    ||f||_p^2 <= 2^{4N/(N-2)} ( (4/3)||f||_2^2 + 4/(K N) E(f) ), p = 2N/(N-2)."""
+    ||f||_p^2 <= 2^{4N/(N-2)} ( (4/3)||f||_2^2 + 4/(K N) E(f) ), p = 2N/(N-2),
+    with E(f) = (1/2) int F^2(grad f) dm."""
     _admit("nonsharp_sobolev", N, K, space.dim)
-    f = np.asarray(f, dtype=float)
+    f = operators_for(space).field(f)
     p = 2.0 * N / (N - 2.0)
-    lhs = _lp_norm(space, f, p) ** 2
-    energy = 0.5 * gradient_energy_integral(space, f)
+    lhs = _lp_norm(space, f.f, p) ** 2
+    energy = 0.5 * integrate(space, f.dual_sq)
     const = 2.0 ** (4.0 * N / (N - 2.0))
-    rhs = const * ((4.0 / 3.0) * _lp_norm(space, f, 2.0) ** 2 + 4.0 * energy / (K * N))
+    rhs = const * ((4.0 / 3.0) * _lp_norm(space, f.f, 2.0) ** 2 + 4.0 * energy / (K * N))
     return _report("nonsharp_sobolev", N, K, lhs, rhs, p=p, constant=const)
 
 
-def _sobolev(checker: str, space: WeightedSpace, f: np.ndarray, p: float, N: float,
-             K: float) -> CheckReport:
-    """The sharp Sobolev family at one p.  At N = inf the rhs is E / K, which
-    rounds differently from lichnerowicz_coeff(inf, K) * E."""
+def _sobolev(checker: str, space: WeightedSpace, f: np.ndarray | Field, p: float,
+             N: float, K: float) -> CheckReport:
+    """The sharp Sobolev family at one p."""
     p_max = _sobolev_p_max(N)
     if not (1.0 - 1e-12 <= p <= p_max + 1e-12):
         raise ValueError(f"{checker}: p = {p} outside [1, {p_max}]")
-    f = np.asarray(f, dtype=float)
+    f = operators_for(space).field(f)
     if abs(p - 2.0) < 1e-9:
-        total = integrate(space, f * f)
+        total = integrate(space, f.f * f.f)
         if total <= 0:
             raise ValueError(f"{checker}: zero function")
-        report = check_logsobolev(space, f * f / total, N, K)
+        report = check_logsobolev(space, f.f * f.f / total, N, K)
         return replace(report, checker=checker, metadata={
             **report.metadata, "p": 2.0, "dispatched_from": checker})
-    l2 = _lp_norm(space, f, 2.0)
-    lp = _lp_norm(space, f, p)
+    l2 = _lp_norm(space, f.f, 2.0)
+    lp = _lp_norm(space, f.f, p)
     lhs = (lp * lp - l2 * l2) / (p - 2.0)
-    energy = gradient_energy_integral(space, f)
-    rhs = energy / K if math.isinf(N) else lichnerowicz_coeff(N, K) * energy
+    rhs = lichnerowicz_coeff(N, K) * integrate(space, f.dual_sq)
     return _report(checker, N, K, lhs, rhs, p=p)
 
 
-def check_sobolev(space: WeightedSpace, f: np.ndarray, p: float, N: float,
+def check_sobolev(space: WeightedSpace, f: np.ndarray | Field, p: float, N: float,
                   K: float) -> CheckReport:
     """Sharp Sobolev family for N in [n, inf):
 
@@ -383,7 +372,7 @@ def check_sobolev(space: WeightedSpace, f: np.ndarray, p: float, N: float,
     return _sobolev("sobolev", space, f, p, N, K)
 
 
-def check_sobolev_inf(space: WeightedSpace, f: np.ndarray, p: float,
+def check_sobolev_inf(space: WeightedSpace, f: np.ndarray | Field, p: float,
                       K: float) -> CheckReport:
     """Dimension-free Sobolev family (N = inf): for 1 <= p <= 2,
 
@@ -582,9 +571,9 @@ _N_RANGES = {
 }
 
 # checker id -> (the N range where the checker is defined, whether it needs
-# K > 0, the reports for one bank member g).  ``_admit`` holds each checker to
-# its row (log-Sobolev also admits N < 0, as a flagged experiment) and the
-# matrix runs it there.  Each adapter looks its checker up by module-level
+# K > 0, the reports for the record g of one bank member).  ``_admit`` holds
+# each checker to its row (log-Sobolev also admits N < 0, as a flagged
+# experiment) and the matrix runs it there.  Each adapter looks its checker up by module-level
 # name at call time, so a wrapper set on the module is seen.
 _MATRIX = {
     "integrated_bochner": ("all", False, lambda s, g, N, K: [
@@ -593,11 +582,11 @@ _MATRIX = {
         check_bochner_pointwise(s, g, N, K)]),
     "poincare": ("all", True, lambda s, g, N, K: [check_poincare(s, g, N, K)]),
     "logsobolev": ("N > 0", True, lambda s, g, N, K: [
-        check_logsobolev(s, _positive_density(s, g), N, K)]),
+        check_logsobolev(s, _positive_density(s, g.f), N, K)]),
     "gamma2_integral": ("N > 0", True, lambda s, g, N, K: [
-        check_gamma2_integral(s, 1.0 + 0.45 * g, N, K)]),
+        check_gamma2_integral(s, 1.0 + 0.45 * g.f, N, K)]),
     "talagrand": ("finite N > 0", True, lambda s, g, N, K: [
-        check_talagrand(s, _measure_from_member(s, g), N, K)]),
+        check_talagrand(s, _measure_from_member(s, g.f), N, K)]),
     "entropy_energy": ("finite N > 0", True, lambda s, g, N, K: [
         check_entropy_energy(s, g, N, K)]),
     "nash": ("finite N > 0", True, lambda s, g, N, K: [check_nash(s, g, N, K)]),
@@ -629,12 +618,14 @@ def run_checker_matrix(space: WeightedSpace, N_values: Sequence[float],
     K is taken from ``effective_K`` on this very space for each N unless
     ``override_K`` pins it (falsification runs).  Checkers are applied only
     at the N range and K sign of their ``_MATRIX`` entry; reports come back
-    in deterministic order."""
+    in deterministic order.  Each bank member, an array or a record, gets one
+    record that every N and checker reads."""
     chosen = list(checkers) if checkers else list(CHECKER_IDS)
     unknown = [c for c in chosen if c not in CHECKER_IDS]
     if unknown:
         raise ValueError(f"unknown checkers: {unknown}")
     bank = bank if bank is not None else make_test_bank(space, seed=seed, size=bank_size)
+    bank = [(label, operators_for(space).field(g)) for label, g in bank]
     reports: List[CheckReport] = []
     for N in N_values:
         if not admissible_N(N, space.dim):

@@ -139,6 +139,16 @@ def test_identities_run(tmp_path):
             assert row["order"] >= 1.8
 
 
+def test_identities_report_the_space_of_the_configs_own_grid(tmp_path):
+    # the suite also runs at 2n, but its space block describes the config's grid
+    cfg = write_config(tmp_path, dict(CIRCLE, n_values=["inf", 3]))
+    assert main(["space", "describe", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["identities", "run", "--config", cfg, "--out", str(tmp_path)]) == 0
+    described = json.loads((tmp_path / "describe.json").read_text())["space"]
+    assert json.loads((tmp_path / "identities.json").read_text())["space"] == described
+    assert described["measure"]["nodes"] == 64
+
+
 def test_identity_suite_runs_on_a_whole_float_resolution(tmp_path):
     # the suite's grids are the domain's resolution, which takes 64.0, and its double
     doc = json.loads(json.dumps(CIRCLE))

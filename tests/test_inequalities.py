@@ -11,11 +11,12 @@ from finslergamma import (Domain, ab_parameter_solver, build_space,
                           check_sobolev, check_sobolev_inf, check_talagrand,
                           effective_K, estimate_poincare_constant,
                           feasibility_boundary, integrate, lichnerowicz_coeff,
-                          make_test_bank, run_checker_matrix,
+                          make_test_bank, operators_for, run_checker_matrix,
                           sobolev_exponent_table)
+import finslergamma.calculus as calculus
 import finslergamma.inequalities as inequalities
 from finslergamma.curvature import admissible_N
-from finslergamma.inequalities import CHECKER_IDS, gradient_energy_integral, runs_at
+from finslergamma.inequalities import CHECKER_IDS, runs_at
 
 from conftest import asym21, euclid, gauss_interval, oblique_randers, uniform_circle
 
@@ -279,18 +280,55 @@ def test_sobolev_inf(euclid_gauss6):
         check_sobolev_inf(sp, f, 2.5, 1.0)
 
 
-def test_split_energy_matches_direct_for_signed_parts(asym_gauss6):
-    sp = asym_gauss6
-    x = sp.coords[:, 0]
-    from finslergamma import operators_for
-    ops = operators_for(sp)
-    for f in (1.0 + 0.2 * np.sin(x), -1.0 - 0.2 * np.cos(x)):
-        direct = integrate(sp, sp.norm.dual_sq_values(ops.differential(f)))
-        assert gradient_energy_integral(sp, f) == pytest.approx(direct, rel=1e-12)
-    # sign-changing: device stays within discretization distance of direct
-    f = np.sin(x)
-    direct = integrate(sp, sp.norm.dual_sq_values(ops.differential(f)))
-    assert gradient_energy_integral(sp, f) == pytest.approx(direct, rel=5e-2)
+_ENERGY_RHS = {  # the rhs of each energy-based checker at (N, K) from E = int F^2(grad f) dm
+    "sobolev": lambda sp, f, E, N, K: lichnerowicz_coeff(N, K) * E,
+    "sobolev_inf": lambda sp, f, E, N, K: lichnerowicz_coeff(INF, K) * E,
+    "nash": lambda sp, f, E, N, K: 0.5 * N * math.log(
+        inequalities._lp_norm(sp, f, 2.0) ** 2 + 4.0 * (0.5 * E) / (K * N))
+        + 2.0 * math.log(inequalities._lp_norm(sp, f, 1.0)),
+    "nonsharp_sobolev": lambda sp, f, E, N, K: 2.0 ** (4.0 * N / (N - 2.0)) * (
+        (4.0 / 3.0) * inequalities._lp_norm(sp, f, 2.0) ** 2 + 4.0 * (0.5 * E) / (K * N)),
+    "entropy_energy": lambda sp, f, E, N, K: 0.5 * N * math.log1p(4.0 * E / (K * N)),
+}
+
+
+@pytest.mark.parametrize("space", ["asym", "randers-box"])
+def test_energy_checkers_read_the_direct_energy_of_a_sign_changing_member(space):
+    sp = gauss_interval(asym21(), res=64) if space == "asym" else build_space(
+        Domain("box", (2.0, 2.0), (12, 12)), oblique_randers(), "(x**2 + y**2)/2")
+    f = make_test_bank(sp, seed=0, size=8)[-1][1]
+    assert f.min() < 0 < f.max()
+    N, K = 3.0, 0.5
+    reports = {
+        "sobolev": check_sobolev(sp, f, 1.5, N, K),
+        "sobolev_inf": check_sobolev_inf(sp, f, 1.5, K),
+        "nash": check_nash(sp, f, N, K),
+        "nonsharp_sobolev": check_nonsharp_sobolev(sp, f, N, K),
+        "entropy_energy": check_entropy_energy(sp, f, N, K),
+    }
+    assert set(reports) == set(_ENERGY_RHS)
+    for checker, rep in reports.items():
+        # entropy-energy bounds the unit-L2 rescaling of f
+        g = f / math.sqrt(integrate(sp, f * f)) if checker == "entropy_energy" else f
+        E = integrate(sp, operators_for(sp).field(g).dual_sq)
+        assert rep.rhs == _ENERGY_RHS[checker](sp, g, E, N, K), checker
+
+
+def test_run_checker_matrix_builds_one_record_per_member(monkeypatch):
+    sp = gauss_interval(asym21(), res=64)
+    bank = make_test_bank(sp, seed=0, size=3)
+    built = []
+    init = calculus.Field.__init__
+
+    def counting(self, ops, f):
+        built.append(f)
+        init(self, ops, f)
+
+    monkeypatch.setattr(calculus.Field, "__init__", counting)
+    reports = run_checker_matrix(sp, [3.0, INF], bank=bank, override_K=1.0)
+    assert {r.N for r in reports} == {3.0, INF}
+    for _, g in bank:
+        assert sum(f is g for f in built) == 1
 
 
 def test_exponent_table():

@@ -78,7 +78,7 @@ DIGESTS = {
         'exit': 0,
         'stdout': '4c01e70c2c21e383592a47245d11a2b850a8afaf2462900ea14c0ea4441f15c5',
         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'ineq_report.json': '7559d1dc24ef6cf866e0c585efd757a9fbde3306e375fcf3ea5f34f833e4e2c1',
+        'ineq_report.json': 'be611a04ac532cd6402a1ed08e92a090ac9ea42db6a6a8196c33b2902655eb5e',
     },
     'gaussian_asym1d.json identities run': {
         'exit': 2,
@@ -105,7 +105,7 @@ DIGESTS = {
         'exit': 0,
         'stdout': '0ba03718385183d7da4eda9330798845950ac4235522b9d0cc777c01fa9eefdb',
         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'identities.json': '70f826816f9e8f356ce6216a3308cbb3ee995a89a461c3b5ac7ccfdd595f224a',
+        'identities.json': '89ee0dd3e48d279adbf3e13a0a086edd0d98bf23186bd92d3c1cafc36e6a2001',
     },
     'randers_box2d.json space describe': {
         'exit': 0,
@@ -124,7 +124,7 @@ DIGESTS = {
         'exit': 0,
         'stdout': '7af61aca0d35369098c1bd52ecb6362d49e5f288bf1d06f1337232a13a8df92a',
         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'ineq_report.json': '1c2eaf20d02a54c5206be88d240e8af22818ef8f4c849c68d93ee84c2ba11a56',
+        'ineq_report.json': '51f4f665347ede9cf31ba80ca453d6f7f41d10bde31068676a575aa9a37fb643',
     },
     'randers_box2d.json identities run': {
         'exit': 2,
@@ -146,7 +146,7 @@ DIGESTS = {
         'exit': 0,
         'stdout': '3445f01a17f80ab26ea3196100e9285c6a8891db946f7c146b38974de6f39ae7',
         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'ineq_report.json': '78b16e11f020d77fc8d67e5a2db2dd025a9881e51393a03320d91ba4ab15fa16',
+        'ineq_report.json': '08dbde7adb1c445c3a8fab6a05765415643bee8f2ec2df7ebab75f7b68d4398f',
     },
     'gaussian_asym1d_finite_n.json identities run': {
         'exit': 2,
