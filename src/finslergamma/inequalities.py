@@ -15,6 +15,9 @@ The dimension parameter N ranges over (-inf, 0) and [n, inf] (n the grid
 dimension); the coefficient (N-1)/(K N) is read as 1/K at N = inf.  Each
 checker's N range and K sign are its row of one table, ``_MATRIX``: the
 checker rejects N and K outside it, and the regression matrix runs it there.
+No checker calls another: the sharp Sobolev family reads p = 2 as the limit
+of its own quotient, (1/2)||f||_2^2 Ent_m(f^2/||f||_2^2) (Bakry-Gentil-Ledoux,
+2014), under the rhs of every other p.
 
 Every checker that bounds by the gradient energy reads it as
 int F^2(grad f) dm = ``integrate(space, rec.dual_sq)`` on the record ``rec``
@@ -97,11 +100,9 @@ def lichnerowicz_coeff(N: float, K: float) -> float:
     return (N - 1.0) / (K * N)
 
 
-def _admit(checker: str, N: float, K: float, dim: int,
-           n_range: Optional[str] = None) -> None:
-    """Reject N and K outside the checker's ``_MATRIX`` row (or ``n_range``)."""
-    row_range, needs_positive_K, _ = _MATRIX[checker]
-    n_range = n_range or row_range
+def _admit(checker: str, N: float, K: float, dim: int) -> None:
+    """Reject N and K outside the checker's ``_MATRIX`` row."""
+    n_range, needs_positive_K, _ = _MATRIX[checker]
     if not (admissible_N(N, dim) and _N_RANGES[n_range](N)):
         raise ValueError(f"{checker}: N = {N} is outside its range ({n_range}, "
                          f"admissible on a {dim}D space)")
@@ -231,13 +232,9 @@ def estimate_poincare_constant(space: WeightedSpace) -> float:
 
 def check_logsobolev(space: WeightedSpace, f: np.ndarray, N: float, K: float) -> CheckReport:
     """Ent_m(f m) <= (N-1)/(2 K N) * int_{f>0} F^2(grad f)/f dm for a
-    nonnegative density f (auto-normalized to unit mass, with a flag).
-
-    The inequality is proved for N in [n, inf); N = inf is accepted as the
-    classical limit with coefficient 1/(2K), and N < 0 is accepted as an
-    *experiment* (flagged in metadata) since the bound can genuinely fail
-    there."""
-    _admit("logsobolev", N, K, space.dim, "all")
+    nonnegative density f (auto-normalized to unit mass, with a flag), for
+    N in [n, inf]; N = inf is the classical limit with coefficient 1/(2K)."""
+    _admit("logsobolev", N, K, space.dim)
     f = np.asarray(f, dtype=float)
     if np.min(f) < -1e-12:
         raise ValueError("logsobolev needs a nonnegative function")
@@ -249,8 +246,6 @@ def check_logsobolev(space: WeightedSpace, f: np.ndarray, N: float, K: float) ->
             raise ValueError("logsobolev: function has zero mass")
         f = f / total
         meta["normalized"] = True
-    if N < 0:
-        meta["outside_proved_range"] = True
     fisher = fisher_information(space, f, operators_for(space).field(f).dual_sq)
     lhs = entropy_of_density(space, f)
     rhs = 0.5 * lichnerowicz_coeff(N, K) * fisher
@@ -274,16 +269,13 @@ def check_gamma2_integral(space: WeightedSpace, u: np.ndarray, N: float,
 
 def check_talagrand(space: WeightedSpace, mu: np.ndarray, N: float, K: float) -> CheckReport:
     """W2^2(mu, m) <= 2 (N-1)/(K N) * Ent_m(mu) for N in [n, inf), with the
-    asymmetric squared-distance transport cost (mu is the source)."""
+    asymmetric squared-distance transport cost (mu is the source) and
+    Ent_m(mu) the entropy of the density mu/m."""
     _admit("talagrand", N, K, space.dim)
     coeff = lichnerowicz_coeff(N, K)
     mu = np.asarray(mu, dtype=float)
-    m = space.cell_mass
-    mask = mu > 0
-    if np.any(mask & (m <= 0)):
-        raise ValueError("mu charges a node of zero reference mass: entropy infinite")
-    ent = float(np.sum(mu[mask] * np.log(mu[mask] / m[mask])))
-    lhs = transport_cost_sq(space, mu, m)
+    ent = entropy_of_density(space, mu / space.cell_mass)
+    lhs = transport_cost_sq(space, mu, space.cell_mass)
     return _report("talagrand", N, K, lhs, 2.0 * coeff * ent, entropy=ent)
 
 
@@ -292,17 +284,16 @@ def check_entropy_energy(space: WeightedSpace, f: np.ndarray | Field, N: float,
     """Ent_m(f^2 m) <= (N/2) log(1 + 4/(K N) int F^2(grad f) dm) for
     N in [n, inf), f normalized to unit L2 mass (flagged if rescaled)."""
     _admit("entropy_energy", N, K, space.dim)
-    ops = operators_for(space)
-    f = ops.field(f)
+    f = operators_for(space).field(f)
     meta = {}
     total = integrate(space, f.f * f.f)
+    if total <= 0:
+        raise ValueError("entropy_energy: zero function")
     if abs(total - 1.0) > 1e-8:
-        if total <= 0:
-            raise ValueError("entropy_energy: zero function")
-        f = ops.field(f.f / math.sqrt(total))
         meta["normalized"] = True
-    lhs = entropy_of_density(space, f.f * f.f)
-    grad_sq = integrate(space, f.dual_sq)
+    # F*^2 is 2-homogeneous: the energy of f/||f||_2 is that of f over total
+    lhs = entropy_of_density(space, f.f * f.f / total)
+    grad_sq = integrate(space, f.dual_sq) / total
     rhs = 0.5 * N * math.log1p(4.0 * grad_sq / (K * N))
     return _report("entropy_energy", N, K, lhs, rhs, **meta)
 
@@ -341,21 +332,18 @@ def check_nonsharp_sobolev(space: WeightedSpace, f: np.ndarray | Field, N: float
 
 def _sobolev(checker: str, space: WeightedSpace, f: np.ndarray | Field, p: float,
              N: float, K: float) -> CheckReport:
-    """The sharp Sobolev family at one p."""
+    """The sharp Sobolev family at one p; p = 2 is its limit."""
     p_max = _sobolev_p_max(N)
     if not (1.0 - 1e-12 <= p <= p_max + 1e-12):
         raise ValueError(f"{checker}: p = {p} outside [1, {p_max}]")
     f = operators_for(space).field(f)
-    if abs(p - 2.0) < 1e-9:
-        total = integrate(space, f.f * f.f)
-        if total <= 0:
-            raise ValueError(f"{checker}: zero function")
-        report = check_logsobolev(space, f.f * f.f / total, N, K)
-        return replace(report, checker=checker, metadata={
-            **report.metadata, "p": 2.0, "dispatched_from": checker})
     l2 = _lp_norm(space, f.f, 2.0)
-    lp = _lp_norm(space, f.f, p)
-    lhs = (lp * lp - l2 * l2) / (p - 2.0)
+    if abs(p - 2.0) < 1e-9:  # the p -> 2 limit of the quotient
+        l2_sq = l2 * l2
+        lhs = 0.5 * l2_sq * entropy_of_density(space, f.f * f.f / l2_sq) if l2_sq > 0 else 0.0
+    else:
+        lp = _lp_norm(space, f.f, p)
+        lhs = (lp * lp - l2 * l2) / (p - 2.0)
     rhs = lichnerowicz_coeff(N, K) * integrate(space, f.dual_sq)
     return _report(checker, N, K, lhs, rhs, p=p)
 
@@ -366,8 +354,8 @@ def check_sobolev(space: WeightedSpace, f: np.ndarray | Field, p: float, N: floa
 
         (||f||_p^2 - ||f||_2^2)/(p - 2) <= (N-1)/(K N) int F^2(grad f) dm
 
-    for 1 <= p <= 2(N+1)/N.  p = 2 dispatches to the log-Sobolev checker as
-    the stated limit (applied to f^2 normalized to unit mass)."""
+    for 1 <= p <= 2(N+1)/N.  At p = 2 the lhs is the limit of the quotient,
+    (1/2)||f||_2^2 Ent_m(f^2/||f||_2^2), under the same rhs."""
     _admit("sobolev", N, K, space.dim)
     return _sobolev("sobolev", space, f, p, N, K)
 
@@ -378,8 +366,8 @@ def check_sobolev_inf(space: WeightedSpace, f: np.ndarray | Field, p: float,
 
         (||f||_p^2 - ||f||_2^2)/(p - 2) <= (1/K) int F^2(grad f) dm,
 
-    where the p < 2 sign of (p - 2) keeps the quotient nonnegative.
-    p = 2 dispatches to log-Sobolev at N = inf."""
+    where the p < 2 sign of (p - 2) keeps the quotient nonnegative.  At
+    p = 2 the lhs is its limit, (1/2)||f||_2^2 Ent_m(f^2/||f||_2^2)."""
     _admit("sobolev_inf", math.inf, K, space.dim)
     return _sobolev("sobolev_inf", space, f, p, math.inf, K)
 
@@ -572,9 +560,9 @@ _N_RANGES = {
 
 # checker id -> (the N range where the checker is defined, whether it needs
 # K > 0, the reports for the record g of one bank member).  ``_admit`` holds
-# each checker to its row (log-Sobolev also admits N < 0, as a flagged
-# experiment) and the matrix runs it there.  Each adapter looks its checker up by module-level
-# name at call time, so a wrapper set on the module is seen.
+# each checker to its row and the matrix runs it there.  Each adapter looks
+# its checker up by module-level name at call time, so a wrapper set on the
+# module is seen.
 _MATRIX = {
     "integrated_bochner": ("all", False, lambda s, g, N, K: [
         check_integrated_bochner(s, g, N, K)]),

@@ -4,11 +4,13 @@ A space is a uniform tensor grid over a 1D or 2D flat domain, a single
 Minkowski norm (constant across the domain), and a weight Psi sampled at
 the nodes.  The reference measure assigns each node the cell mass
 
-    m_i = exp(-Psi(x_i)) * w_i,        sum_i m_i = 1 after normalization,
+    m_i = exp(-(Psi(x_i) - min Psi)) * w_i,   sum_i m_i = 1 after normalization,
 
 where w_i is the node's cell volume (trapezoid-style lumping: half cells at
-non-periodic boundary nodes).  Shifting Psi by a constant therefore leaves
-the space unchanged.
+non-periodic boundary nodes) and the minimum is over the nodes.  Shifting
+Psi by a constant therefore leaves the space unchanged, at any size of the
+shift.  A Psi whose range over the grid makes some m_i underflow to 0 is
+rejected: every node carries positive mass.
 
 Scalar fields are flat arrays of shape (M,); vector and covector fields are
 arrays of shape (M, dim), M the node count.  Spaces are immutable after
@@ -112,11 +114,11 @@ class WeightedSpace:
                     sl[a] = edge
                     cell[tuple(sl)] *= 0.5
         cell *= float(np.prod(self.h))
-        mass = np.exp(-psi) * cell.reshape(-1)
-        total = mass.sum()
-        if not (total > 0 and np.isfinite(total)):
-            raise ValueError("total mass is zero or non-finite")
-        self.cell_mass = mass / total
+        mass = np.exp(-(psi - psi.min())) * cell.reshape(-1)
+        self.cell_mass = mass / mass.sum()
+        if not np.all(self.cell_mass > 0):
+            raise ValueError(f"the cell mass underflows to 0 at {np.sum(self.cell_mass == 0)} "
+                             f"nodes: Psi spans {np.ptp(psi):.6g} over the grid")
 
     @property
     def dim(self) -> int:

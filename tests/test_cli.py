@@ -562,17 +562,25 @@ RANDERS_FLOW = dict(RANDERS_BOX, n_values=["inf", 8],
 
 
 @functools.lru_cache(maxsize=None)
-def _flow_outcome(text):
-    """Exit code, verdicts and rates of ``fg flow run`` on a JSON config text."""
+def _run_text(command, text, report):
+    """Exit code of ``fg <command>`` on a JSON config text, and its parsed
+    ``report`` (None when the command wrote none)."""
     with tempfile.TemporaryDirectory() as out:
         cfg = os.path.join(out, "config.json")
         with open(cfg, "w") as fh:
             fh.write(text)
-        code = main(["flow", "run", "--config", cfg, "--out", out])
-        if not os.path.exists(os.path.join(out, "flow_summary.json")):
-            return code, None, None
-        with open(os.path.join(out, "flow_summary.json")) as fh:
-            summary = json.load(fh)
+        code = main([*command.split(), "--config", cfg, "--out", out])
+        if not os.path.exists(os.path.join(out, report)):
+            return code, None
+        with open(os.path.join(out, report)) as fh:
+            return code, json.load(fh)
+
+
+def _flow_outcome(text):
+    """Exit code, verdicts and rates of ``fg flow run`` on a JSON config text."""
+    code, summary = _run_text("flow run", text, "flow_summary.json")
+    if summary is None:
+        return code, None, None
     verdicts = {(N, name): entry[f"{name}_pass"] for N, entry in summary["bounds"].items()
                 for name in ("variance", "entropy")}
     return code, verdicts, summary["rates"]
@@ -614,3 +622,30 @@ def test_shipped_flow_newton_solve_count(tmp_path, monkeypatch, config, solves):
     assert main(["flow", "run", "--config", os.path.join(ROOT, config),
                  "--out", str(tmp_path)]) == 0
     assert len(calls) == solves
+
+
+@pytest.mark.parametrize("shift", [-800, -300, 5, 1000])
+def test_ineq_verdicts_are_invariant_under_shifts_of_psi(shift):
+    # exp(-Psi) alone overflows at Psi - 800 and underflows at Psi + 1000
+    doc = _shipped("gaussian_asym1d.json")
+    base_code, base = _run_text("ineq check", json.dumps(doc), "ineq_report.json")
+    doc["space"]["psi"] = f"{doc['space']['psi']} + ({shift})"
+    code, shifted = _run_text("ineq check", json.dumps(doc), "ineq_report.json")
+    assert code == base_code == 0
+    assert len(shifted["checks"]) == len(base["checks"])
+    for c, b in zip(shifted["checks"], base["checks"]):
+        cell = (c["checker"], c["N"], c["metadata"].get("p"), c["metadata"]["member"])
+        assert cell == (b["checker"], b["N"], b["metadata"].get("p"), b["metadata"]["member"])
+        assert c["pass"] == b["pass"], cell
+        assert c["rhs"] == pytest.approx(b["rhs"], rel=1e-9), cell
+
+
+@pytest.mark.parametrize("command", [["ineq", "check"], ["flow", "run"]])
+def test_psi_whose_cell_mass_underflows_is_config_error(tmp_path, capsys, command):
+    # before, ineq check failed 60 checks with NaN margins and flow run gave
+    # every verdict null, both on a measure that is 0 near the ends
+    doc = dict(SHIPPED_FLOW, space=dict(SHIPPED_FLOW["space"], psi="100*x**2"))
+    cfg = write_config(tmp_path, doc)
+    assert main([*command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config key 'space.psi': the cell mass underflows to 0" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]

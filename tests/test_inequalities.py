@@ -156,8 +156,8 @@ def test_logsobolev(euclid_gauss6):
 
     with pytest.raises(ValueError):
         check_logsobolev(sp, sp.coords[:, 0], 1e6, 1.0)  # sign-changing
-    neg = check_logsobolev(sp, sp.field_from_expression("exp(x - 0.5)"), -5.0, 1.0)
-    assert neg.metadata.get("outside_proved_range")
+    with pytest.raises(ValueError, match="logsobolev"):  # proved for N in [n, inf] only
+        check_logsobolev(sp, sp.field_from_expression("exp(x - 0.5)"), -5.0, 1.0)
 
 
 def test_gamma2_integral(asym_gauss6):
@@ -229,6 +229,7 @@ def test_sobolev_family(euclid_gauss2, asym_gauss2):
     const = np.full(sp.n_nodes, 2.0)
     rep = check_sobolev(sp, const, 1.5, 3.0, K3)
     assert rep.passed and abs(rep.lhs) < 1e-12
+    assert check_sobolev(sp, np.zeros(sp.n_nodes), 2.0, 3.0, K3).lhs == 0.0
 
     # p = 1 reproduces the variance form for nonnegative f
     f = 1.0 + 0.4 * np.sin(2 * sp.coords[:, 0])
@@ -236,9 +237,9 @@ def test_sobolev_family(euclid_gauss2, asym_gauss2):
     var = integrate(sp, f * f) - integrate(sp, f) ** 2
     assert rep.lhs == pytest.approx(var, abs=1e-9)
 
-    # p = 2 dispatches to the log-Sobolev limit
+    # p = 2 is the limit of the family, under the same rhs
     rep2 = check_sobolev(sp, f, 2.0, 3.0, K3)
-    assert rep2.metadata["dispatched_from"] == "sobolev"
+    assert rep2.metadata == {"p": 2.0} and rep2.rhs == rep.rhs
     assert rep2.passed
 
     Ka = effective_K(asym_gauss2, 3.0).K_eff
@@ -258,7 +259,7 @@ def test_sobolev_p_grid_single_bound(euclid_gauss2):
     k = effective_K(sp, 5.0).K_eff
     for f in (1.0 + 0.4 * np.sin(2 * sp.coords[:, 0]) + 0.1 * sp.coords[:, 0],
               np.exp(sp.coords[:, 0])):
-        reports = [check_sobolev(sp, f, p, 5.0, k) for p in (1.0, 1.3, 1.7, 2.2, 2.4)]
+        reports = [check_sobolev(sp, f, p, 5.0, k) for p in (1.0, 1.3, 1.7, 2.0, 2.2, 2.4)]
         rhs = reports[0].rhs
         assert all(r.passed for r in reports)
         assert all(r.rhs == pytest.approx(rhs, rel=1e-12) for r in reports)
@@ -269,13 +270,10 @@ def test_sobolev_inf(euclid_gauss6):
     f = 1.0 + 0.3 * np.sin(sp.coords[:, 0])
     for p in (1.0, 1.5):
         assert check_sobolev_inf(sp, f, p, 1.0).passed
-    # p -> 2 continuity: the raw quotient tends to (||f||_2^2 / 2) * Ent of
-    # the normalized square, which is the dispatched log-Sobolev lhs
+    # p -> 2 continuity: the quotient tends to the p = 2 lhs
     lim = check_sobolev_inf(sp, f, 2.0, 1.0)
     near = check_sobolev_inf(sp, f, 1.999, 1.0)
-    l2_sq = integrate(sp, f * f)
-    assert near.lhs == pytest.approx(0.5 * l2_sq * lim.lhs, rel=3e-2)
-    assert lim.metadata["dispatched_from"] == "sobolev_inf"
+    assert near.lhs == pytest.approx(lim.lhs, rel=1e-4)
     with pytest.raises(ValueError):
         check_sobolev_inf(sp, f, 2.5, 1.0)
 
@@ -292,12 +290,32 @@ _ENERGY_RHS = {  # the rhs of each energy-based checker at (N, K) from E = int F
 }
 
 
-@pytest.mark.parametrize("space", ["asym", "randers-box"])
-def test_energy_checkers_read_the_direct_energy_of_a_sign_changing_member(space):
+def _sign_changing_member(space):
+    """A space (the two-slope interval or the oblique Randers box) and a bank
+    member on it that changes sign."""
     sp = gauss_interval(asym21(), res=64) if space == "asym" else build_space(
         Domain("box", (2.0, 2.0), (12, 12)), oblique_randers(), "(x**2 + y**2)/2")
     f = make_test_bank(sp, seed=0, size=8)[-1][1]
     assert f.min() < 0 < f.max()
+    return sp, f
+
+
+@pytest.mark.parametrize("space", ["asym", "randers-box"])
+def test_sobolev_p2_is_the_limit_of_the_family(space):
+    sp, f = _sign_changing_member(space)
+    N, K = 3.0, 0.5
+    near = (2.0 - 1e-3, 2.0 + 1e-3)
+    for check, ps in ((lambda p: check_sobolev(sp, f, p, N, K), near),
+                      (lambda p: check_sobolev_inf(sp, f, p, K), near[:1])):
+        at2, at15 = check(2.0), check(1.5)
+        assert at2.rhs == at15.rhs
+        for p in ps:
+            assert at2.lhs == pytest.approx(check(p).lhs, rel=1e-4), p
+
+
+@pytest.mark.parametrize("space", ["asym", "randers-box"])
+def test_energy_checkers_read_the_direct_energy_of_a_sign_changing_member(space):
+    sp, f = _sign_changing_member(space)
     N, K = 3.0, 0.5
     reports = {
         "sobolev": check_sobolev(sp, f, 1.5, N, K),
@@ -308,10 +326,10 @@ def test_energy_checkers_read_the_direct_energy_of_a_sign_changing_member(space)
     }
     assert set(reports) == set(_ENERGY_RHS)
     for checker, rep in reports.items():
-        # entropy-energy bounds the unit-L2 rescaling of f
-        g = f / math.sqrt(integrate(sp, f * f)) if checker == "entropy_energy" else f
-        E = integrate(sp, operators_for(sp).field(g).dual_sq)
-        assert rep.rhs == _ENERGY_RHS[checker](sp, g, E, N, K), checker
+        E = integrate(sp, operators_for(sp).field(f).dual_sq)
+        if checker == "entropy_energy":  # the energy of the unit-L2 rescaling of f
+            E = E / integrate(sp, f * f)
+        assert rep.rhs == _ENERGY_RHS[checker](sp, f, E, N, K), checker
 
 
 def test_run_checker_matrix_builds_one_record_per_member(monkeypatch):
@@ -474,14 +492,9 @@ def test_checkers_raise_exactly_outside_their_matrix_row(space):
         for N in (INF,) if checker == "sobolev_inf" else \
                 (-5.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 8.0, INF):
             for K in (-1.0, 0.0, 1.0):
-                admissible = admissible_N(N, sp.dim)
-                # the one listed exception: log-Sobolev at N < 0 runs as a
-                # flagged experiment, outside the proved range
-                experiment = checker == "logsobolev" and admissible and N < 0 and K > 0
-                if experiment or (admissible and runs_at(checker, N, K)):
+                if admissible_N(N, sp.dim) and runs_at(checker, N, K):
                     rep = call(sp, g, N, K)
                     assert (rep.checker, rep.N, rep.K) == (checker, N, K)
-                    assert rep.metadata.get("outside_proved_range", False) == experiment
                 else:
                     with pytest.raises(ValueError, match=checker):
                         call(sp, g, N, K)

@@ -65,20 +65,20 @@ DIGESTS = {
         'exit': 0,
         'stdout': 'fff4b10ecae49825862d84b6f9a5930ad51ad1e939e3df313aedc336d3eb3720',
         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'describe.json': '51828ed6fa4d4cc6d1c3ec2582d09f8906aa6f406d3b391f8fd5a01978364a9f',
+        'describe.json': '60147783a043ae4fc230875309bb0afc478e08ec2876da8cfd39d3330b05e626',
     },
     'gaussian_asym1d.json flow run': {
         'exit': 0,
-        'stdout': '4842f0b7207886ee366f2991dc74d70d0d2e0c110afd6de4b2e46eb8a6dde527',
+        'stdout': 'a9c03ef40684881268901bc075e65f5a651a9d6ef834d5f5650037790a362116',
         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'flow_series.csv': 'd86a7d8ecf1d5f47ad49898b7c3f40ce5886894a4bb2cc0fe70021182516f52c',
-        'flow_summary.json': '69ba51f4f7e3dba3d16febfb406f47be3c894203484473b5172a2405b307f24f',
+        'flow_series.csv': 'a63427ec01fcb6d5c705629d7a2c94af6a3a190eaf4d61eeb560d01353de152c',
+        'flow_summary.json': '0a64c930b3146134f1603f4557dbbe5eb1e0b8dbb5116629993d494990d9d691',
     },
     'gaussian_asym1d.json ineq check': {
         'exit': 0,
         'stdout': '4c01e70c2c21e383592a47245d11a2b850a8afaf2462900ea14c0ea4441f15c5',
         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'ineq_report.json': 'be611a04ac532cd6402a1ed08e92a090ac9ea42db6a6a8196c33b2902655eb5e',
+        'ineq_report.json': '47e00c4b759ab11ee7638c14603b298efd6a2204239f7fa6b77ca987d658ed3c',
     },
     'gaussian_asym1d.json identities run': {
         'exit': 2,
@@ -111,20 +111,20 @@ DIGESTS = {
         'exit': 0,
         'stdout': 'ddd58d717c7ceed1e2213a466764d425c186fd0896cf2de9881e62d3a7902a6e',
         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'describe.json': 'f1816e4375bd48849a03bdea1b983923341b9b23a2f1cdfa2c74023501c7452f',
+        'describe.json': '8cf509906fd9e54f158ce507c27a2e20a82b860a9c0dc7dbbd43ea866fe020b4',
     },
     'randers_box2d.json flow run': {
         'exit': 0,
         'stdout': 'a85cb5c49e9e52736c78f34966c6c727379a525bd702d6b204731c19089b0d86',
         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'flow_series.csv': 'bf7f9923252186dae38f5ffe5767dfa94715e231c55345ff3ad27c4e3215418a',
-        'flow_summary.json': '250cc5fe55d4c96b3101b0e110f3a2160b14de3a4c2391a59440f5fd3e6bb51d',
+        'flow_series.csv': '7d838d63ffa046d91a40d5cb784d70991c68bef5e6a85934e6e04fa65737688d',
+        'flow_summary.json': 'd24bec92b83c60f64a6a221256f77fdc2393df115dfb02577041403a580138e0',
     },
     'randers_box2d.json ineq check': {
         'exit': 0,
         'stdout': '7af61aca0d35369098c1bd52ecb6362d49e5f288bf1d06f1337232a13a8df92a',
         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'ineq_report.json': '51f4f665347ede9cf31ba80ca453d6f7f41d10bde31068676a575aa9a37fb643',
+        'ineq_report.json': 'bc900a5bead0490d2ae8e727cba03aa5adf912e44e59b1ed78b2fce915704283',
     },
     'randers_box2d.json identities run': {
         'exit': 2,
@@ -135,7 +135,7 @@ DIGESTS = {
         'exit': 0,
         'stdout': '2a6b9ddb97a0244a4f69267480585be4692d7f7725d38820919cfc10a2dead5c',
         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'describe.json': '8aa2eaf3d73ea1cfa718ed45e4b8457b13bf8b9fa13502a266157244831d1fdb',
+        'describe.json': 'a57d53dad1b43d34f7c24502e84ad14c7a8c11171bdbfce589253ac4a3c2574b',
     },
     'gaussian_asym1d_finite_n.json flow run': {
         'exit': 2,
@@ -146,7 +146,7 @@ DIGESTS = {
         'exit': 0,
         'stdout': '3445f01a17f80ab26ea3196100e9285c6a8891db946f7c146b38974de6f39ae7',
         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'ineq_report.json': '08dbde7adb1c445c3a8fab6a05765415643bee8f2ec2df7ebab75f7b68d4398f',
+        'ineq_report.json': 'e0dc5fba946b3f2fe85062d1635e3b9bbd77bb2a22288fbd6b78c32baf804eda',
     },
     'gaussian_asym1d_finite_n.json identities run': {
         'exit': 2,

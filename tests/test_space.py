@@ -45,8 +45,12 @@ def test_build_space_rejects_bad_weight():
 
 def test_psi_shift_invariance():
     a = gauss_interval(euclid())
-    b = build_space(Domain("interval", (6.0,), (256,)), euclid(), "x**2/2 + 5")
-    assert np.allclose(a.cell_mass, b.cell_mass, rtol=1e-14, atol=1e-18)
+    # exp(-Psi) itself underflows at + 1000 and overflows at - 800; Psi + c
+    # is rounded to half an ulp of c, which exp passes on as a relative error
+    for shift in (5.0, 1000.0, -800.0):
+        b = build_space(Domain("interval", (6.0,), (256,)), euclid(), f"x**2/2 + ({shift})")
+        assert np.allclose(a.cell_mass, b.cell_mass,
+                           rtol=1e-14 + 2 * np.spacing(abs(shift)), atol=1e-18), shift
 
 
 def test_integrate_basic():
