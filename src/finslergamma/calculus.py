@@ -11,6 +11,13 @@ i.e. ``div V = -(1/m) * D^T (m V)`` axis by axis.  Every integration-by-parts
 manipulation used downstream therefore holds to machine precision on the
 grid, including mass conservation of the Laplacian.
 
+Each axis has one table of the rows of D along it, at most 3 (column,
+coefficient) terms per row.  D gathers each row's terms along that axis of
+the grid array, D^T scatters them; each sum starts from 0.0 and runs in
+the column order of a CSR row, so both are bit for bit the sparse products
+(the oracle in ``tests/conftest.py``).  The table also gives the pattern of
+the Newton Jacobian, the one sparse matrix here and the one scipy import.
+
 On top of D and div sit the Finsler gradient (Legendre transform of the
 differential), the nonlinear Laplacian, the linearized operators at a
 frozen gradient direction, the second-order quantity
@@ -24,8 +31,10 @@ domains every node is interior.
 
 Everything derived from one scalar field f lives on its record, the
 ``Field`` that ``ops.field(f)`` returns: Df, F*(Df)^2, the Legendre map and
-its degenerate nodes, grad f, Lap f, the inverse metrics at grad f, Gamma2(f)
-and the nodes of pointwise statements, each computed once on first use.
+its degenerate nodes (F*(Df) below ``EPS_GRAD`` times its maximum, so a
+rescaled f has the same ones), grad f, Lap f, the inverse metrics at grad f,
+Gamma2(f) and the nodes of pointwise statements, each computed once on first
+use; ``Field.derived`` holds the records of functions made from f.
 Every consumer (the Laplacian, the Newton Jacobian, the identities, the flow
 observables, the checkers) reads a record, so a caller that holds one never
 evaluates the Legendre map twice.  Records are not memoized on the bundle:
@@ -35,30 +44,86 @@ steps cannot grow memory, and no cache policy is needed.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
+from .norms import cached_attribute
 from .space import WeightedSpace, integrate
 
 __all__ = ["DiffOperators", "Field", "gradient_kink_mask", "operators_for"]
 
 
-def _axis_matrix(n: int, h: float, periodic: bool) -> sp.csr_matrix:
-    """Second-order first-derivative matrix along one axis."""
-    main = np.zeros(n)
-    upper = np.full(n - 1, 1.0 / (2 * h))
-    lower = np.full(n - 1, -1.0 / (2 * h))
-    D = sp.diags([lower, main, upper], [-1, 0, 1], format="lil")
-    if periodic:
-        D[0, n - 1] = -1.0 / (2 * h)
-        D[n - 1, 0] = 1.0 / (2 * h)
+def _axis_stencil(n: int, h: float, periodic: bool) -> tuple:
+    """Second-order first derivative along one axis as (cols, coef), two
+    (n, 3) arrays: row i of D is sum_s coef[i, s] x[cols[i, s]] over its
+    terms, cols >= 0, in ascending column.  Rows 1 .. n-2 are central,
+    -c x[i-1] + c x[i+1]; the end rows are one-sided (no-flux) or wrap."""
+    lo, hi = -1.0 / (2 * h), 1.0 / (2 * h)  # lo == -hi exactly
+    i = np.arange(n)
+    cols = np.stack([i - 1, i + 1, np.full(n, -1)], axis=1)
+    coef = np.zeros((n, 3))
+    coef[:, 0], coef[:, 1] = lo, hi
+    if periodic:  # an end row's wrapped neighbour comes second in column order
+        cols[0, :2], coef[0, :2] = (1, n - 1), (hi, lo)
+        cols[-1, :2], coef[-1, :2] = (0, n - 2), (hi, lo)
     else:
-        D[0, :3] = [-3.0 / (2 * h), 4.0 / (2 * h), -1.0 / (2 * h)]
-        D[n - 1, n - 3:] = [1.0 / (2 * h), -4.0 / (2 * h), 3.0 / (2 * h)]
-    return sp.csr_matrix(D)
+        cols[0], coef[0] = (0, 1, 2), (-3.0 / (2 * h), 4.0 / (2 * h), -1.0 / (2 * h))
+        cols[-1] = (n - 3, n - 2, n - 1)
+        coef[-1] = (1.0 / (2 * h), -4.0 / (2 * h), 3.0 / (2 * h))
+    return cols, coef
+
+
+def _plan(stencil: tuple, axis: int) -> tuple:
+    """Index tuples that apply a stencil along ``axis`` of a grid array: the
+    slices of the central rows with their c, then each end row and its terms."""
+    cols, coef = stencil
+    n = len(cols)
+    at = lambda i: (slice(None),) * axis + (i,)  # noqa: E731
+    central = (at(slice(1, n - 1)), at(slice(0, n - 2)), at(slice(2, n)), float(coef[1, 1]))
+    return central, *((at(r), [(at(j), v) for j, v in zip(cols[r].tolist(), coef[r].tolist())
+                               if j >= 0]) for r in (0, n - 1))
+
+
+def _gather(plan: tuple, X: np.ndarray, out: np.ndarray) -> None:
+    """out = D X along the plan's axis.  A central row, (0.0 - c x[i-1]) +
+    c x[i+1], is c x[i+1] - c x[i-1] + 0.0 (which turns -0.0 into 0.0)."""
+    (rows, left, right, c), *ends = plan
+    P = c * X
+    run = out[rows]
+    np.subtract(P[right], P[left], out=run)
+    run += 0.0
+    for row, terms in ends:
+        acc = 0.0
+        for col, v in terms:
+            acc = acc + v * X[col]
+        out[row] = acc
+
+
+def _scatter(plan: tuple, Y: np.ndarray, out: np.ndarray) -> None:
+    """out += D^T Y along the plan's axis: row i of D adds D[i, j] y[i] to
+    out[j], row 0 first, then the central rows, then row n-1, so out[j]
+    gains its terms in ascending i (the central j - 1 before j + 1)."""
+    (rows, left, right, c), (first, first_terms), (last, last_terms) = plan
+    for col, v in first_terms:
+        out[col] += v * Y[first]
+    P = c * Y[rows]
+    out[right] += P
+    out[left] -= P
+    for col, v in last_terms:
+        out[col] += v * Y[last]
+
+
+def _axis_entries(stencil: tuple, shape: tuple, axis: int) -> tuple:
+    """(row, col, value) of the entries of D along ``axis`` on the flattened
+    grid, row by row and in column order within a row."""
+    cols, coef = stencil
+    grid = np.arange(int(np.prod(shape))).reshape(shape)
+    ahead = (-1,) + (1,) * (len(shape) - 1 - axis) + (3,)
+    reads = np.moveaxis(np.take(grid, np.maximum(cols, 0), axis=axis), axis + 1, -1)
+    keep = np.broadcast_to((cols >= 0).reshape(ahead), reads.shape)
+    rows = np.broadcast_to(grid[..., None], reads.shape)
+    return rows[keep], reads[keep], np.broadcast_to(coef.reshape(ahead), reads.shape)[keep]
 
 
 class LinearizedPattern(NamedTuple):
@@ -71,21 +136,23 @@ class LinearizedPattern(NamedTuple):
 
 
 def _linearized_pattern(D: list, inv_m: np.ndarray) -> LinearizedPattern:
-    """Pattern of sum_ab D_a^T diag(w_ab) D_b, and per term (a, b) the factors
-    of its products c * (w[k] * d) with the CSC ``entry`` each one reaches,
-    sorted by (entry, k): ``np.bincount`` adds each entry's products from 0.0
-    in ascending k, so it rounds exactly as the sparse products accumulate."""
+    """Pattern of sum_ab D_a^T diag(w_ab) D_b, from the (row, col, value)
+    entries of each D_a, and per term (a, b) the factors of its products
+    c * (w[k] * d) with the CSC ``entry`` each one reaches, sorted by
+    (entry, k): ``np.bincount`` adds each entry's products from 0.0 in
+    ascending k, so it rounds exactly as the sparse products accumulate."""
     n = len(inv_m)
     terms = []
     for a in range(len(D)):
         for b in range(len(D)):
-            A, B = D[a].tocoo(), D[b]  # products D_a[k, i] * w_k * D_b[k, j]
-            cnt = np.diff(B.indptr)[A.row]
-            pa = np.repeat(np.arange(A.nnz), cnt)
-            pb = np.arange(cnt.sum()) + np.repeat(B.indptr[A.row] - np.cumsum(cnt) + cnt, cnt)
-            k, key = A.row[pa], B.indices[pb].astype(np.int64) * n + A.col[pa]
+            (arow, acol, aval), (brow, bcol, bval) = D[a], D[b]
+            bptr = np.searchsorted(brow, np.arange(n + 1))  # products D_a[k, i] w_k D_b[k, j]
+            cnt = np.diff(bptr)[arow]
+            pa = np.repeat(np.arange(len(arow)), cnt)
+            pb = np.arange(cnt.sum()) + np.repeat(bptr[arow] - np.cumsum(cnt) + cnt, cnt)
+            k, key = arow[pa], bcol[pb].astype(np.int64) * n + acol[pa]
             order = np.lexsort((k, key))
-            terms.append((a, b, key[order], k[order], A.data[pa][order], B.data[pb][order]))
+            terms.append((a, b, key[order], k[order], aval[pa][order], bval[pb][order]))
     keys = np.unique(np.concatenate([t[2] for t in terms]))  # column-major
     indices = (keys % n).astype(np.int32)
     indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
@@ -104,40 +171,53 @@ class Field:
         self.ops = ops
         self.f = np.asarray(f, dtype=float)
 
-    @cached_property
+    def derived(self, transform) -> Field:
+        """The record of the array ``transform(self)``, built once per
+        transform function and shared by its readers while this one lives."""
+        memo = self.__dict__.setdefault("_derived", {})
+        if transform not in memo:
+            memo[transform] = self.ops.field(transform(self))
+        return memo[transform]
+
+    @cached_attribute
     def Df(self) -> np.ndarray:
         return self.ops.differential(self.f)
 
-    @cached_property
+    @cached_attribute
     def dual_sq(self) -> np.ndarray:
         """F*(Df)^2 = F^2(grad f)."""
         return self.ops.space.norm.dual_sq_values(self.Df)
 
-    @cached_property
+    @cached_attribute
     def legendre(self) -> np.ndarray:
         """L*(Df), also at degenerate nodes."""
         return self.ops.space.norm.legendre_map(self.Df)
 
-    @cached_property
+    @cached_attribute
     def degenerate(self) -> np.ndarray:
-        """F*(Df) < EPS_GRAD, read off the Legendre map as F*(Df)^2 = Df . L*(Df)."""
-        return np.einsum("mi,mi->m", self.Df, self.legendre) < self.ops.EPS_GRAD ** 2
+        """F*(Df) <= EPS_GRAD max F*(Df), read off the Legendre map as
+        F*(Df)^2 = Df . L*(Df) (so every node where Df vanishes everywhere);
+        every node of a constant f, whose one-sided rows leave rounding in Df."""
+        fd2 = np.einsum("mi,mi->m", self.Df, self.legendre)
+        if self.f.min() == self.f.max():
+            return np.ones(len(fd2), dtype=bool)
+        return fd2 <= self.ops.EPS_GRAD ** 2 * fd2.max()
 
-    @cached_property
+    @cached_attribute
     def grad(self) -> np.ndarray:
         """The Finsler gradient: L*(Df), zeroed where degenerate."""
         return np.where(self.degenerate[:, None], 0.0, self.legendre)
 
-    @cached_property
+    @cached_attribute
     def lap(self) -> np.ndarray:
         return self.ops.divergence(self.grad)
 
-    @cached_property
+    @cached_attribute
     def dlap_grad(self) -> np.ndarray:
         """D[Lap f](grad f)."""
         return np.einsum("mi,mi->m", self.ops.differential(self.lap), self.grad)
 
-    @cached_property
+    @cached_attribute
     def Ginv(self) -> np.ndarray:
         """Inverse metric tensors at grad f: the dual metric at Df, and at the
         covector of the first axis direction where degenerate."""
@@ -145,17 +225,17 @@ class Field:
         at = np.where(self.degenerate[:, None], norm.covectors(np.eye(norm.dim)[:1]), self.Df)
         return norm.dual_norm.metric_tensors(at)
 
-    @cached_property
+    @cached_attribute
     def g2(self) -> np.ndarray:
         """Gamma2(f) = Lin-Laplacian_{grad f}[F^2(grad f)/2] - D[Lap f](grad f)."""
         return self.ops.linearized_laplacian(self, 0.5 * self.dual_sq) - self.dlap_grad
 
-    @cached_property
+    @cached_attribute
     def kink(self) -> np.ndarray:
         """True away from gradient zeros; see ``gradient_kink_mask``."""
         return gradient_kink_mask(self.ops, self)
 
-    @cached_property
+    @cached_attribute
     def pointwise(self) -> np.ndarray:
         """Nodes of pointwise statements: interior nodes away from gradient
         zeros, or the whole interior if no such node is left."""
@@ -171,27 +251,20 @@ class DiffOperators:
     #: penalization, and one further differential spreads it one node in
     BOUNDARY_WIDTH = 4
 
-    #: degeneracy threshold on F*(Df): below it the gradient is set to zero
-    #: and linearized operators fall back to the metric tensor at the first
-    #: axis direction (the metric is undefined on the zero section and some
-    #: fixed regularization has to be chosen)
+    #: degeneracy threshold on F*(Df), relative to its maximum over the
+    #: field: below it the gradient is set to zero and linearized operators
+    #: fall back to the metric tensor at the first axis direction (the
+    #: metric is undefined on the zero section and some fixed
+    #: regularization has to be chosen)
     EPS_GRAD = 1e-10
 
     def __init__(self, space: WeightedSpace):
         self.space = space
         shape = space.shape
         periodic = space.domain.periodic
-        self._D = []
-        for a in range(space.dim):
-            D1 = _axis_matrix(shape[a], space.h[a], periodic)
-            if space.dim == 1:
-                D = D1
-            elif a == 0:
-                D = sp.kron(D1, sp.identity(shape[1]), format="csr")
-            else:
-                D = sp.kron(sp.identity(shape[0]), D1, format="csr")
-            self._D.append(sp.csr_matrix(D))
-        self._DT = [sp.csr_matrix(D.T) for D in self._D]
+        self._stencils = [_axis_stencil(n, h, periodic) for n, h in zip(shape, space.h)]
+        self._D = [_plan(st, a) for a, st in enumerate(self._stencils)]
+        self._minus_m = -space.cell_mass
         interior = np.ones(shape, dtype=bool)
         if not periodic:
             w = self.BOUNDARY_WIDTH
@@ -210,16 +283,26 @@ class DiffOperators:
     # first-order operators
 
     def differential(self, f: np.ndarray) -> np.ndarray:
-        f = np.asarray(f, dtype=float)
-        return np.stack([D @ f for D in self._D], axis=1)
+        shape, dim = self.space.shape, self.space.dim
+        X = np.asarray(f, dtype=float).reshape(shape)
+        out = np.empty(shape + (dim,))
+        for a in range(dim):
+            _gather(self._D[a], X, out[..., a])
+        return out.reshape(-1, dim)
 
     def divergence(self, V: np.ndarray) -> np.ndarray:
+        """-(1/m) sum_a D_a^T (m V_a), bit for bit as ``out -= D_a^T @ (m V_a)``
+        from ``out = 0`` over a in order.  For a = 0 that is D_0^T of -m V_0
+        added from 0.0, since negation commutes with rounding."""
+        shape = self.space.shape
         V = np.asarray(V, dtype=float)
-        m = self.space.cell_mass
-        out = np.zeros(self.space.n_nodes)
-        for a in range(self.space.dim):
-            out -= self._DT[a] @ (m * V[:, a])
-        return out / m
+        out = np.zeros(shape)
+        _scatter(self._D[0], (self._minus_m * V[:, 0]).reshape(shape), out)
+        for a in range(1, self.space.dim):
+            term = np.zeros(shape)
+            _scatter(self._D[a], (self.space.cell_mass * V[:, a]).reshape(shape), term)
+            out -= term
+        return out.reshape(-1) / self.space.cell_mass
 
     def laplacian(self, f: np.ndarray | Field) -> np.ndarray:
         return self.field(f).lap
@@ -232,18 +315,21 @@ class DiffOperators:
         return self.divergence(np.einsum("mij,mj->mi", self.field(f).Ginv,
                                          self.differential(u)))
 
-    @cached_property
+    @cached_attribute
     def linearized_pattern(self) -> LinearizedPattern:
         """CSC pattern of ``linearized_laplacian_matrix``, built on first use."""
-        return _linearized_pattern(self._D, 1.0 / self.space.cell_mass)
+        entries = [_axis_entries(st, self.space.shape, a) for a, st in enumerate(self._stencils)]
+        return _linearized_pattern(entries, 1.0 / self.space.cell_mass)
 
-    def linearized_laplacian_matrix(self, f: np.ndarray | Field) -> sp.csc_matrix:
+    def linearized_laplacian_matrix(self, f: np.ndarray | Field) -> "scipy.sparse.csc_matrix":
         """Sparse matrix of u -> linearized_laplacian(f, u); the Newton
         Jacobian of the nonlinear Laplacian away from degenerate nodes.
         CSC on the shared ``linearized_pattern`` with fresh ``data``, filled by
         one ``np.bincount`` per term (a, b) and equal bit for bit to
         sum_ab -(1/m) D_a^T diag(m Ginv_ab) D_b as sparse products, except
         that entries which cancel are stored as zeros."""
+        import scipy.sparse  # only the Newton solve needs a sparse matrix
+
         Ginv = self.field(f).Ginv
         m = self.space.cell_mass
         pat = self.linearized_pattern
@@ -251,7 +337,7 @@ class DiffOperators:
         for a, b, entry, k, c, d in pat.terms:
             w = m * Ginv[:, a, b]
             data += pat.inv_m * -np.bincount(entry, c * (w[k] * d), len(data))
-        return sp.csc_matrix((data, pat.indices, pat.indptr), shape=(len(m), len(m)))
+        return scipy.sparse.csc_matrix((data, pat.indices, pat.indptr), shape=(len(m), len(m)))
 
     # ------------------------------------------------------------------
     # identity residuals for exponential fields
@@ -339,7 +425,9 @@ def gradient_kink_mask(ops: DiffOperators, f: np.ndarray | Field) -> np.ndarray:
     fd = np.sqrt(f.dual_sq)
     curv = 0.0
     for a in range(ops.space.dim):
-        curv = max(curv, float(np.max(np.abs(ops._D[a] @ f.Df[:, a]))))
+        DDf = np.empty(ops.space.shape)
+        _gather(ops._D[a], f.Df[:, a].reshape(ops.space.shape), DDf)
+        curv = max(curv, float(np.max(np.abs(DDf))))
     thresh = 4.0 * max(ops.space.h) * curv
     excluded = (fd < thresh).reshape(ops.space.shape)
     periodic = ops.space.domain.periodic

@@ -8,7 +8,9 @@ whose optimality system v - u = tau * Lap(v) is solved by a damped Newton
 iteration, refreshing the linearized Laplacian at the current iterate.  Its
 Jacobian I - tau L is filled in place on the operator bundle's fixed CSC
 pattern (``DiffOperators.linearized_pattern``), built once per bundle, by
-one ``np.bincount`` per term of the linearized Laplacian.  The
+one ``np.bincount`` per term of the linearized Laplacian, and solved by
+``spla.spsolve``.  ``spla`` (scipy.sparse.linalg) is bound on its first
+read, so only a command that takes a Newton step loads it.  The
 scheme is unconditionally stable and decreases the energy at every step; the
 exact minimizer conserves mass because the discrete Laplacian integrates to
 zero, so the solver projects out the (residual-sized) mean of its inner
@@ -31,11 +33,11 @@ separately.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 # gradient_kink_mask is re-exported: perfbench/tracer.py wraps the name here
 from .calculus import DiffOperators, gradient_kink_mask  # noqa: F401
@@ -49,6 +51,18 @@ __all__ = ["FlowParams", "FlowState", "FlowSolverError", "DissipationReport",
 RATE_SENTINEL = math.inf
 
 MIN_RATE_SAMPLES = 10  # fewest recorded samples that decay_rates fits
+
+
+def __getattr__(name: str):
+    """Bind ``spla`` (scipy.sparse.linalg) on its first read: only the Newton
+    solve needs it.  ``step`` reads it from the module on every solve, so a
+    wrapper set on ``heatflow.spla`` sees each call."""
+    if name != "spla":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import scipy.sparse.linalg
+
+    globals()["spla"] = scipy.sparse.linalg
+    return scipy.sparse.linalg
 
 
 class FlowSolverError(RuntimeError):
@@ -110,7 +124,7 @@ def step(ops: DiffOperators, u: np.ndarray, tau: float,
         if not J.data.all():  # SuperLU's ordering sees stored zeros: prune a copy
             J = J.copy()
             J.eliminate_zeros()
-        dv = spla.spsolve(J, -res)
+        dv = sys.modules[__name__].spla.spsolve(J, -res)
         s = 1.0
         while True:
             trial = ops.field(v.f + s * dv)

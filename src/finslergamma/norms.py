@@ -35,7 +35,6 @@ any number of threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +54,22 @@ RANDERS_MAX_DRIFT = 0.99
 # Post-hoc tolerance on the Legendre identities F(L*(a)) = F*(a) and
 # a(L*(a)) = F*(a)^2, relative.
 LEGENDRE_TOL = 1e-10
+
+
+class cached_attribute:
+    """``functools.cached_property`` as of Python 3.12: the first read stores
+    the value in the instance ``__dict__``, which later reads find first.
+    Unlike 3.11's, it takes no lock; two threads racing on a first read may
+    both compute the value."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class LegendreError(RuntimeError):
@@ -143,7 +158,7 @@ class AsymNorm1D(MinkowskiNorm):
     def reverse(self) -> "AsymNorm1D":
         return AsymNorm1D(self.beta, self.alpha)
 
-    @cached_property
+    @cached_attribute
     def dual_norm(self) -> "AsymNorm1D":
         return AsymNorm1D(1.0 / self.alpha, 1.0 / self.beta)
 
@@ -214,7 +229,7 @@ class RandersNorm(MinkowskiNorm):
     def dim(self) -> int:
         return self.A.shape[0]
 
-    @cached_property
+    @cached_attribute
     def dual_norm(self) -> "RandersNorm":
         z = self._Ainv @ self.b
         lam = 1.0 - float(self.b @ z)

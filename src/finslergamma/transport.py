@@ -24,15 +24,16 @@ Two solvers:
   1e-12 max(1, max C) (shielding, Schmitzer 2016; LP duality as in
   Peyre-Cuturi 2019).
 
-``scipy.optimize`` is imported inside ``lp_transport_cost``: only the LP
-path needs it, and importing it with the package made every command start
-about 0.3 s slower (1D non-periodic transport never reaches the LP).
+scipy (``scipy.sparse`` for the constraint matrix, ``scipy.optimize`` for
+``linprog``) is imported inside ``lp_transport_cost``: only the LP path
+needs it, and 1D non-periodic transport never reaches it.  Importing
+``scipy.optimize`` with the package made every command start about 0.3 s
+slower.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .space import WeightedSpace
 
@@ -108,6 +109,7 @@ def lp_transport_cost(cost_matrix: np.ndarray, mu, nu) -> float:
     the solve itself); it is never below it, since the active plan is a
     plan of the full LP.
     """
+    import scipy.sparse as sp
     from scipy.optimize import linprog
 
     C = np.asarray(cost_matrix, dtype=float)

@@ -3,8 +3,9 @@ import pytest
 
 from finslergamma import (Domain, DiffOperators, EuclideanNorm, RandersNorm,
                           build_space, integrate, operators_for)
+from finslergamma.space import MIN_RESOLUTION
 
-from conftest import (asym21, euclid, gauss_interval, oblique_randers,
+from conftest import (asym21, csr_derivatives, euclid, gauss_interval, oblique_randers,
                       summed_products_matrix, uniform_circle)
 
 
@@ -42,6 +43,40 @@ def test_differential_trig_convergence():
     assert np.log2(errs[0] / errs[1]) > 1.9
 
 
+def _bits(x):
+    return np.ascontiguousarray(x).tobytes()
+
+
+_LOWEST = (MIN_RESOLUTION, MIN_RESOLUTION)
+
+
+@pytest.mark.parametrize("domain", [
+    Domain("interval", (6.0,), (256,)), Domain("interval", (2.0,), _LOWEST[:1]),
+    Domain("circle", (1.0,), (96,)), Domain("circle", (1.0,), _LOWEST[:1]),
+    Domain("box", (1.0, 2.0), (16, 12)), Domain("box", (1.0, 2.0), _LOWEST),
+    Domain("torus", (1.0, 2.0), (12, 15)), Domain("torus", (1.0, 1.0), _LOWEST),
+], ids=lambda d: f"{d.geometry}-{'x'.join(map(str, d.resolution))}")
+def test_stencil_operators_equal_the_csr_products_bit_for_bit(domain):
+    sp = build_space(domain, euclid(domain.dim), "0.3*x" if domain.dim == 1 else "0.1*x*y")
+    ops = DiffOperators(sp)
+    D, DT = csr_derivatives(sp)
+    rng = np.random.default_rng(0)
+    f = rng.standard_normal(sp.n_nodes)
+    V = rng.standard_normal((sp.n_nodes, sp.dim))
+    # a row whose products are all -0.0 sums to 0.0 from 0.0, not to -0.0
+    f[::4], f[2::4], V[::4], V[2::4] = 0.0, -0.0, 0.0, -0.0
+    for x in (f, -f, np.exp(f)):
+        Dx = ops.differential(x)
+        for a in range(sp.dim):
+            assert _bits(Dx[:, a]) == _bits(D[a] @ x)
+    m = sp.cell_mass
+    for W in (V, -V):
+        div = np.zeros(sp.n_nodes)
+        for a in range(sp.dim):
+            div -= DT[a] @ (m * W[:, a])
+        assert _bits(ops.divergence(W)) == _bits(div / m)
+
+
 def test_gradient_closed_forms():
     sp = gauss_interval(asym21(), res=128)
     ops = operators_for(sp)
@@ -49,11 +84,28 @@ def test_gradient_closed_forms():
     assert np.allclose(ops.field(x).grad[:, 0], 0.25, atol=1e-10)
     assert np.allclose(ops.field(-x).grad[:, 0], -1.0, atol=1e-10)
     assert np.all(ops.field(np.ones(128)).grad == 0.0)
+    for c in (0.3, -7.1e5, 1e-12):  # their one-sided rows give Df at rounding level
+        assert np.all(ops.field(np.full(128, c)).grad == 0.0)
+    # a field whose central differences all vanish has no direction anywhere
+    circle = operators_for(uniform_circle(asym21(), res=64))
+    assert circle.field(np.resize([1.0, -1.0], 64)).degenerate.all()
 
     spe = gauss_interval(euclid(), res=128)
     opse = operators_for(spe)
     f = np.sin(spe.coords[:, 0])
     assert np.allclose(opse.field(f).grad, opse.differential(f))
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1.0, 1e6])
+def test_gradient_threshold_is_relative_to_the_field(scale):
+    # the degenerate nodes of s f are those of f: a small datum keeps its gradient
+    sp = gauss_interval(asym21(), res=128)
+    ops = operators_for(sp)
+    f = np.maximum(sp.coords[:, 0], 0.0) ** 2  # flat on x < 0
+    base, scaled = ops.field(f), ops.field(scale * f)
+    assert np.array_equal(scaled.degenerate, base.degenerate)
+    assert base.degenerate.any() and not base.degenerate.all()
+    assert np.allclose(scaled.grad, scale * base.grad, rtol=1e-12, atol=0.0)
 
 
 def test_divergence_is_exact_negative_adjoint():

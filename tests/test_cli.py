@@ -587,6 +587,9 @@ def _flow_outcome(text):
 
 
 @pytest.mark.parametrize("doc, u0, scale", [
+    # before, these exited 3: an absolute gradient threshold zeroed the gradient
+    (SHIPPED_FLOW, "1e-9*(1 + 0.2*x)", 1e-9),
+    (SHIPPED_FLOW, "1e-6*(1 + 0.2*x)", 1e-6),
     (SHIPPED_FLOW, "1e-5*(1 + 0.2*x)", 1e-5),
     (SHIPPED_FLOW, "0.25*(1 + 0.2*x)", 0.25),
     (SHIPPED_FLOW, "3*(1 + 0.2*x)", 3.0),
@@ -597,8 +600,8 @@ def _flow_outcome(text):
     (SHIPPED_FLOW, "1 + 0.2*x + 1e7", None),
     (SHIPPED_FLOW, "1 + 0.2*x + 1e10", None),
     (RANDERS_FLOW, "3*(1 + 0.2*x)", 3.0),
-], ids=["1e-5*u0", "0.25*u0", "3*u0", "1e6*u0", "u0+10", "u0+1e4", "u0+1e7", "u0+1e10",
-        "randers-3*u0"])
+], ids=["1e-9*u0", "1e-6*u0", "1e-5*u0", "0.25*u0", "3*u0", "1e6*u0", "u0+10", "u0+1e4",
+        "u0+1e7", "u0+1e10", "randers-3*u0"])
 def test_flow_verdicts_are_invariant_under_rescaling_and_shifts(doc, u0, scale):
     # the flow is 1-homogeneous and blind to added constants, so the verdicts
     # are too, and a rescaling leaves both rates unchanged

@@ -3,6 +3,7 @@ import pytest
 
 from finslergamma import (AsymNorm1D, DiffOperators, Domain, EuclideanNorm, LegendreError,
                           MinkowskiNorm, RandersNorm, build_space, uniform_smoothness)
+from finslergamma.norms import cached_attribute
 
 RANDERS = RandersNorm(np.eye(2), (0.5, 0.0))
 # non-diagonal A and an oblique drift, |b|_{A^-1} ~ 0.92
@@ -418,3 +419,20 @@ def test_field_Ginv_is_the_inverse_metric_at_the_legendre_map(norm):
     at = np.where(field.degenerate[:, None], np.eye(norm.dim)[0], field.legendre)
     oracle = np.linalg.inv(norm.metric_tensors(at))
     assert np.allclose(field.Ginv, oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
+
+
+def test_cached_attribute_computes_once_into_the_instance_dict():
+    calls = []
+
+    class Holder:
+        @cached_attribute
+        def value(self):
+            """The doc."""
+            calls.append(self)
+            return [len(calls)]
+
+    a, b = Holder(), Holder()
+    assert a.value is a.value and a.__dict__["value"] is a.value
+    assert b.value == [2] and a.value == [1] and len(calls) == 2
+    assert isinstance(Holder.value, cached_attribute) and Holder.value.__doc__ == "The doc."
+    assert ASYM.dual_norm is ASYM.dual_norm

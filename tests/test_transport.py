@@ -223,12 +223,40 @@ def test_lp_on_the_randers_box_equals_dense_row_lp():
     assert lp_transport_cost(C, wx, wy) == _lp_by_dense_rows(C, wx, wy)
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # a fresh interpreter: this one has imported scipy.optimize already
+_SCIPY_AFTER = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import finslergamma.cli
+code = finslergamma.cli.main(sys.argv[2:]) if sys.argv[2:] else 0
+print("scipy:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+sys.exit(code)
+"""
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # fresh interpreters, since this one has imported scipy already: the
+    # Newton solve loads scipy.sparse.linalg and only the LP loads
+    # scipy.optimize, so the 1D commands without a flow load no scipy
     src = os.path.dirname(os.path.dirname(finslergamma.__file__))
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import finslergamma.cli; "
-            "sys.exit('scipy.optimize' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code, src]).returncode == 0
+    root = os.path.dirname(src)
+
+    def scipy_after(command="", config=""):
+        argv = [*command.split(), "--config", os.path.join(root, config),
+                "--out", str(tmp_path)] if command else []
+        run = subprocess.run([sys.executable, "-c", _SCIPY_AFTER, src, *argv],
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        return set(run.stdout.splitlines()[-1].split()[1:])
+
+    assert scipy_after() == set()
+    for config in ("configs/gaussian_asym1d.json", "configs/gaussian_asym1d_finite_n.json"):
+        assert scipy_after("space describe", config) == set()
+        assert scipy_after("ineq check", config) == set()
+    # the dissipation identity takes five implicit steps of the flow
+    for command, config in (("identities run", "configs/circle_identities.json"),
+                            ("flow run", "configs/gaussian_asym1d.json")):
+        loaded = scipy_after(command, config)
+        assert "scipy.sparse.linalg" in loaded and "scipy.optimize" not in loaded
 
 
 def test_coarsen_measure_preserves_mass_and_centroid():
