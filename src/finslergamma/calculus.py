@@ -11,12 +11,13 @@ i.e. ``div V = -(1/m) * D^T (m V)`` axis by axis.  Every integration-by-parts
 manipulation used downstream therefore holds to machine precision on the
 grid, including mass conservation of the Laplacian.
 
-Each axis has one table of the rows of D along it, at most 3 (column,
-coefficient) terms per row.  D gathers each row's terms along that axis of
-the grid array, D^T scatters them; each sum starts from 0.0 and runs in
-the column order of a CSR row, so both are bit for bit the sparse products
-(the oracle in ``tests/conftest.py``).  The table also gives the pattern of
-the Newton Jacobian, the one sparse matrix here and the one scipy import.
+Each axis has one table of the entries of D along it on the flattened grid,
+(row, col, coef) sorted by row and then by column.  D sums each row's terms
+with one ``np.bincount`` over rows, D^T each column's with one over columns;
+``np.bincount`` adds a bin's terms from 0.0 in input order, which is the
+order of a CSR row, so both are bit for bit the sparse products (the oracle
+in ``tests/conftest.py``).  The same table gives the pattern of the Newton
+Jacobian, the one sparse matrix here and the one scipy import.
 
 On top of D and div sit the Finsler gradient (Legendre transform of the
 differential), the nonlinear Laplacian, the linearized operators at a
@@ -74,49 +75,9 @@ def _axis_stencil(n: int, h: float, periodic: bool) -> tuple:
     return cols, coef
 
 
-def _plan(stencil: tuple, axis: int) -> tuple:
-    """Index tuples that apply a stencil along ``axis`` of a grid array: the
-    slices of the central rows with their c, then each end row and its terms."""
-    cols, coef = stencil
-    n = len(cols)
-    at = lambda i: (slice(None),) * axis + (i,)  # noqa: E731
-    central = (at(slice(1, n - 1)), at(slice(0, n - 2)), at(slice(2, n)), float(coef[1, 1]))
-    return central, *((at(r), [(at(j), v) for j, v in zip(cols[r].tolist(), coef[r].tolist())
-                               if j >= 0]) for r in (0, n - 1))
-
-
-def _gather(plan: tuple, X: np.ndarray, out: np.ndarray) -> None:
-    """out = D X along the plan's axis.  A central row, (0.0 - c x[i-1]) +
-    c x[i+1], is c x[i+1] - c x[i-1] + 0.0 (which turns -0.0 into 0.0)."""
-    (rows, left, right, c), *ends = plan
-    P = c * X
-    run = out[rows]
-    np.subtract(P[right], P[left], out=run)
-    run += 0.0
-    for row, terms in ends:
-        acc = 0.0
-        for col, v in terms:
-            acc = acc + v * X[col]
-        out[row] = acc
-
-
-def _scatter(plan: tuple, Y: np.ndarray, out: np.ndarray) -> None:
-    """out += D^T Y along the plan's axis: row i of D adds D[i, j] y[i] to
-    out[j], row 0 first, then the central rows, then row n-1, so out[j]
-    gains its terms in ascending i (the central j - 1 before j + 1)."""
-    (rows, left, right, c), (first, first_terms), (last, last_terms) = plan
-    for col, v in first_terms:
-        out[col] += v * Y[first]
-    P = c * Y[rows]
-    out[right] += P
-    out[left] -= P
-    for col, v in last_terms:
-        out[col] += v * Y[last]
-
-
 def _axis_entries(stencil: tuple, shape: tuple, axis: int) -> tuple:
-    """(row, col, value) of the entries of D along ``axis`` on the flattened
-    grid, row by row and in column order within a row."""
+    """(row, col, coef) of the entries of D along ``axis`` on the flattened
+    grid, sorted by row and then by column."""
     cols, coef = stencil
     grid = np.arange(int(np.prod(shape))).reshape(shape)
     ahead = (-1,) + (1,) * (len(shape) - 1 - axis) + (3,)
@@ -124,6 +85,12 @@ def _axis_entries(stencil: tuple, shape: tuple, axis: int) -> tuple:
     keep = np.broadcast_to((cols >= 0).reshape(ahead), reads.shape)
     rows = np.broadcast_to(grid[..., None], reads.shape)
     return rows[keep], reads[keep], np.broadcast_to(coef.reshape(ahead), reads.shape)[keep]
+
+
+def _apply(table: tuple, x: np.ndarray) -> np.ndarray:
+    """D x along one axis, each row summed from 0.0 in column order."""
+    rows, cols, coef = table
+    return np.bincount(rows, coef * x[cols], len(x))
 
 
 class LinearizedPattern(NamedTuple):
@@ -221,9 +188,8 @@ class Field:
     def Ginv(self) -> np.ndarray:
         """Inverse metric tensors at grad f: the dual metric at Df, and at the
         covector of the first axis direction where degenerate."""
-        norm = self.ops.space.norm
-        at = np.where(self.degenerate[:, None], norm.covectors(np.eye(norm.dim)[:1]), self.Df)
-        return norm.dual_norm.metric_tensors(at)
+        at = np.where(self.degenerate[:, None], self.ops.fallback_covector, self.Df)
+        return self.ops.space.norm.dual_norm.metric_tensors(at)
 
     @cached_attribute
     def g2(self) -> np.ndarray:
@@ -262,9 +228,9 @@ class DiffOperators:
         self.space = space
         shape = space.shape
         periodic = space.domain.periodic
-        self._stencils = [_axis_stencil(n, h, periodic) for n, h in zip(shape, space.h)]
-        self._D = [_plan(st, a) for a, st in enumerate(self._stencils)]
-        self._minus_m = -space.cell_mass
+        #: the entry table of D along each axis; see ``_axis_entries``
+        self._D = [_axis_entries(_axis_stencil(n, h, periodic), shape, a)
+                   for a, (n, h) in enumerate(zip(shape, space.h))]
         interior = np.ones(shape, dtype=bool)
         if not periodic:
             w = self.BOUNDARY_WIDTH
@@ -275,6 +241,13 @@ class DiffOperators:
                     interior[tuple(edges)] = False
         self.interior = interior.reshape(-1)
 
+    @cached_attribute
+    def fallback_covector(self) -> np.ndarray:
+        """The covector of the first axis direction, (1, dim): ``Field.Ginv``
+        takes the dual metric there at degenerate nodes."""
+        norm = self.space.norm
+        return norm.covectors(np.eye(norm.dim)[:1])
+
     def field(self, f: np.ndarray | Field) -> Field:
         """The record of f on this bundle; a record is returned unchanged."""
         return f if isinstance(f, Field) else Field(self, f)
@@ -283,26 +256,22 @@ class DiffOperators:
     # first-order operators
 
     def differential(self, f: np.ndarray) -> np.ndarray:
-        shape, dim = self.space.shape, self.space.dim
-        X = np.asarray(f, dtype=float).reshape(shape)
-        out = np.empty(shape + (dim,))
-        for a in range(dim):
-            _gather(self._D[a], X, out[..., a])
-        return out.reshape(-1, dim)
+        f = np.asarray(f, dtype=float).reshape(-1)
+        out = np.empty((len(f), len(self._D)))
+        for a, table in enumerate(self._D):
+            out[:, a] = _apply(table, f)
+        return out
 
     def divergence(self, V: np.ndarray) -> np.ndarray:
         """-(1/m) sum_a D_a^T (m V_a), bit for bit as ``out -= D_a^T @ (m V_a)``
-        from ``out = 0`` over a in order.  For a = 0 that is D_0^T of -m V_0
-        added from 0.0, since negation commutes with rounding."""
-        shape = self.space.shape
+        from ``out = 0`` over a in order: a column of D gains its terms in
+        ascending row, the order of a CSR row of D_a^T."""
+        m = self.space.cell_mass
         V = np.asarray(V, dtype=float)
-        out = np.zeros(shape)
-        _scatter(self._D[0], (self._minus_m * V[:, 0]).reshape(shape), out)
-        for a in range(1, self.space.dim):
-            term = np.zeros(shape)
-            _scatter(self._D[a], (self.space.cell_mass * V[:, a]).reshape(shape), term)
-            out -= term
-        return out.reshape(-1) / self.space.cell_mass
+        out = np.zeros(len(m))
+        for a, (rows, cols, coef) in enumerate(self._D):
+            out -= np.bincount(cols, coef * (m * V[:, a])[rows], len(m))
+        return out / m
 
     def laplacian(self, f: np.ndarray | Field) -> np.ndarray:
         return self.field(f).lap
@@ -318,8 +287,7 @@ class DiffOperators:
     @cached_attribute
     def linearized_pattern(self) -> LinearizedPattern:
         """CSC pattern of ``linearized_laplacian_matrix``, built on first use."""
-        entries = [_axis_entries(st, self.space.shape, a) for a, st in enumerate(self._stencils)]
-        return _linearized_pattern(entries, 1.0 / self.space.cell_mass)
+        return _linearized_pattern(self._D, 1.0 / self.space.cell_mass)
 
     def linearized_laplacian_matrix(self, f: np.ndarray | Field) -> "scipy.sparse.csc_matrix":
         """Sparse matrix of u -> linearized_laplacian(f, u); the Newton
@@ -424,10 +392,8 @@ def gradient_kink_mask(ops: DiffOperators, f: np.ndarray | Field) -> np.ndarray:
     f = ops.field(f)
     fd = np.sqrt(f.dual_sq)
     curv = 0.0
-    for a in range(ops.space.dim):
-        DDf = np.empty(ops.space.shape)
-        _gather(ops._D[a], f.Df[:, a].reshape(ops.space.shape), DDf)
-        curv = max(curv, float(np.max(np.abs(DDf))))
+    for a, table in enumerate(ops._D):
+        curv = max(curv, float(np.max(np.abs(_apply(table, f.Df[:, a])))))
     thresh = 4.0 * max(ops.space.h) * curv
     excluded = (fd < thresh).reshape(ops.space.shape)
     periodic = ops.space.domain.periodic

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -329,6 +330,7 @@ def _flag_type(parse, valid, expected: str):
     return convert
 
 
+@functools.cache  # one parser per process; parsing does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fg", description="flat weighted Minkowski space verification toolkit")

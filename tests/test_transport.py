@@ -236,7 +236,7 @@ sys.exit(code)
 def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     # fresh interpreters, since this one has imported scipy already: the
     # Newton solve loads scipy.sparse.linalg and only the LP loads
-    # scipy.optimize, so the 1D commands without a flow load no scipy
+    # scipy.optimize, so the commands without a flow or an LP load no scipy
     src = os.path.dirname(os.path.dirname(finslergamma.__file__))
     root = os.path.dirname(src)
 
@@ -249,9 +249,13 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
         return set(run.stdout.splitlines()[-1].split()[1:])
 
     assert scipy_after() == set()
-    for config in ("configs/gaussian_asym1d.json", "configs/gaussian_asym1d_finite_n.json"):
-        assert scipy_after("space describe", config) == set()
-        assert scipy_after("ineq check", config) == set()
+    no_scipy = [(command, config)
+                for config in ("configs/gaussian_asym1d.json", "configs/gaussian_asym1d_finite_n.json")
+                for command in ("space describe", "ineq check")]
+    # a 2D bundle's tables and 2D effective_K
+    no_scipy.append(("space describe", "perfbench/configs/randers_box2d.json"))
+    for command, config in no_scipy:
+        assert scipy_after(command, config) == set(), (command, config)
     # the dissipation identity takes five implicit steps of the flow
     for command, config in (("identities run", "configs/circle_identities.json"),
                             ("flow run", "configs/gaussian_asym1d.json")):
