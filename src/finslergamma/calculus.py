@@ -35,16 +35,18 @@ Everything derived from one scalar field f lives on its record, the
 its degenerate nodes (F*(Df) below ``EPS_GRAD`` times its maximum, so a
 rescaled f has the same ones), grad f, Lap f, the inverse metrics at grad f,
 Gamma2(f) and the nodes of pointwise statements, each computed once on first
-use; ``Field.derived`` holds the records of functions made from f.
-Every consumer (the Laplacian, the Newton Jacobian, the identities, the flow
-observables, the checkers) reads a record, so a caller that holds one never
-evaluates the Legendre map twice.  Records are not memoized on the bundle:
-a record lives exactly as long as its caller holds it, so a flow of many
-steps cannot grow memory, and no cache policy is needed.
+use.  Every consumer (the Laplacian, the Newton Jacobian, the identities, the
+flow observables, the checkers) reads a record, so a caller that holds one
+never evaluates the Legendre map twice.  A record lives exactly as long as
+its caller holds it, and so does a bundle: ``operators_for`` shares one only
+while a caller or a record holds it, and no space points back to it.  So a
+flow of many steps cannot grow memory, no cycle waits for the collector, and
+no cache policy is needed; threads that race build two equal bundles.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -137,14 +139,6 @@ class Field:
     def __init__(self, ops: DiffOperators, f: np.ndarray):
         self.ops = ops
         self.f = np.asarray(f, dtype=float)
-
-    def derived(self, transform) -> Field:
-        """The record of the array ``transform(self)``, built once per
-        transform function and shared by its readers while this one lives."""
-        memo = self.__dict__.setdefault("_derived", {})
-        if transform not in memo:
-            memo[transform] = self.ops.field(transform(self))
-        return memo[transform]
 
     @cached_attribute
     def Df(self) -> np.ndarray:
@@ -367,13 +361,15 @@ class DiffOperators:
         return np.einsum("mi,mi->m", self.differential(h.dual_sq), h.grad)
 
 
+_BUNDLES = weakref.WeakValueDictionary()  # id(space) -> a held bundle, which holds it
+
+
 def operators_for(space: WeightedSpace) -> DiffOperators:
-    """Default operator bundle for a space, built once and memoized."""
-    cached = getattr(space, "_default_operators", None)
-    if cached is None:
-        cached = DiffOperators(space)
-        space._default_operators = cached  # idempotent memo, write-once
-    return cached
+    """The bundle of ``space`` that something holds, else a new one."""
+    ops = _BUNDLES.get(id(space))
+    if ops is None:
+        ops = _BUNDLES[id(space)] = DiffOperators(space)
+    return ops
 
 
 #: nodes by which the excluded band of ``gradient_kink_mask`` is widened

@@ -145,6 +145,7 @@ def cmd_flow_run(config: ExperimentConfig, out_dir: str, args) -> int:
     if config.flow is None:
         raise ConfigError("config key 'flow': required for `fg flow run`")
     space = config.build_space()
+    ops = operators_for(space)  # held first, so effective_K shares it
     K = _curvature_table(config, space)
     bounded = {N: k for N, k in K.items() if k > 0}
     if not bounded:
@@ -154,7 +155,7 @@ def cmd_flow_run(config: ExperimentConfig, out_dir: str, args) -> int:
         u0 = space.field_from_expression(config.flow.u0)
     except ValueError as exc:
         raise ConfigError(f"config key 'flow.u0': {exc}") from exc
-    states = evolve(operators_for(space), u0, config.flow.params)
+    states = evolve(ops, u0, config.flow.params)
 
     lines = ["t,energy,variance,entropy,fisher"]
     for s in states:
@@ -191,12 +192,12 @@ def cmd_ineq_check(config: ExperimentConfig, out_dir: str, args) -> int:
     if not config.n_values:
         raise ConfigError("config key 'n_values': required for `fg ineq check`")
     space = config.build_space()
+    ops = operators_for(space)  # held first, so effective_K shares it
     K = _curvature_table(config, space, args.override_k)
     chosen = config.checkers or CHECKER_IDS
     if not any(runs_at(c, N, K[N]) for c in chosen for N in config.n_values):
         raise ConfigError("config key 'checkers': none of them runs at any N in "
                           "'n_values' with the K there (most need K > 0)")
-    ops = operators_for(space)
     if "bochner_pointwise" in chosen and not ops.interior.any():
         raise ConfigError("config key 'space.domain.resolution': the pointwise Bochner "
                           f"check needs more than {2 * DiffOperators.BOUNDARY_WIDTH} "
@@ -261,20 +262,21 @@ def cmd_identities(config: ExperimentConfig, out_dir: str, args) -> int:
     n = config.domain.resolution[0]
     resolutions = [n, 2 * n]  # the convergence order is log2 of the residual ratio
     double = Domain(config.domain.geometry, config.domain.lengths, (2 * n,))
-    spaces = [config.build_space(), dataclasses.replace(config, domain=double).build_space()]
+    bundles = [operators_for(c.build_space())  # held to the end: the n grid's K shares it
+               for c in (config, dataclasses.replace(config, domain=double))]
     results = []
     L = config.domain.lengths[0]
-    for space in spaces:
-        ops = operators_for(space)
-        h = 0.3 * np.sin(2 * np.pi * space.coords[:, 0] / L)
+    for ops in bundles:
+        x = 2 * np.pi * ops.space.coords[:, 0] / L
+        h = ops.field(0.3 * np.sin(x))
         entry = {}
         for a in IDENTITY_A_VALUES:
             entry[f"exp_chain(a={a:g})"] = ops.identity_exp_chain(h, a)
             entry[f"exp_gamma2(a={a:g})"] = ops.identity_exp_gamma2(h, a)
             entry[f"exp_bochner_integrals(a={a:g})"] = \
                 ops.identity_exp_bochner_integrals(h, a)
-        tau = 0.05 * space.h[0] ** 2
-        u0 = 1.0 + 0.1 * np.sin(2 * np.pi * space.coords[:, 0] / L)
+        tau = 0.05 * ops.space.h[0] ** 2
+        u0 = 1.0 + 0.1 * np.sin(x)
         params = FlowParams(tau=tau, t_end=5 * tau, tol=1e-13, stride=1)
         states = evolve(ops, u0, params)
         entry["dissipation"] = check_dEdt_identity(ops, states[-2:]).residual
@@ -295,8 +297,9 @@ def cmd_identities(config: ExperimentConfig, out_dir: str, args) -> int:
         table.append({"name": name, "residuals": [r1, r2], "order": order, "pass": passed})
         all_pass = all_pass and passed
 
+    base = bundles[0].space
     doc = {"config": config.raw, "resolutions": resolutions,
-           "space": _space_summary(spaces[0], _curvature_table(config, spaces[0])),
+           "space": _space_summary(base, _curvature_table(config, base)),
            "identities": table}
     path = _write(out_dir, "identities.json", render_json(doc) + "\n")
     for row in table:

@@ -21,8 +21,9 @@ of its own quotient, (1/2)||f||_2^2 Ent_m(f^2/||f||_2^2) (Bakry-Gentil-Ledoux,
 
 Every checker that bounds by the gradient energy reads it as
 int F^2(grad f) dm = ``integrate(space, rec.dual_sq)`` on the record ``rec``
-of its function (``calculus.Field``).  Checkers of a test function f (not of
-a density or measure made from it) take f as an array or as its record.
+of its function (``calculus.Field``).  Checkers of a test function f take f
+as an array or as its record; those of a density or measure take an array,
+and build any record they read for that call alone.
 
 ``make_test_bank`` draws the reproducible function bank quantifying "for all
 f" in the sweeps, and ``run_checker_matrix`` drives the (checker x N x bank)
@@ -230,18 +231,16 @@ def estimate_poincare_constant(space: WeightedSpace) -> float:
 # ----------------------------------------------------------------------
 # entropy-type checks
 
-def check_logsobolev(space: WeightedSpace, f: np.ndarray | Field, N: float,
+def check_logsobolev(space: WeightedSpace, f: np.ndarray, N: float,
                      K: float) -> CheckReport:
     """Ent_m(f m) <= (N-1)/(2 K N) * int_{f>0} F^2(grad f)/f dm for a
     nonnegative density f (auto-normalized to unit mass, with a flag), for
-    N in [n, inf]; N = inf is the classical limit with coefficient 1/(2K).
-    A record of f is read as it is when f > 0 already has unit mass."""
+    N in [n, inf]; N = inf is the classical limit with coefficient 1/(2K)."""
     _admit("logsobolev", N, K, space.dim)
-    rec = operators_for(space).field(f)
-    low = np.min(rec.f)
-    if low < -1e-12:
+    f = np.asarray(f, dtype=float)
+    if np.min(f) < -1e-12:
         raise ValueError("logsobolev needs a nonnegative function")
-    f = np.clip(rec.f, 0.0, None)
+    f = np.clip(f, 0.0, None)
     meta = {}
     total = integrate(space, f)
     if abs(total - 1.0) > 1e-8:
@@ -249,30 +248,23 @@ def check_logsobolev(space: WeightedSpace, f: np.ndarray | Field, N: float,
             raise ValueError("logsobolev: function has zero mass")
         f = f / total
         meta["normalized"] = True
-    if meta or not low > 0:  # clipped or rescaled: a record of its own
-        rec = operators_for(space).field(f)
-    fisher = fisher_information(space, f, rec.dual_sq)
+    fisher = fisher_information(space, f, operators_for(space).field(f).dual_sq)
     lhs = entropy_of_density(space, f)
     rhs = 0.5 * lichnerowicz_coeff(N, K) * fisher
     return _report("logsobolev", N, K, lhs, rhs, fisher=fisher, **meta)
 
 
-def _log(u: Field) -> np.ndarray:
-    return np.log(u.f)
-
-
-def check_gamma2_integral(space: WeightedSpace, u: np.ndarray | Field, N: float,
+def check_gamma2_integral(space: WeightedSpace, u: np.ndarray, N: float,
                           K: float) -> CheckReport:
     """int u F^2(grad log u) dm <= (N-1)/(K N) * int u Gamma2(log u) dm
-    for u bounded away from zero; a record of u keeps the record of log u."""
+    for u bounded away from zero."""
     _admit("gamma2_integral", N, K, space.dim)
-    u = operators_for(space).field(u)
-    if np.min(u.f) <= 0:
+    u = np.asarray(u, dtype=float)
+    if np.min(u) <= 0:
         raise ValueError("gamma2_integral needs inf u > 0")
-    coeff = lichnerowicz_coeff(N, K)
-    log_u = u.derived(_log)
-    lhs = integrate(space, u.f * log_u.dual_sq)
-    rhs = coeff * integrate(space, u.f * log_u.g2)
+    log_u = operators_for(space).field(np.log(u))
+    lhs = integrate(space, u * log_u.dual_sq)
+    rhs = lichnerowicz_coeff(N, K) * integrate(space, u * log_u.g2)
     return _report("gamma2_integral", N, K, lhs, rhs)
 
 
@@ -574,11 +566,10 @@ _N_RANGES = {
 }
 
 # checker id -> (the N range where the checker is defined, whether it needs
-# K > 0, the reports for the record g of one bank member).  A function made
-# from g is read through ``g.derived``, so its record is built once per
-# member.  ``_admit`` holds each checker to its row and the matrix runs it
-# there.  Each adapter looks its checker up by module-level name at call
-# time, so a wrapper set on the module is seen.
+# K > 0, the reports for the record g of one bank member).  A density made
+# from g is passed as an array.  ``_admit`` holds each checker to its row and
+# the matrix runs it there.  Each adapter looks its checker up by
+# module-level name at call time, so a wrapper set on the module is seen.
 _MATRIX = {
     "integrated_bochner": ("all", False, lambda s, g, N, K: [
         check_integrated_bochner(s, g, N, K)]),
@@ -586,9 +577,9 @@ _MATRIX = {
         check_bochner_pointwise(s, g, N, K)]),
     "poincare": ("all", True, lambda s, g, N, K: [check_poincare(s, g, N, K)]),
     "logsobolev": ("N > 0", True, lambda s, g, N, K: [
-        check_logsobolev(s, g.derived(_positive_density), N, K)]),
+        check_logsobolev(s, _positive_density(g), N, K)]),
     "gamma2_integral": ("N > 0", True, lambda s, g, N, K: [
-        check_gamma2_integral(s, g.derived(_shifted), N, K)]),
+        check_gamma2_integral(s, _shifted(g), N, K)]),
     "talagrand": ("finite N > 0", True, lambda s, g, N, K: [
         check_talagrand(s, _measure_from_member(s, g.f), N, K)]),
     "entropy_energy": ("finite N > 0", True, lambda s, g, N, K: [

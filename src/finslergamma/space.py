@@ -13,8 +13,9 @@ shift.  A Psi whose range over the grid makes some m_i underflow to 0 is
 rejected: every node carries positive mass.
 
 Scalar fields are flat arrays of shape (M,); vector and covector fields are
-arrays of shape (M, dim), M the node count.  Spaces are immutable after
-construction and safe to share across threads.
+arrays of shape (M, dim), M the node count.  Grid, norm and measure never
+change; ``curvature`` stores Psi's derivatives and K reports on a space on
+first use (write-once, so threads may share it), never an operator bundle.
 """
 
 from __future__ import annotations
@@ -125,10 +126,10 @@ class WeightedSpace:
         return self.domain.dim
 
     def node_index(self, point: Sequence[float]) -> int:
-        """Index of the grid node nearest to ``point``."""
+        """Index of the grid node nearest to ``point``, over lattice translates."""
         p = np.atleast_1d(np.asarray(point, dtype=float))
-        d2 = np.sum((self.coords - p[None, :]) ** 2, axis=1)
-        return int(np.argmin(d2))
+        delta = (self.coords - p)[:, None, :] + self.translates()[None, :, :]
+        return int(np.argmin(np.min(np.sum(delta ** 2, axis=2), axis=1)))
 
     def field_from_expression(self, expr: str) -> np.ndarray:
         """Evaluate a closed-form expression of x (and y in 2D) at the nodes."""

@@ -1,8 +1,13 @@
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
 
 from finslergamma import (Domain, DiffOperators, EuclideanNorm, RandersNorm,
-                          build_space, integrate, operators_for)
+                          build_space, check_gamma2_integral, effective_K, integrate,
+                          operators_for)
 from finslergamma.space import MIN_RESOLUTION
 
 from conftest import (asym21, csr_derivatives, euclid, gauss_interval, oblique_randers,
@@ -355,3 +360,27 @@ def test_identities_converge_on_2d_torus(make_norm):
                           ops.identity_exp_bochner_integrals(h, 0.5)))
     for r_coarse, r_fine in zip(*residuals):
         assert np.log2(r_coarse / r_fine) > 1.8
+
+
+def test_a_bundle_is_shared_while_held_and_goes_with_its_holders():
+    # with the cyclic collector off, only reference counts free a space
+    gc.disable()
+    try:
+        sp = build_space(Domain("box", (2.0, 2.0), (12, 12)), oblique_randers(),
+                         "(x**2 + y**2)/2")
+        ops = operators_for(sp)
+        f = ops.field(sp.coords[:, 0] * sp.coords[:, 1])
+        assert f.g2.shape == (sp.n_nodes,) and f.kink.any()
+        assert effective_K(sp, math.inf).K_eff > 0
+        check_gamma2_integral(sp, 1.5 + f.f, math.inf, 1.0)
+        assert operators_for(sp) is ops
+        space_ref, ops_ref = weakref.ref(sp), weakref.ref(ops)
+        del ops  # the record still holds the bundle, so it is still shared
+        assert operators_for(sp) is f.ops
+        del f  # a space holds no bundle: the last holder's goes with it
+        assert ops_ref() is None
+        assert operators_for(sp).space is sp  # a new bundle, dropped at once
+        del sp
+        assert space_ref() is None
+    finally:
+        gc.enable()

@@ -1,13 +1,17 @@
 import functools
+import gc
 import json
 import os
 import tempfile
+import weakref
 
+import numpy as np
 import pytest
 
-from finslergamma import heatflow, inequalities
+from finslergamma import calculus, heatflow, inequalities
 from finslergamma.cli import main
 from finslergamma.config import parse_config
+from finslergamma.space import WeightedSpace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -156,6 +160,44 @@ def test_identity_suite_runs_on_a_whole_float_resolution(tmp_path):
     cfg = write_config(tmp_path, doc)
     assert main(["identities", "run", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "identities.json").read_text())["resolutions"] == [64, 128]
+
+
+def test_identity_suite_builds_one_record_of_h_per_grid(tmp_path, monkeypatch):
+    built = []
+    init = calculus.Field.__init__
+
+    def counting(self, ops, f):
+        built.append(np.asarray(f))
+        init(self, ops, f)
+
+    monkeypatch.setattr(calculus.Field, "__init__", counting)
+    cfg = write_config(tmp_path, CIRCLE)
+    assert main(["identities", "run", "--config", cfg, "--out", str(tmp_path)]) == 0
+    for n in (64, 128):
+        h = 0.3 * np.sin(2 * np.pi * ((1.0 / n) * np.arange(n)) / 1.0)  # L = 1, as cli does
+        assert sum(f.shape == h.shape and np.array_equal(f, h) for f in built) == 1
+
+
+@pytest.mark.parametrize("command", [["space", "describe"], ["ineq", "check"],
+                                     ["flow", "run"]])
+def test_no_space_outlives_its_command(tmp_path, monkeypatch, command):
+    # a space and its operator bundle form no cycle, so reference counts
+    # free them when the command returns, with the cyclic collector off
+    spaces = []
+    init = WeightedSpace.__init__
+
+    def tracking(self, *args):
+        spaces.append(weakref.ref(self))
+        init(self, *args)
+
+    monkeypatch.setattr(WeightedSpace, "__init__", tracking)
+    cfg = os.path.join(ROOT, "perfbench", "configs", "randers_box2d.json")
+    gc.disable()
+    try:
+        assert main(command + ["--config", cfg, "--out", str(tmp_path)]) in (0, 1)
+        assert spaces and all(ref() is None for ref in spaces)
+    finally:
+        gc.enable()
 
 
 def test_identities_requires_periodic(tmp_path):

@@ -349,25 +349,6 @@ def test_run_checker_matrix_builds_one_record_per_member(monkeypatch):
         assert sum(f is g for f in built) == 1
 
 
-def test_run_checker_matrix_builds_each_derived_record_once_per_member(monkeypatch):
-    # the log-Sobolev density and the Gamma2 record of log(1 + 0.45 g) are
-    # built once per member, not once per N
-    sp = gauss_interval(asym21(), res=64)
-    bank = make_test_bank(sp, seed=0, size=3)
-    made = []
-    for name in ("_positive_density", "_shifted", "_log"):
-        def counting(g, _name=name, _fn=getattr(inequalities, name)):
-            made.append(_name)
-            return _fn(g)
-        monkeypatch.setattr(inequalities, name, counting)
-    reports = run_checker_matrix(sp, [3.0, 8.0, INF], bank=bank, override_K=1.0,
-                                 checkers=["logsobolev", "gamma2_integral"])
-    assert len(reports) == 2 * 3 * len(bank)
-    # _positive_density calls the module's _shifted once itself
-    assert sorted(made) == sorted(["_positive_density", "_shifted", "_shifted", "_log"]
-                                  * len(bank))
-
-
 def test_exponent_table():
     t = sobolev_exponent_table(4.0)
     assert t.p_basic_max == pytest.approx(2.5)
