@@ -17,7 +17,9 @@ with one ``np.bincount`` over rows, D^T each column's with one over columns;
 ``np.bincount`` adds a bin's terms from 0.0 in input order, which is the
 order of a CSR row, so both are bit for bit the sparse products (the oracle
 in ``tests/conftest.py``).  The same table gives the pattern of the Newton
-Jacobian, the one sparse matrix here and the one scipy import.
+Jacobian, the one sparse matrix here, and SuperLU's column order of that
+pattern, built with it once per bundle: the one place here that imports
+scipy.
 
 On top of D and div sit the Finsler gradient (Legendre transform of the
 differential), the nonlinear Laplacian, the linearized operators at a
@@ -96,12 +98,18 @@ def _apply(table: tuple, x: np.ndarray) -> np.ndarray:
 
 
 class LinearizedPattern(NamedTuple):
-    """CSC pattern of the linearized Laplacian; see ``_linearized_pattern``."""
+    """CSC pattern of the linearized Laplacian and its column order; see
+    ``_linearized_pattern``.  Every matrix and solve on the bundle shares
+    the arrays, so each is read-only and in-place pruning fails loudly."""
     indices: np.ndarray
     indptr: np.ndarray
     diagonal: np.ndarray  # positions of the (i, i) entries in ``data``
     inv_m: np.ndarray  # 1/m at each entry's row
     terms: list
+    order: np.ndarray  # SuperLU's COLAMD column order q: column j of J[:, q] is q[j]
+    take: np.ndarray  # J[:, q].data == J.data[take]
+    order_indices: np.ndarray  # indices and indptr of J[:, q]
+    order_indptr: np.ndarray
 
 
 def _linearized_pattern(D: list, inv_m: np.ndarray) -> LinearizedPattern:
@@ -109,7 +117,10 @@ def _linearized_pattern(D: list, inv_m: np.ndarray) -> LinearizedPattern:
     entries of each D_a, and per term (a, b) the factors of its products
     c * (w[k] * d) with the CSC ``entry`` each one reaches, sorted by
     (entry, k): ``np.bincount`` adds each entry's products from 0.0 in
-    ascending k, so it rounds exactly as the sparse products accumulate."""
+    ascending k, so it rounds exactly as the sparse products accumulate.
+    With it come SuperLU's column order q of the pattern (``_column_order``)
+    and, for any J on it, the CSC arrays of J[:, q]: ``data`` is
+    ``J.data[take]``, the structure ``order_indices`` and ``order_indptr``."""
     n = len(inv_m)
     terms = []
     for a in range(len(D)):
@@ -125,11 +136,37 @@ def _linearized_pattern(D: list, inv_m: np.ndarray) -> LinearizedPattern:
     keys = np.unique(np.concatenate([t[2] for t in terms]))  # column-major
     indices = (keys % n).astype(np.int32)
     indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
-    # shared by every matrix built on it: in-place pruning must fail loudly
-    indices.flags.writeable = indptr.flags.writeable = False
     terms = [(a, b, np.searchsorted(keys, key), *rest) for a, b, key, *rest in terms]
-    return LinearizedPattern(indices, indptr, np.flatnonzero(indices == keys // n),
-                             inv_m[indices], terms)
+    diagonal = np.flatnonzero(indices == keys // n)
+    q = _column_order(indices, indptr, diagonal)
+    counts = np.diff(indptr)[q]
+    order_indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    take = np.arange(len(indices)) + np.repeat(indptr[q] - order_indptr[:-1], counts)
+    pattern = LinearizedPattern(indices, indptr, diagonal, inv_m[indices], terms,
+                                q, take, indices[take], order_indptr)
+    for array in pattern:
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return pattern
+
+
+def _column_order(indices: np.ndarray, indptr: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """The column order q in which SuperLU factors a matrix of this pattern
+    under ``permc_spec="COLAMD"``: the COLAMD order, then the postorder of
+    the column elimination tree, both read off the structure alone, stored
+    zeros included.  So solving J[:, q] y = b with ``permc_spec="NATURAL"``
+    and setting x[q] = y is bit for bit ``spsolve(J, b)``, without ordering
+    again.  The values factored here are a stand-in, nonsingular on any
+    such pattern: -1 off the diagonal and (column count + 1) on it, so
+    every column is strictly diagonally dominant."""
+    import scipy.sparse
+    from scipy.sparse.linalg import splu
+
+    n = len(indptr) - 1
+    data = np.full(len(indices), -1.0)
+    data[diagonal] = np.diff(indptr) + 1.0
+    stand_in = scipy.sparse.csc_matrix((data, indices, indptr), shape=(n, n))
+    return np.argsort(splu(stand_in, permc_spec="COLAMD").perm_c)
 
 
 class Field:

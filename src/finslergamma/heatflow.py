@@ -8,8 +8,13 @@ whose optimality system v - u = tau * Lap(v) is solved by a damped Newton
 iteration, refreshing the linearized Laplacian at the current iterate.  Its
 Jacobian I - tau L is filled in place on the operator bundle's fixed CSC
 pattern (``DiffOperators.linearized_pattern``), built once per bundle, by
-one ``np.bincount`` per term of the linearized Laplacian, and solved by
-``spla.spsolve``.  ``spla`` (scipy.sparse.linalg) is bound on its first
+one ``np.bincount`` per term of the linearized Laplacian, and solved by one
+``spla.spsolve`` per Newton iteration.  The pattern also holds SuperLU's
+COLAMD column order of that structure, so each solve is handed J with its
+columns already in that order and ``permc_spec="NATURAL"``: bit for bit
+the default solve, without ordering the same structure again.  The order
+is read off the pattern alone, so J is solved as filled: an exact zero in
+it changes no bit.  ``spla`` (scipy.sparse.linalg) is bound on its first
 read, so only a command that takes a Newton step loads it.  The
 scheme is unconditionally stable and decreases the energy at every step; the
 exact minimizer conserves mass because the discrete Laplacian integrates to
@@ -40,7 +45,7 @@ from typing import List
 import numpy as np
 
 # gradient_kink_mask is re-exported: perfbench/tracer.py wraps the name here
-from .calculus import DiffOperators, gradient_kink_mask  # noqa: F401
+from .calculus import DiffOperators, LinearizedPattern, gradient_kink_mask  # noqa: F401
 from .space import entropy_of_density, fisher_information, integrate, variance
 
 __all__ = ["FlowParams", "FlowState", "FlowSolverError", "DissipationReport",
@@ -103,6 +108,16 @@ def _l2m_norm(space, r: np.ndarray) -> float:
     return float(np.sqrt(integrate(space, r * r)))
 
 
+def _solve_in_order(pattern: LinearizedPattern, J, b: np.ndarray) -> np.ndarray:
+    """x with J x = b, bit for bit ``spla.spsolve(J, b)``, from J[:, q] in
+    natural order, q the pattern's column order: SuperLU skips COLAMD."""
+    Jq = type(J)((J.data[pattern.take], pattern.order_indices, pattern.order_indptr),
+                 shape=J.shape)
+    x = np.empty_like(b)
+    x[pattern.order] = sys.modules[__name__].spla.spsolve(Jq, b, permc_spec="NATURAL")
+    return x
+
+
 def step(ops: DiffOperators, u: np.ndarray, tau: float,
          tol: float = 1e-10, max_iter: int = 50) -> np.ndarray:
     """One implicit (minimizing-movement) step of size tau."""
@@ -121,10 +136,7 @@ def step(ops: DiffOperators, u: np.ndarray, tau: float,
         J = ops.linearized_laplacian_matrix(v)  # fresh data, shared pattern
         J.data *= -tau
         J.data[ops.linearized_pattern.diagonal] += 1.0  # J = I - tau L
-        if not J.data.all():  # SuperLU's ordering sees stored zeros: prune a copy
-            J = J.copy()
-            J.eliminate_zeros()
-        dv = sys.modules[__name__].spla.spsolve(J, -res)
+        dv = _solve_in_order(ops.linearized_pattern, J, -res)
         s = 1.0
         while True:
             trial = ops.field(v.f + s * dv)

@@ -551,8 +551,9 @@ def _sobolev_p_grid(N: float) -> List[float]:
     return sorted({p for p in (1.0, 1.5, 2.0, p_max) if p <= p_max + 1e-12})
 
 
-def _measure_from_member(space: WeightedSpace, g: np.ndarray) -> np.ndarray:
-    mu = (1.0 + 0.45 * g) * space.cell_mass
+def _measure_from_member(g: Field) -> np.ndarray:
+    """``_shifted(g)`` times the cell masses, at unit total mass."""
+    mu = _shifted(g) * g.ops.space.cell_mass
     return mu / mu.sum()
 
 
@@ -581,7 +582,7 @@ _MATRIX = {
     "gamma2_integral": ("N > 0", True, lambda s, g, N, K: [
         check_gamma2_integral(s, _shifted(g), N, K)]),
     "talagrand": ("finite N > 0", True, lambda s, g, N, K: [
-        check_talagrand(s, _measure_from_member(s, g.f), N, K)]),
+        check_talagrand(s, _measure_from_member(g), N, K)]),
     "entropy_energy": ("finite N > 0", True, lambda s, g, N, K: [
         check_entropy_energy(s, g, N, K)]),
     "nash": ("finite N > 0", True, lambda s, g, N, K: [check_nash(s, g, N, K)]),

@@ -663,7 +663,8 @@ def test_shipped_flow_newton_solve_count(tmp_path, monkeypatch, config, solves):
     # a stopping rule that adds Newton solves to the shipped flows shows here
     calls = []
     spsolve = heatflow.spla.spsolve
-    monkeypatch.setattr(heatflow.spla, "spsolve", lambda *a: calls.append(1) or spsolve(*a))
+    monkeypatch.setattr(heatflow.spla, "spsolve",
+                        lambda *a, **kw: calls.append(1) or spsolve(*a, **kw))
     assert main(["flow", "run", "--config", os.path.join(ROOT, config),
                  "--out", str(tmp_path)]) == 0
     assert len(calls) == solves

@@ -1,4 +1,5 @@
 import math
+import os
 from collections import Counter
 
 import numpy as np
@@ -10,10 +11,13 @@ from finslergamma import (DiffOperators, Domain, FlowParams, FlowSolverError,
                           FlowState, build_space, check_dEdt_identity, decay_rates, evolve,
                           integrate, observables, operators_for, step)
 from finslergamma import calculus
-from finslergamma.heatflow import RATE_SENTINEL, _l2m_norm
+from finslergamma.config import load_config
+from finslergamma.heatflow import RATE_SENTINEL, _l2m_norm, _solve_in_order
 
 from conftest import (asym21, euclid, gauss_interval, oblique_randers,
                       summed_products_matrix, uniform_circle)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_constant_is_fixed_point():
@@ -254,8 +258,10 @@ def test_randers_2d_flow_smoke():
 
 
 def summed_products_step(ops, u, tau, tol=1e-10, max_iter=50):
-    """``step`` with J = I - tau L assembled as a sparse sum, L included."""
+    """``step`` with J = I - tau L assembled as a sparse sum, L included, and
+    solved in the bundle's column order q as J[:, q] y = b, x[q] = y."""
     space = ops.space
+    q = ops.linearized_pattern.order
     mass0 = integrate(space, u)
     v = u.copy()
     ident = sparse.identity(space.n_nodes, format="csr")
@@ -265,7 +271,8 @@ def summed_products_step(ops, u, tau, tol=1e-10, max_iter=50):
         if rnorm <= tol:
             break
         J = ident - tau * summed_products_matrix(ops, v)
-        dv = spla.spsolve(sparse.csc_matrix(J), -res)
+        dv = np.empty_like(res)
+        dv[q] = spla.spsolve(sparse.csc_matrix(J)[:, q], -res, permc_spec="NATURAL")
         s = 1.0
         while True:
             trial = v + s * dv
@@ -284,7 +291,8 @@ def summed_products_step(ops, u, tau, tol=1e-10, max_iter=50):
     (lambda: gauss_interval(asym21(), res=96), "1 + 0.3*sin(3*x)", 0.5),
     (lambda: build_space(Domain("box", (2.0, 2.0), (24, 24)), oblique_randers(),
                          "(x**2 + y**2)/2"), "1 + 0.2*x", 1e-3),
-    # the Jacobians' exact zeros change SuperLU's rounding here
+    # the Jacobians' exact zeros, which the products prune, change no bit
+    # in the bundle's column order
     (lambda: build_space(Domain("box", (2.0, 2.0), (24, 24)), oblique_randers(),
                          "(x**2 + y**2)/2"), "2 + x", 0.1),
     # which sign of the slope leaves exact zeros depends on how Ginv rounds
@@ -331,3 +339,75 @@ def test_step_builds_the_jacobian_pattern_once(monkeypatch):
     assert len(builds) == 1
     assert DiffOperators(sp).linearized_pattern is not pattern
     assert len(builds) == 2
+
+
+def _jacobian(ops, u, tau):
+    """J = I - tau L at u, as ``step`` builds it."""
+    J = ops.linearized_laplacian_matrix(u)
+    J.data *= -tau
+    J.data[ops.linearized_pattern.diagonal] += 1.0
+    return J
+
+
+def test_a_flow_orders_the_jacobian_once_per_bundle(monkeypatch):
+    # SuperLU runs COLAMD unless it is given permc_spec="NATURAL"
+    orderings = []
+
+    def counting(solver):
+        def counted(*args, **kwargs):
+            if kwargs.get("permc_spec") != "NATURAL":
+                orderings.append(solver.__name__)
+            return solver(*args, **kwargs)
+        return counted
+
+    for name in ("spsolve", "splu"):
+        monkeypatch.setattr(spla, name, counting(getattr(spla, name)))
+    sp = gauss_interval(asym21(), res=64)
+    u0 = 1.0 + 0.3 * np.sin(3 * sp.coords[:, 0])
+    evolve(DiffOperators(sp), u0, FlowParams(tau=1e-2, t_end=0.2))
+    assert orderings == ["splu"]
+    step(DiffOperators(sp), u0, 1e-2)  # a second bundle orders its own pattern
+    assert orderings == ["splu", "splu"]
+
+
+def _pruned(J):
+    P = J.copy()
+    P.eliminate_zeros()
+    return P
+
+
+@pytest.mark.parametrize("config", ["configs/gaussian_asym1d.json",
+                                    "perfbench/configs/randers_box2d.json"])
+def test_fixed_order_solve_is_per_call_colamd_bit_for_bit(config):
+    # the box's first Jacobian holds 4 stored zeros: both with and without
+    # them, a per-call COLAMD solve gives the fixed order's bits
+    cfg = load_config(os.path.join(ROOT, config))
+    ops = DiffOperators(cfg.build_space())
+    tau = cfg.flow.params.tau
+    u = ops.space.field_from_expression(cfg.flow.u0)
+    for _ in range(3):
+        J = _jacobian(ops, u, tau)
+        b = tau * ops.laplacian(u)
+        x = _solve_in_order(ops.linearized_pattern, J, b)
+        assert np.array_equal(x, spla.spsolve(J, b))
+        assert np.array_equal(x, spla.spsolve(_pruned(J), b))
+        u = step(ops, u, tau)
+
+
+def test_stored_zeros_change_no_bit_in_the_fixed_order():
+    sp = build_space(Domain("box", (2.0, 2.0), (24, 24)), oblique_randers(),
+                     "(x**2 + y**2)/2")
+    ops = DiffOperators(sp)
+    u = sp.field_from_expression("2 - x")
+    J = _jacobian(ops, u, 0.1)
+    assert np.count_nonzero(J.data == 0) == 6
+    pruned = _pruned(J)
+    b = 0.1 * ops.laplacian(u)
+    x = _solve_in_order(ops.linearized_pattern, J, b)
+    assert np.array_equal(x, spla.spsolve(J, b))
+    # COLAMD orders the pruned pattern otherwise, and so rounds otherwise
+    assert not np.array_equal(x, spla.spsolve(pruned, b))
+    q = ops.linearized_pattern.order
+    x_pruned = np.empty_like(b)
+    x_pruned[q] = spla.spsolve(pruned[:, q], b, permc_spec="NATURAL")
+    assert np.array_equal(x, x_pruned)

@@ -472,7 +472,7 @@ _CALLS = {
         s, inequalities._positive_density(operators_for(s).field(g)), N, K),
     "gamma2_integral": lambda s, g, N, K: check_gamma2_integral(s, 1.0 + 0.45 * g, N, K),
     "talagrand": lambda s, g, N, K: check_talagrand(
-        s, inequalities._measure_from_member(s, g), N, K),
+        s, inequalities._measure_from_member(operators_for(s).field(g)), N, K),
     "entropy_energy": lambda s, g, N, K: check_entropy_energy(s, g, N, K),
     "nash": lambda s, g, N, K: check_nash(s, g, N, K),
     "nonsharp_sobolev": lambda s, g, N, K: check_nonsharp_sobolev(s, g, N, K),
