@@ -18,8 +18,12 @@ with one ``np.bincount`` over rows, D^T each column's with one over columns;
 order of a CSR row, so both are bit for bit the sparse products (the oracle
 in ``tests/conftest.py``).  The same table gives the pattern of the Newton
 Jacobian, the one sparse matrix here, and SuperLU's column order of that
-pattern, built with it once per bundle: the one place here that imports
-scipy.
+pattern, built with it once per bundle; only ``_column_order`` and
+``linearized_laplacian_matrix`` import scipy.  It also gives both node
+bands of the pointwise statements, each grown over the entries of D by
+``_grow``: the boundary band from the one-sided rows, the only rows that
+read their own node, and the kink band from the gradient zeros.  So the
+stencils hold the only periodic/no-flux choice about neighbourhoods.
 
 On top of D and div sit the Finsler gradient (Legendre transform of the
 differential), the nonlinear Laplacian, the linearized operators at a
@@ -95,6 +99,15 @@ def _apply(table: tuple, x: np.ndarray) -> np.ndarray:
     """D x along one axis, each row summed from 0.0 in column order."""
     rows, cols, coef = table
     return np.bincount(rows, coef * x[cols], len(x))
+
+
+def _grow(D: list, mask: np.ndarray, steps: int) -> np.ndarray:
+    """``mask`` grown ``steps`` times over the entries of D: at each step a
+    node joins when its row of some D_a reads a marked node."""
+    for _ in range(steps):
+        reached = sum(np.bincount(rows, mask[cols], len(mask)) for rows, cols, _ in D)
+        mask = mask | (reached > 0)
+    return mask
 
 
 class LinearizedPattern(NamedTuple):
@@ -243,9 +256,12 @@ class Field:
 class DiffOperators:
     """Bundle of discrete operators over one WeightedSpace."""
 
-    #: nodes this close to a no-flux boundary are excluded from "interior";
-    #: the adjoint divergence makes boundary nodes carry the no-flux
-    #: penalization, and one further differential spreads it one node in
+    #: nodes this close to a no-flux boundary are excluded from "interior":
+    #: the one-sided rows grown BOUNDARY_WIDTH - 1 steps over D, so every
+    #: node fewer than BOUNDARY_WIDTH nodes from a face (none on periodic
+    #: domains); the adjoint divergence makes boundary nodes carry the
+    #: no-flux penalization, and one further differential spreads it one
+    #: node in
     BOUNDARY_WIDTH = 4
 
     #: degeneracy threshold on F*(Df), relative to its maximum over the
@@ -257,20 +273,13 @@ class DiffOperators:
 
     def __init__(self, space: WeightedSpace):
         self.space = space
-        shape = space.shape
-        periodic = space.domain.periodic
         #: the entry table of D along each axis; see ``_axis_entries``
-        self._D = [_axis_entries(_axis_stencil(n, h, periodic), shape, a)
-                   for a, (n, h) in enumerate(zip(shape, space.h))]
-        interior = np.ones(shape, dtype=bool)
-        if not periodic:
-            w = self.BOUNDARY_WIDTH
-            for a in range(space.dim):
-                for band in (slice(0, w), slice(-w, None)):
-                    edges = [slice(None)] * space.dim
-                    edges[a] = band
-                    interior[tuple(edges)] = False
-        self.interior = interior.reshape(-1)
+        self._D = [_axis_entries(_axis_stencil(n, h, space.domain.periodic), space.shape, a)
+                   for a, (n, h) in enumerate(zip(space.shape, space.h))]
+        # the one-sided rows are the only rows that read their own node
+        one_sided = sum(np.bincount(rows, rows == cols, space.n_nodes)
+                        for rows, cols, _ in self._D)
+        self.interior = ~_grow(self._D, one_sided > 0, self.BOUNDARY_WIDTH - 1)
 
     @cached_attribute
     def fallback_covector(self) -> np.ndarray:
@@ -420,7 +429,11 @@ def gradient_kink_mask(ops: DiffOperators, f: np.ndarray | Field) -> np.ndarray:
     non-smooth Legendre map carry O(1) stencil artifacts confined to a few
     nodes; callers that need pointwise (not integrated) statements exclude
     this region and report it separately.  The excluded band is where
-    F*(Df) dips below a second-difference scale, dilated KINK_DILATION nodes.
+    F*(Df) dips below a second-difference scale, grown KINK_DILATION steps
+    over the entries of D (``_grow``), so KINK_DILATION nodes along each
+    axis.  A no-flux end node joins one step early, since its one-sided row
+    also reads the node two steps in; every caller reads the mask only
+    together with ``ops.interior``, which excludes the end nodes.
     """
     f = ops.field(f)
     fd = np.sqrt(f.dual_sq)
@@ -428,19 +441,4 @@ def gradient_kink_mask(ops: DiffOperators, f: np.ndarray | Field) -> np.ndarray:
     for a, table in enumerate(ops._D):
         curv = max(curv, float(np.max(np.abs(_apply(table, f.Df[:, a])))))
     thresh = 4.0 * max(ops.space.h) * curv
-    excluded = (fd < thresh).reshape(ops.space.shape)
-    periodic = ops.space.domain.periodic
-    for _ in range(KINK_DILATION):
-        grown = excluded.copy()
-        for a in range(ops.space.dim):
-            if periodic:
-                grown |= np.roll(excluded, 1, axis=a) | np.roll(excluded, -1, axis=a)
-            else:
-                lo = [slice(None)] * ops.space.dim
-                hi = [slice(None)] * ops.space.dim
-                lo[a] = slice(1, None)
-                hi[a] = slice(0, -1)
-                grown[tuple(lo)] |= excluded[tuple(hi)]
-                grown[tuple(hi)] |= excluded[tuple(lo)]
-        excluded = grown
-    return ~excluded.reshape(-1)
+    return ~_grow(ops._D, fd < thresh, KINK_DILATION)

@@ -70,16 +70,15 @@ class CurvatureReport:
 
 def _weight_derivatives(space: WeightedSpace) -> tuple:
     """(D Psi, Hess Psi) at the nodes, memoized on the space."""
-    cached = getattr(space, "_weight_derivatives", None)
-    if cached is None:
+    memo = vars(space)
+    if "_weight_derivatives" not in memo:
         ops = operators_for(space)
         dpsi = ops.differential(space.psi)
         # hess[:, a, b] = D_a (D_b Psi)
         hess = np.stack([ops.differential(dpsi[:, b]) for b in range(space.dim)], axis=2)
         # axis operators commute (tensor-product grid); symmetrize anyway
-        cached = (dpsi, 0.5 * (hess + np.transpose(hess, (0, 2, 1))))
-        space._weight_derivatives = cached  # idempotent memo, write-once
-    return cached
+        memo["_weight_derivatives"] = (dpsi, 0.5 * (hess + np.transpose(hess, (0, 2, 1))))
+    return memo["_weight_derivatives"]
 
 
 def _ricci_values(space: WeightedSpace, v: np.ndarray, N: float,

@@ -521,8 +521,6 @@ def make_test_bank(space: WeightedSpace, seed: int = 0, size: int = 12) -> tuple
             a, b = rng.standard_normal(2) / m**2
             f = f + a * np.cos(2 * np.pi * m * x / Lx) + b * np.sin(2 * np.pi * m * x / Lx)
             if space.dim == 2:
-                y = space.coords[:, 1]
-                Ly = space.domain.lengths[1]
                 c, d = rng.standard_normal(2) / m**2
                 f = f + c * np.cos(2 * np.pi * m * y / Ly) + d * np.sin(2 * np.pi * m * y / Ly)
         g = _normalize_member(space, f)

@@ -59,6 +59,48 @@ def csr_derivatives(space):
     return D, [sparse.csr_matrix(Da.T) for Da in D]
 
 
+def sliced_interior(space, width):
+    """The oracle for ``DiffOperators.interior``: every node at least
+    ``width`` nodes from each no-flux face, cut out with slices."""
+    interior = np.ones(space.shape, dtype=bool)
+    if not space.domain.periodic:
+        w = width
+        for a in range(space.dim):
+            for band in (slice(0, w), slice(-w, None)):
+                edges = [slice(None)] * space.dim
+                edges[a] = band
+                interior[tuple(edges)] = False
+    return interior.reshape(-1)
+
+
+def rolled_kink_mask(ops, f, dilation):
+    """The oracle for ``gradient_kink_mask``: the band F*(Df) < thresh,
+    dilated ``dilation`` nodes along each axis by rolls (periodic) or by
+    shifted slices (no-flux)."""
+    f = ops.field(f)
+    fd = np.sqrt(f.dual_sq)
+    curv = 0.0
+    for a in range(ops.space.dim):
+        curv = max(curv, float(np.max(np.abs(ops.differential(f.Df[:, a])[:, a]))))
+    thresh = 4.0 * max(ops.space.h) * curv
+    excluded = (fd < thresh).reshape(ops.space.shape)
+    periodic = ops.space.domain.periodic
+    for _ in range(dilation):
+        grown = excluded.copy()
+        for a in range(ops.space.dim):
+            if periodic:
+                grown |= np.roll(excluded, 1, axis=a) | np.roll(excluded, -1, axis=a)
+            else:
+                lo = [slice(None)] * ops.space.dim
+                hi = [slice(None)] * ops.space.dim
+                lo[a] = slice(1, None)
+                hi[a] = slice(0, -1)
+                grown[tuple(lo)] |= excluded[tuple(hi)]
+                grown[tuple(hi)] |= excluded[tuple(lo)]
+        excluded = grown
+    return ~excluded.reshape(-1)
+
+
 def summed_products_matrix(ops, f):
     """linearized_laplacian_matrix as the sum over (a, b) of the sparse
     products -(1/m) D_a^T diag(m Ginv_ab) D_b, pruned of exact zeros."""

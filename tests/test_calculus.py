@@ -7,11 +7,13 @@ import pytest
 
 from finslergamma import (Domain, DiffOperators, EuclideanNorm, RandersNorm,
                           build_space, check_gamma2_integral, effective_K, integrate,
-                          operators_for)
+                          make_test_bank, operators_for)
+from finslergamma.calculus import KINK_DILATION
 from finslergamma.space import MIN_RESOLUTION
 
 from conftest import (asym21, csr_derivatives, euclid, gauss_interval, oblique_randers,
-                      summed_products_matrix, uniform_circle)
+                      rolled_kink_mask, sliced_interior, summed_products_matrix,
+                      uniform_circle)
 
 
 def max_interior(ops, values):
@@ -80,6 +82,46 @@ def test_stencil_operators_equal_the_csr_products_bit_for_bit(domain):
         for a in range(sp.dim):
             div -= DT[a] @ (m * W[:, a])
         assert _bits(ops.divergence(W)) == _bits(div / m)
+
+
+_BAND_GRIDS = [
+    Domain("interval", (2.0,), (8,)), Domain("interval", (2.0,), (9,)),
+    Domain("interval", (6.0,), (256,)), Domain("circle", (1.0,), (128,)),
+    Domain("box", (1.0, 1.0), (8, 8)), Domain("box", (1.0, 2.0), (12, 17)),
+    Domain("box", (2.0, 2.0), (32, 32)), Domain("torus", (1.0, 2.0), (12, 15)),
+]
+
+
+def _grid_id(domain):
+    return f"{domain.geometry}-{'x'.join(map(str, domain.resolution))}"
+
+
+def _band_space(domain):
+    if domain.dim == 1:
+        return build_space(domain, asym21(), "x**2/2")
+    return build_space(domain, oblique_randers(), "(x**2 + y**2)/2")
+
+
+@pytest.mark.parametrize("domain", _BAND_GRIDS, ids=_grid_id)
+def test_interior_is_the_sliced_boundary_band(domain):
+    sp = _band_space(domain)
+    ops = DiffOperators(sp)
+    assert np.array_equal(ops.interior, sliced_interior(sp, DiffOperators.BOUNDARY_WIDTH))
+
+
+@pytest.mark.parametrize("domain", _BAND_GRIDS, ids=_grid_id)
+def test_kink_mask_is_the_rolled_band_in_the_interior(domain):
+    sp = _band_space(domain)
+    ops = DiffOperators(sp)
+    faces = ~sliced_interior(sp, 1)  # the nodes of the one-sided rows
+    for seed in range(3):
+        for _, g in make_test_bank(sp, seed=seed):
+            for f in (g, -g, np.abs(g), g**2):
+                kink = ops.field(f).kink
+                rolled = rolled_kink_mask(ops, f, KINK_DILATION)
+                assert np.array_equal(kink & ops.interior, rolled & ops.interior)
+                # a one-sided row also reads the node two steps in
+                assert not np.any((kink != rolled) & ~faces)
 
 
 def test_gradient_closed_forms():
