@@ -102,13 +102,12 @@ def lichnerowicz_coeff(N: float, K: float) -> float:
 
 
 def _admit(checker: str, N: float, K: float, dim: int) -> None:
-    """Reject N and K outside the checker's ``_MATRIX`` row."""
-    n_range, needs_positive_K, _ = _MATRIX[checker]
-    if not (admissible_N(N, dim) and _N_RANGES[n_range](N)):
-        raise ValueError(f"{checker}: N = {N} is outside its range ({n_range}, "
-                         f"admissible on a {dim}D space)")
-    if needs_positive_K and not K > 0:
-        raise ValueError(f"{checker} needs a positive curvature constant, got K = {K}")
+    """Reject N inadmissible on the space, and N and K where the matrix would
+    not run the checker: outside its ``_MATRIX`` row."""
+    if not (admissible_N(N, dim) and runs_at(checker, N, K)):
+        raise ValueError(f"{checker}: N = {N}, K = {K} is outside its row (N range "
+                         f"{_MATRIX[checker][0]!r} admissible in {dim}D, K > 0 needed: "
+                         f"{_MATRIX[checker][1]})")
 
 
 def _sobolev_p_max(N: float) -> float:
@@ -475,7 +474,8 @@ def _normalize_member(space: WeightedSpace, f: np.ndarray) -> Optional[np.ndarra
 def make_test_bank(space: WeightedSpace, seed: int = 0, size: int = 12) -> tuple:
     """Reproducible bank of ``size`` smooth scalar fields, mean-zero and
     amplitude-normalized, as (label, field) pairs: the named fields of the
-    space's dimension first, then seeded random modes."""
+    space's dimension first, then seeded random modes, two normals per
+    (mode, axis) for its cosine and sine."""
     if size < 1:
         raise ValueError("bank size must be >= 1")
     x = space.coords[:, 0]
@@ -515,14 +515,11 @@ def make_test_bank(space: WeightedSpace, seed: int = 0, size: int = 12) -> tuple
             break
     k = 0
     while len(members) < size:
-        modes = np.arange(1, 5)
         f = np.zeros(space.n_nodes)
-        for m in modes:
-            a, b = rng.standard_normal(2) / m**2
-            f = f + a * np.cos(2 * np.pi * m * x / Lx) + b * np.sin(2 * np.pi * m * x / Lx)
-            if space.dim == 2:
-                c, d = rng.standard_normal(2) / m**2
-                f = f + c * np.cos(2 * np.pi * m * y / Ly) + d * np.sin(2 * np.pi * m * y / Ly)
+        for m in np.arange(1, 5):
+            for t, L in zip(space.coords.T, space.domain.lengths):
+                a, b = rng.standard_normal(2) / m**2
+                f = f + a * np.cos(2 * np.pi * m * t / L) + b * np.sin(2 * np.pi * m * t / L)
         g = _normalize_member(space, f)
         if g is not None:
             members.append((f"noise-{k}", g))

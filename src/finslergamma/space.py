@@ -6,11 +6,12 @@ the nodes.  The reference measure assigns each node the cell mass
 
     m_i = exp(-(Psi(x_i) - min Psi)) * w_i,   sum_i m_i = 1 after normalization,
 
-where w_i is the node's cell volume (trapezoid-style lumping: half cells at
-non-periodic boundary nodes) and the minimum is over the nodes.  Shifting
-Psi by a constant therefore leaves the space unchanged, at any size of the
-shift.  A Psi whose range over the grid makes some m_i underflow to 0 is
-rejected: every node carries positive mass.
+where the cell volume w_i is the product over the axes of the node's weight
+and spacing on that axis (``Domain.axis_grid``; trapezoid lumping: weight 1/2
+at the ends of a no-flux axis) and the minimum is over the nodes.  Shifting Psi
+by a constant therefore leaves the space unchanged, at any size of the shift.
+A Psi whose range over the grid makes some m_i underflow to 0 is rejected:
+every node carries positive mass.
 
 Scalar fields are flat arrays of shape (M,); vector and covector fields are
 arrays of shape (M, dim), M the node count.  Grid, norm and measure never
@@ -21,6 +22,7 @@ first use (write-once, so threads may share it), never an operator bundle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence, Union
 
 import numpy as np
@@ -32,7 +34,9 @@ __all__ = ["Domain", "WeightedSpace", "build_space", "integrate", "variance",
 
 MIN_RESOLUTION = 8
 
-_GEOMETRIES = {"interval": False, "circle": True, "box": False, "torus": True}
+# geometry -> (periodic, dim)
+_GEOMETRIES = {"interval": (False, 1), "circle": (True, 1), "box": (False, 2),
+               "torus": (True, 2)}
 
 # Namespace for Psi / initial-datum expressions evaluated on the grid.
 _EXPR_NAMES = {
@@ -47,7 +51,8 @@ class Domain:
     """Flat computational domain: geometry name, side lengths, nodes per axis.
 
     Geometries: ``interval`` / ``box`` are no-flux with vertex-centered nodes
-    on [-L/2, L/2]; ``circle`` / ``torus`` are periodic on [0, L).
+    on [-L/2, L/2]; ``circle`` / ``torus`` are periodic on [0, L).  The space
+    takes its nodes, h and cell volumes from each axis's ``axis_grid``.
     """
 
     geometry: str
@@ -59,7 +64,7 @@ class Domain:
             raise ValueError(f"unknown geometry {self.geometry!r}")
         lengths = tuple(float(L) for L in np.atleast_1d(self.lengths))
         resolution = tuple(int(r) for r in np.atleast_1d(self.resolution))
-        dim = 1 if self.geometry in ("interval", "circle") else 2
+        dim = _GEOMETRIES[self.geometry][1]
         if len(lengths) != dim or len(resolution) != dim:
             raise ValueError(f"{self.geometry} needs {dim} length(s) and resolution(s)")
         if any(L <= 0 for L in lengths):
@@ -75,17 +80,20 @@ class Domain:
 
     @property
     def periodic(self) -> bool:
-        return _GEOMETRIES[self.geometry]
+        return _GEOMETRIES[self.geometry][0]
 
-    def axis_coords(self, axis: int) -> np.ndarray:
+    def axis_grid(self, axis: int) -> tuple:
+        """(node coordinates, spacing h, cell weights) of one axis: from 0,
+        h = L/n and weights 1 if periodic; from -L/2, h = L/(n-1) and weights
+        1 but 1/2 at the two end nodes if no-flux."""
         L, n = self.lengths[axis], self.resolution[axis]
+        weights = np.ones(n)
         if self.periodic:
-            return (L / n) * np.arange(n)
-        return -L / 2 + (L / (n - 1)) * np.arange(n)
-
-    def axis_spacing(self, axis: int) -> float:
-        L, n = self.lengths[axis], self.resolution[axis]
-        return L / n if self.periodic else L / (n - 1)
+            h = L / n
+            return h * np.arange(n), h, weights
+        h = L / (n - 1)
+        weights[[0, -1]] = 0.5
+        return -L / 2 + h * np.arange(n), h, weights
 
 
 class WeightedSpace:
@@ -105,16 +113,8 @@ class WeightedSpace:
         self.psi = psi
 
         self.coords = _node_coords(domain)
-        self.h = tuple(domain.axis_spacing(a) for a in range(domain.dim))
-
-        cell = np.ones(self.shape)
-        if not domain.periodic:
-            for a in range(domain.dim):
-                sl = [slice(None)] * domain.dim
-                for edge in (0, -1):
-                    sl[a] = edge
-                    cell[tuple(sl)] *= 0.5
-        cell *= float(np.prod(self.h))
+        _, self.h, weights = zip(*map(domain.axis_grid, range(domain.dim)))
+        cell = reduce(np.multiply.outer, weights) * float(np.prod(self.h))
         mass = np.exp(-(psi - psi.min())) * cell.reshape(-1)
         self.cell_mass = mass / mass.sum()
         if not np.all(self.cell_mass > 0):
@@ -145,7 +145,7 @@ class WeightedSpace:
 
 def _node_coords(domain: Domain) -> np.ndarray:
     """Node coordinates, shape (M, dim), the first axis varying slowest."""
-    mesh = np.meshgrid(*(domain.axis_coords(a) for a in range(domain.dim)), indexing="ij")
+    mesh = np.meshgrid(*(domain.axis_grid(a)[0] for a in range(domain.dim)), indexing="ij")
     return np.stack([g.reshape(-1) for g in mesh], axis=1)
 
 

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sparse
 
 from finslergamma import AsymNorm1D, Domain, EuclideanNorm, RandersNorm, build_space
+from finslergamma.inequalities import _normalize_member
 
 
 def euclid(dim=1):
@@ -24,6 +25,94 @@ def gauss_interval(norm, length=6.0, res=256):
 
 def uniform_circle(norm, length=1.0, res=128):
     return build_space(Domain("circle", (length,), (res,)), norm, "0")
+
+
+def formula_axis_coords(domain, axis):
+    """The oracle for an axis's nodes: ``Domain.axis_coords`` before the
+    per-axis grid."""
+    L, n = domain.lengths[axis], domain.resolution[axis]
+    if domain.periodic:
+        return (L / n) * np.arange(n)
+    return -L / 2 + (L / (n - 1)) * np.arange(n)
+
+
+def formula_axis_spacing(domain, axis):
+    """The oracle for an axis's spacing: ``Domain.axis_spacing`` before the
+    per-axis grid."""
+    L, n = domain.lengths[axis], domain.resolution[axis]
+    return L / n if domain.periodic else L / (n - 1)
+
+
+def sliced_cell_volumes(domain):
+    """The oracle for the cell volumes: every face of a no-flux grid halved
+    with slices, then scaled by the product of the spacings."""
+    cell = np.ones(domain.resolution)
+    if not domain.periodic:
+        for a in range(domain.dim):
+            sl = [slice(None)] * domain.dim
+            for edge in (0, -1):
+                sl[a] = edge
+                cell[tuple(sl)] *= 0.5
+    h = tuple(formula_axis_spacing(domain, a) for a in range(domain.dim))
+    cell *= float(np.prod(h))
+    return cell
+
+
+def branched_bank(space, seed=0, size=12):
+    """The oracle for ``make_test_bank``: its construction before the noise
+    loop ran over the axes, with the second axis's modes in a 2D branch."""
+    if size < 1:
+        raise ValueError("bank size must be >= 1")
+    x = space.coords[:, 0]
+    Lx = space.domain.lengths[0]
+    raw = []
+    if space.dim == 1:
+        raw += [
+            ("linear", x),
+            ("quadratic", x**2),
+            ("cubic", x**3),
+            ("mode-sin1", np.sin(2 * np.pi * x / Lx)),
+            ("mode-cos1", np.cos(2 * np.pi * x / Lx)),
+            ("mode-sin2", np.sin(4 * np.pi * x / Lx)),
+            ("tilt-pos", np.exp(1.6 * x / Lx)),
+            ("tilt-neg", np.exp(-1.2 * x / Lx)),
+            ("bump", np.exp(-((x - 0.1 * Lx) / (0.15 * Lx)) ** 2)),
+        ]
+    else:
+        y = space.coords[:, 1]
+        Ly = space.domain.lengths[1]
+        raw += [
+            ("linear-x", x),
+            ("linear-y", y),
+            ("mode-x", np.sin(2 * np.pi * x / Lx)),
+            ("mode-y", np.cos(2 * np.pi * y / Ly)),
+            ("mode-xy", np.sin(2 * np.pi * x / Lx) * np.cos(2 * np.pi * y / Ly)),
+            ("tilt", np.exp(0.8 * (x / Lx + y / Ly))),
+            ("bump", np.exp(-((x / (0.2 * Lx)) ** 2 + (y / (0.2 * Ly)) ** 2))),
+        ]
+    rng = np.random.default_rng(seed)
+    members = []
+    for label, f in raw:
+        g = _normalize_member(space, f)
+        if g is not None:
+            members.append((label, g))
+        if len(members) == size:
+            break
+    k = 0
+    while len(members) < size:
+        modes = np.arange(1, 5)
+        f = np.zeros(space.n_nodes)
+        for m in modes:
+            a, b = rng.standard_normal(2) / m**2
+            f = f + a * np.cos(2 * np.pi * m * x / Lx) + b * np.sin(2 * np.pi * m * x / Lx)
+            if space.dim == 2:
+                c, d = rng.standard_normal(2) / m**2
+                f = f + c * np.cos(2 * np.pi * m * y / Ly) + d * np.sin(2 * np.pi * m * y / Ly)
+        g = _normalize_member(space, f)
+        if g is not None:
+            members.append((f"noise-{k}", g))
+        k += 1
+    return tuple(members)
 
 
 def _axis_matrix(n, h, periodic):

@@ -18,7 +18,8 @@ import finslergamma.inequalities as inequalities
 from finslergamma.curvature import admissible_N
 from finslergamma.inequalities import CHECKER_IDS, runs_at
 
-from conftest import asym21, euclid, gauss_interval, oblique_randers, uniform_circle
+from conftest import (asym21, branched_bank, euclid, gauss_interval, oblique_randers,
+                      uniform_circle)
 
 INF = math.inf
 
@@ -413,6 +414,17 @@ def test_bank_reproducible(asym_gauss6):
         assert np.array_equal(f1, f2)
     labels = [l for l, _ in b1]
     assert "linear" in labels and any(l.startswith("noise") for l in labels)
+
+
+@pytest.mark.parametrize("space", ["interval", "randers-box"])
+def test_bank_is_the_branched_construction_bit_for_bit(space):
+    sp = gauss_interval(asym21()) if space == "interval" else build_space(
+        Domain("box", (2.0, 3.0), (16, 20)), oblique_randers(), "(x**2 + y**2)/2")
+    for seed in range(16):
+        bank, oracle = make_test_bank(sp, seed, 30), branched_bank(sp, seed, 30)
+        assert [label for label, _ in bank] == [label for label, _ in oracle]
+        for (label, g), (_, h) in zip(bank, oracle):
+            assert np.array_equal(g, h), (seed, label)
 
 
 def test_run_checker_matrix_cells():

@@ -3,7 +3,20 @@ import pytest
 
 from finslergamma import Domain, asym_distance, build_space, integrate
 
-from conftest import asym21, euclid, gauss_interval
+from conftest import (asym21, euclid, formula_axis_coords, formula_axis_spacing,
+                      gauss_interval, sliced_cell_volumes)
+
+# the grids on which the per-axis rule is pinned to the oracle formulas of
+# conftest, each with a Psi that is not constant
+GRIDS = [
+    (Domain("interval", (2.0,), (9,)), "x**2/2 + 0.3*sin(3*x)"),
+    (Domain("interval", (6.0,), (256,)), "x**2/2 + 0.05*x**3"),
+    (Domain("circle", (1.0,), (128,)), "0.4*sin(2*pi*x) + 0.1*cos(6*pi*x)"),
+    (Domain("box", (2.0, 3.0), (8, 12)), "(x**2 + y**2)/2 + 0.2*x*y + 0.1*x**3"),
+    (Domain("box", (2.0, 2.0), (32, 32)), "(x**2 + y**2)/2 + 0.05*y**3"),
+    (Domain("torus", (1.0, 2.0), (12, 15)), "0.3*sin(2*pi*x)*cos(pi*y) + 0.1*cos(pi*y)"),
+]
+GRID_IDS = [f"{d.geometry}-{'x'.join(map(str, d.resolution))}" for d, _ in GRIDS]
 
 
 def test_domain_validation():
@@ -15,6 +28,27 @@ def test_domain_validation():
         Domain("blob", (1.0,), (32,))
     with pytest.raises(ValueError):
         Domain("box", (1.0,), (32,))  # 2D geometry needs two lengths
+
+
+@pytest.mark.parametrize("domain, psi", GRIDS, ids=GRID_IDS)
+def test_grid_and_cell_mass_are_the_formulas_bit_for_bit(domain, psi):
+    sp = build_space(domain, euclid(domain.dim), psi)
+    axes = [formula_axis_coords(domain, a) for a in range(domain.dim)]
+    coords = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    assert np.array_equal(sp.coords, coords)
+    assert sp.h == tuple(formula_axis_spacing(domain, a) for a in range(domain.dim))
+    mass = np.exp(-(sp.psi - sp.psi.min())) * sliced_cell_volumes(domain).reshape(-1)
+    assert np.array_equal(sp.cell_mass, mass / mass.sum())
+
+
+@pytest.mark.parametrize("domain, _", GRIDS, ids=GRID_IDS)
+def test_no_flux_faces_carry_half_cells_and_corners_quarter_cells(domain, _):
+    sp = build_space(domain, euclid(domain.dim), "0")
+    on_faces = sum((i == 0) | (i == n - 1)
+                   for i, n in zip(np.indices(domain.resolution), domain.resolution))
+    expected = np.ones(domain.resolution) if domain.periodic else 0.5 ** on_faces
+    assert np.array_equal(sp.cell_mass.reshape(domain.resolution) / sp.cell_mass.max(),
+                          expected)
 
 
 def test_build_space_normalization():
