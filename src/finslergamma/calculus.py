@@ -17,13 +17,14 @@ with one ``np.bincount`` over rows, D^T each column's with one over columns;
 ``np.bincount`` adds a bin's terms from 0.0 in input order, which is the
 order of a CSR row, so both are bit for bit the sparse products (the oracle
 in ``tests/conftest.py``).  The same table gives the pattern of the Newton
-Jacobian, the one sparse matrix here, and SuperLU's column order of that
-pattern, built with it once per bundle; only ``_column_order`` and
-``linearized_laplacian_matrix`` import scipy.  It also gives both node
-bands of the pointwise statements, each grown over the entries of D by
-``_grow``: the boundary band from the one-sided rows, the only rows that
-read their own node, and the kink band from the gradient zeros.  So the
-stencils hold the only periodic/no-flux choice about neighbourhoods.
+Jacobian, the one sparse matrix here, built once per bundle with its
+columns in SuperLU's order q, so L[:, q] is assembled and solved as it is;
+only ``_column_order`` and ``linearized_laplacian_matrix`` import scipy.
+It also gives both node bands of the pointwise statements, each grown over
+the entries of D by ``_grow``: the boundary band from the one-sided rows,
+the only rows that read their own node, and the kink band from the
+gradient zeros.  So the stencils hold the only periodic/no-flux choice
+about neighbourhoods.
 
 On top of D and div sit the Finsler gradient (Legendre transform of the
 differential), the nonlinear Laplacian, the linearized operators at a
@@ -111,18 +112,15 @@ def _grow(D: list, mask: np.ndarray, steps: int) -> np.ndarray:
 
 
 class LinearizedPattern(NamedTuple):
-    """CSC pattern of the linearized Laplacian and its column order; see
-    ``_linearized_pattern``.  Every matrix and solve on the bundle shares
-    the arrays, so each is read-only and in-place pruning fails loudly."""
+    """CSC pattern of the linearized Laplacian with its columns in SuperLU's
+    order; see ``_linearized_pattern``.  Every matrix and solve on the bundle
+    shares the arrays, so each is read-only and in-place pruning fails loudly."""
     indices: np.ndarray
     indptr: np.ndarray
     diagonal: np.ndarray  # positions of the (i, i) entries in ``data``
     inv_m: np.ndarray  # 1/m at each entry's row
     terms: list
-    order: np.ndarray  # SuperLU's COLAMD column order q: column j of J[:, q] is q[j]
-    take: np.ndarray  # J[:, q].data == J.data[take]
-    order_indices: np.ndarray  # indices and indptr of J[:, q]
-    order_indptr: np.ndarray
+    order: np.ndarray  # SuperLU's COLAMD column order q: column j holds column q[j]
 
 
 def _linearized_pattern(D: list, inv_m: np.ndarray) -> LinearizedPattern:
@@ -131,9 +129,8 @@ def _linearized_pattern(D: list, inv_m: np.ndarray) -> LinearizedPattern:
     c * (w[k] * d) with the CSC ``entry`` each one reaches, sorted by
     (entry, k): ``np.bincount`` adds each entry's products from 0.0 in
     ascending k, so it rounds exactly as the sparse products accumulate.
-    With it come SuperLU's column order q of the pattern (``_column_order``)
-    and, for any J on it, the CSC arrays of J[:, q]: ``data`` is
-    ``J.data[take]``, the structure ``order_indices`` and ``order_indptr``."""
+    Each entry then moves to its ``position`` in L[:, q], q SuperLU's column
+    order of the pattern (``_column_order``); a bin keeps its terms' order."""
     n = len(inv_m)
     terms = []
     for a in range(len(D)):
@@ -149,14 +146,15 @@ def _linearized_pattern(D: list, inv_m: np.ndarray) -> LinearizedPattern:
     keys = np.unique(np.concatenate([t[2] for t in terms]))  # column-major
     indices = (keys % n).astype(np.int32)
     indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
-    terms = [(a, b, np.searchsorted(keys, key), *rest) for a, b, key, *rest in terms]
     diagonal = np.flatnonzero(indices == keys // n)
     q = _column_order(indices, indptr, diagonal)
     counts = np.diff(indptr)[q]
     order_indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
     take = np.arange(len(indices)) + np.repeat(indptr[q] - order_indptr[:-1], counts)
-    pattern = LinearizedPattern(indices, indptr, diagonal, inv_m[indices], terms,
-                                q, take, indices[take], order_indptr)
+    position = np.argsort(take)  # entry p of L is entry position[p] of L[:, q]
+    terms = [(a, b, position[np.searchsorted(keys, key)], *rest) for a, b, key, *rest in terms]
+    pattern = LinearizedPattern(indices[take], order_indptr, position[diagonal],
+                                inv_m[indices[take]], terms, q)
     for array in pattern:
         if isinstance(array, np.ndarray):
             array.flags.writeable = False
@@ -167,11 +165,11 @@ def _column_order(indices: np.ndarray, indptr: np.ndarray, diagonal: np.ndarray)
     """The column order q in which SuperLU factors a matrix of this pattern
     under ``permc_spec="COLAMD"``: the COLAMD order, then the postorder of
     the column elimination tree, both read off the structure alone, stored
-    zeros included.  So solving J[:, q] y = b with ``permc_spec="NATURAL"``
-    and setting x[q] = y is bit for bit ``spsolve(J, b)``, without ordering
-    again.  The values factored here are a stand-in, nonsingular on any
-    such pattern: -1 off the diagonal and (column count + 1) on it, so
-    every column is strictly diagonally dominant."""
+    zeros included.  The pattern stores its columns in this order, and
+    solving J[:, q] y = b with ``permc_spec="NATURAL"`` and setting x[q] = y
+    is bit for bit ``spsolve(J, b)``.  The values factored here are a
+    stand-in, nonsingular on any such pattern: -1 off the diagonal and
+    (column count + 1) on it, so every column is strictly diagonally dominant."""
     import scipy.sparse
     from scipy.sparse.linalg import splu
 
@@ -330,11 +328,12 @@ class DiffOperators:
         return _linearized_pattern(self._D, 1.0 / self.space.cell_mass)
 
     def linearized_laplacian_matrix(self, f: np.ndarray | Field) -> "scipy.sparse.csc_matrix":
-        """Sparse matrix of u -> linearized_laplacian(f, u); the Newton
-        Jacobian of the nonlinear Laplacian away from degenerate nodes.
-        CSC on the shared ``linearized_pattern`` with fresh ``data``, filled by
-        one ``np.bincount`` per term (a, b) and equal bit for bit to
-        sum_ab -(1/m) D_a^T diag(m Ginv_ab) D_b as sparse products, except
+        """L[:, q], L the sparse matrix of u -> linearized_laplacian(f, u)
+        (the Newton Jacobian away from degenerate nodes) and q its
+        ``linearized_pattern.order``: CSC on that shared pattern with fresh
+        ``data``, filled by one
+        ``np.bincount`` per term (a, b) and equal bit for bit to the sparse
+        products sum_ab -(1/m) D_a^T diag(m Ginv_ab) D_b, columns q, except
         that entries which cancel are stored as zeros."""
         import scipy.sparse  # only the Newton solve needs a sparse matrix
 

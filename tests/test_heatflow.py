@@ -12,7 +12,7 @@ from finslergamma import (DiffOperators, Domain, FlowParams, FlowSolverError,
                           integrate, observables, operators_for, step)
 from finslergamma import calculus
 from finslergamma.config import load_config
-from finslergamma.heatflow import RATE_SENTINEL, _l2m_norm, _solve_in_order
+from finslergamma.heatflow import RATE_SENTINEL, _l2m_norm
 
 from conftest import (asym21, euclid, gauss_interval, oblique_randers,
                       summed_products_matrix, uniform_circle)
@@ -341,12 +341,49 @@ def test_step_builds_the_jacobian_pattern_once(monkeypatch):
     assert len(builds) == 2
 
 
+@pytest.mark.parametrize("space", [
+    lambda: gauss_interval(asym21(), res=64),
+    lambda: build_space(Domain("box", (2.0, 2.0), (12, 12)), oblique_randers(),
+                        "(x**2 + y**2)/2"),
+], ids=["interval", "randers-box"])
+def test_each_newton_solve_is_handed_the_assembled_matrix(monkeypatch, space):
+    # one CSC per Newton iteration: spsolve gets the very matrix that
+    # linearized_laplacian_matrix returned, already in the column order
+    assembled, handed = [], []
+    assemble, solve = DiffOperators.linearized_laplacian_matrix, spla.spsolve
+
+    def assembling(self, f):
+        assembled.append(assemble(self, f))
+        return assembled[-1]
+
+    def solving(A, b, **kwargs):
+        handed.append(A)
+        return solve(A, b, **kwargs)
+
+    monkeypatch.setattr(DiffOperators, "linearized_laplacian_matrix", assembling)
+    monkeypatch.setattr(spla, "spsolve", solving)
+    sp = space()
+    ops = DiffOperators(sp)
+    u = 1.0 + 0.3 * np.sin(3 * sp.coords[:, 0])
+    for _ in range(3):
+        u = step(ops, u, 1e-2)
+    assert len(handed) == len(assembled) >= 3
+    assert all(A is J for A, J in zip(handed, assembled))
+
+
 def _jacobian(ops, u, tau):
-    """J = I - tau L at u, as ``step`` builds it."""
-    J = ops.linearized_laplacian_matrix(u)
-    J.data *= -tau
-    J.data[ops.linearized_pattern.diagonal] += 1.0
-    return J
+    """J[:, q] with J = I - tau L at u, as ``step`` builds it, and J itself."""
+    Jq = ops.linearized_laplacian_matrix(u)
+    Jq.data *= -tau
+    Jq.data[ops.linearized_pattern.diagonal] += 1.0
+    return Jq, Jq[:, np.argsort(ops.linearized_pattern.order)]
+
+
+def _solve_ordered(ops, Jq, b):
+    """x with J x = b from J[:, q] in natural order, as ``step`` solves."""
+    x = np.empty_like(b)
+    x[ops.linearized_pattern.order] = spla.spsolve(Jq, b, permc_spec="NATURAL")
+    return x
 
 
 def test_a_flow_orders_the_jacobian_once_per_bundle(monkeypatch):
@@ -386,9 +423,9 @@ def test_fixed_order_solve_is_per_call_colamd_bit_for_bit(config):
     tau = cfg.flow.params.tau
     u = ops.space.field_from_expression(cfg.flow.u0)
     for _ in range(3):
-        J = _jacobian(ops, u, tau)
+        Jq, J = _jacobian(ops, u, tau)
         b = tau * ops.laplacian(u)
-        x = _solve_in_order(ops.linearized_pattern, J, b)
+        x = _solve_ordered(ops, Jq, b)
         assert np.array_equal(x, spla.spsolve(J, b))
         assert np.array_equal(x, spla.spsolve(_pruned(J), b))
         u = step(ops, u, tau)
@@ -399,11 +436,11 @@ def test_stored_zeros_change_no_bit_in_the_fixed_order():
                      "(x**2 + y**2)/2")
     ops = DiffOperators(sp)
     u = sp.field_from_expression("2 - x")
-    J = _jacobian(ops, u, 0.1)
-    assert np.count_nonzero(J.data == 0) == 6
+    Jq, J = _jacobian(ops, u, 0.1)
+    assert np.count_nonzero(Jq.data == 0) == np.count_nonzero(J.data == 0) == 6
     pruned = _pruned(J)
     b = 0.1 * ops.laplacian(u)
-    x = _solve_in_order(ops.linearized_pattern, J, b)
+    x = _solve_ordered(ops, Jq, b)
     assert np.array_equal(x, spla.spsolve(J, b))
     # COLAMD orders the pruned pattern otherwise, and so rounds otherwise
     assert not np.array_equal(x, spla.spsolve(pruned, b))
