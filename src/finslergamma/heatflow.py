@@ -15,7 +15,7 @@ to the solve as it is with ``permc_spec="NATURAL"``: bit for bit the default
 solve, without ordering the same structure again.  The order is read off
 the pattern alone, so J is solved as filled: an exact zero in it changes no
 bit.  ``spla`` (scipy.sparse.linalg) is bound on its first read, so only a
-command that takes a Newton step loads it.  The
+command that takes a Newton step loads it and pins glibc's heap.  The
 scheme is unconditionally stable and decreases the energy at every step; the
 exact minimizer conserves mass because the discrete Laplacian integrates to
 zero, so the solver projects out the (residual-sized) mean of its inner
@@ -61,11 +61,19 @@ MIN_RATE_SAMPLES = 10  # fewest recorded samples that decay_rates fits
 def __getattr__(name: str):
     """Bind ``spla`` (scipy.sparse.linalg) on its first read: only the Newton
     solve needs it.  ``step`` reads it from the module on every solve, so a
-    wrapper set on ``heatflow.spla`` sees each call."""
+    wrapper set on ``heatflow.spla`` sees each call.  Each solve mallocs and
+    frees SuperLU's workspace, which glibc may trim off its heap top and fault
+    back in at the next solve (30% of a 1D flow, in some processes only); so
+    malloc is fixed where glibc's dynamic thresholds end, 32 MB and 64 MB."""
     if name != "spla":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import ctypes
     import scipy.sparse.linalg
 
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
+    if mallopt is not None:
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
     globals()["spla"] = scipy.sparse.linalg
     return scipy.sparse.linalg
 

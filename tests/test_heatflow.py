@@ -1,5 +1,8 @@
 import math
 import os
+import platform
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -448,3 +451,29 @@ def test_stored_zeros_change_no_bit_in_the_fixed_order():
     x_pruned = np.empty_like(b)
     x_pruned[q] = spla.spsolve(pruned[:, q], b, permc_spec="NATURAL")
     assert np.array_equal(x, x_pruned)
+
+
+_FAULTS_OF_SECOND_FLOW = """
+import contextlib, io, resource, sys
+sys.path.insert(0, sys.argv[1])
+import finslergamma.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    finslergamma.cli.main(sys.argv[2:])
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    finslergamma.cli.main(sys.argv[2:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_newton_solves_fault_no_freed_workspace_back_in(tmp_path):
+    # a fresh interpreter that runs only flows: there glibc trimmed SuperLU's
+    # workspace off the heap top after every solve and the next solve faulted
+    # it back in, about 35 page faults a solve over the 801 solves of a flow
+    src = os.path.join(ROOT, "src")
+    argv = ["flow", "run", "--config", os.path.join(ROOT, "configs", "gaussian_asym1d.json"),
+            "--out", str(tmp_path)]
+    run = subprocess.run([sys.executable, "-c", _FAULTS_OF_SECOND_FLOW, src, *argv],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout.split()[-1]) < 801
