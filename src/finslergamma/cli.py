@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import json
 import math
 import os
 import sys
@@ -59,14 +60,20 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# a JSON string: '"', '\\' and control characters escaped, the rest as is
+_quote = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def render_json(obj, indent: int = 0) -> str:
+    if isinstance(obj, (float, np.floating)):  # most values of a report
+        return _fmt_float(float(obj))
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = []
         for key in sorted(obj, key=str):
-            items.append(f'{pad}  "{key}": {render_json(obj[key], indent + 1)}')
+            items.append(f"{pad}  {_quote(str(key))}: {render_json(obj[key], indent + 1)}")
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -79,9 +86,7 @@ def render_json(obj, indent: int = 0) -> str:
         return "null"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return _quote(str(obj))
 
 
 def _num_key(N: float) -> str:

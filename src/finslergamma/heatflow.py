@@ -5,8 +5,13 @@ One time step from u solves the minimizing-movement problem
     v  =  argmin  E(v) + ||v - u||^2_{L2(m)} / (2 tau),
 
 whose optimality system v - u = tau * Lap(v) is solved by a damped Newton
-iteration, refreshing the linearized Laplacian at the current iterate.  Its
-Jacobian I - tau L is filled in place on the operator bundle's fixed CSC
+iteration, refreshing the linearized Laplacian at the current iterate.
+``evolve`` starts the iteration of each step at the quadratic extrapolation
+3 u_k - 3 u_{k-1} + u_{k-2} of the last three states (2 u_1 - u_0 at the
+second step, u_0 at the first), the standard predictor of an implicit step;
+the stop is the same residual test from any start, so a start that already
+meets it takes no Newton iteration and no solve.  The Newton Jacobian
+I - tau L is filled in place on the operator bundle's fixed CSC
 pattern (``DiffOperators.linearized_pattern``), built once per bundle, by
 one ``np.bincount`` per term of the linearized Laplacian, and solved by one
 ``spla.spsolve`` per Newton iteration.  The pattern keeps its columns in
@@ -40,7 +45,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -117,14 +122,17 @@ def _l2m_norm(space, r: np.ndarray) -> float:
 
 
 def step(ops: DiffOperators, u: np.ndarray, tau: float,
-         tol: float = 1e-10, max_iter: int = 50) -> np.ndarray:
-    """One implicit (minimizing-movement) step of size tau."""
+         tol: float = 1e-10, max_iter: int = 50,
+         start: Optional[np.ndarray] = None) -> np.ndarray:
+    """One implicit (minimizing-movement) step of size tau from u.  Newton
+    starts at ``start`` (u if None) and stops once the residual is <= tol,
+    so a start that already meets tol takes no Newton iteration."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     space = ops.space
     u = np.asarray(u, dtype=float)
     mass0 = integrate(space, u)
-    v = ops.field(u)
+    v = ops.field(u if start is None else np.asarray(start, dtype=float))
     res = v.f - u - tau * ops.laplacian(v)
     rnorm = _l2m_norm(space, res)
     for _ in range(max_iter):
@@ -169,7 +177,10 @@ def observables(ops: DiffOperators, t: float, u: np.ndarray) -> FlowState:
 def evolve(ops: DiffOperators, u0: np.ndarray, params: FlowParams) -> List[FlowState]:
     """Run the flow to t_end, recording observables every ``stride`` steps; the
     Newton stop tol * osc(u0) (max|u0| if constant) scales with u0, ignores + c,
-    and never falls below 16 eps max|u0|, the rounding level of the residual."""
+    and never falls below 16 eps max|u0|, the rounding level of the residual.
+    Each step's Newton iteration starts at the quadratic extrapolation of the
+    last three states, 3 u_k - 3 u_{k-1} + u_{k-2} (linear at the second step,
+    u0 at the first)."""
     u0 = np.asarray(u0, dtype=float)
     if not np.all(np.isfinite(u0)):
         raise ValueError("initial datum has non-finite values")
@@ -177,10 +188,16 @@ def evolve(ops: DiffOperators, u0: np.ndarray, params: FlowParams) -> List[FlowS
     tol = max(params.tol * float(np.ptp(u0) or top), 16 * np.finfo(float).eps * top)
     n_steps = int(round(params.t_end / params.tau))
     states = [observables(ops, 0.0, u0)]
-    u = u0.copy()
+    u, u1, u2 = u0.copy(), None, None  # u1, u2: the two states before u
     for k in range(1, n_steps + 1):
+        if u2 is not None:
+            start = 3.0 * (u - u1) + u2
+        elif u1 is not None:
+            start = 2.0 * u - u1
+        else:
+            start = None
         try:
-            u = step(ops, u, params.tau, tol=tol)
+            u, u1, u2 = step(ops, u, params.tau, tol=tol, start=start), u, u1
         except FlowSolverError as exc:
             raise FlowSolverError(f"step {k} of {n_steps} (t = {k * params.tau:g}) "
                                   "did not converge", exc.residual) from exc

@@ -6,14 +6,17 @@ hold to rounding on every grid, so they are asserted on spaces drawn by
 two-slope or Randers norm (drift below 0.95) and a cubic Psi.  The draws are
 derandomized and few, so the suite is reproducible and fast.  A space whose
 cell mass underflows is rejected at build, which is correct behaviour, so
-that draw is skipped.  No Newton step runs here.
+that draw is skipped.  A few implicit steps of the heat flow run on spaces
+whose Psi is scaled to a range of at most 20: Newton is known to fail on
+some steeper weights, an open defect.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from finslergamma import AsymNorm1D, Domain, RandersNorm, build_space, integrate, operators_for
+from finslergamma import (AsymNorm1D, Domain, FlowParams, RandersNorm, build_space, evolve,
+                          integrate, operators_for)
 from finslergamma.cli import ADJOINTNESS_TOL, _adjointness_residual
 from finslergamma.inequalities import make_test_bank
 from finslergamma.norms import LEGENDRE_TOL
@@ -40,7 +43,7 @@ def _norms(draw, dim):
 
 
 @st.composite
-def spaces(draw):
+def spaces(draw, psi_range=None):
     geometry = draw(st.sampled_from(sorted(_GEOMETRY_DIM)))
     dim = _GEOMETRY_DIM[geometry]
     resolution = tuple(draw(st.integers(8, 40)) for _ in range(dim))
@@ -51,6 +54,8 @@ def spaces(draw):
         space = build_space(Domain(geometry, lengths, resolution), draw(_norms(dim)), psi)
     except ValueError:
         assume(False)  # the cell mass underflows: a correct build rejection
+    if psi_range is not None and np.ptp(space.psi) > psi_range:
+        space = build_space(space.domain, space.norm, space.psi * (psi_range / np.ptp(space.psi)))
     return space
 
 
@@ -89,3 +94,17 @@ def test_legendre_identities_hold_at_every_node(space, seed):
             <= LEGENDRE_TOL, label
         assert np.max(np.abs(np.einsum("mi,mi->m", a, v) - fstar_sq) / fstar_sq) \
             <= LEGENDRE_TOL, label
+
+
+@_SETTINGS
+@given(space=spaces(psi_range=20.0), seed=st.integers(0, 2**16),
+       tau=st.floats(1e-4, 1e-2))
+def test_a_few_flow_steps_conserve_mass(space, seed, tau):
+    # four steps: one from u0, one from the linear and two from the
+    # quadratic extrapolation of the states before
+    u0 = 1.0 + 0.3 * np.random.default_rng(seed).uniform(-1.0, 1.0, space.n_nodes)
+    states = evolve(operators_for(space), u0, FlowParams(tau=tau, t_end=4 * tau))
+    assert len(states) == 5
+    mass0 = integrate(space, u0)
+    for s in states:
+        assert abs(integrate(space, s.u) - mass0) <= 1e-14 * mass0

@@ -69,10 +69,10 @@ DIGESTS = {
     },
     'gaussian_asym1d.json flow run': {
         'exit': 0,
-        'stdout': 'a9c03ef40684881268901bc075e65f5a651a9d6ef834d5f5650037790a362116',
+        'stdout': '69996004b409d456b9dd023b47b352898063ec2ed15e192682d67a0ac2aece7a',
         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'flow_series.csv': 'a63427ec01fcb6d5c705629d7a2c94af6a3a190eaf4d61eeb560d01353de152c',
-        'flow_summary.json': '0a64c930b3146134f1603f4557dbbe5eb1e0b8dbb5116629993d494990d9d691',
+        'flow_series.csv': 'f2d4189e4339ffcfefb39805ed614598df35a5ff2a8c02274d62179254a680f5',
+        'flow_summary.json': '93db3786d459314072cd3f424d23c25b1554dff4a388a72bd6853932136314d3',
     },
     'gaussian_asym1d.json ineq check': {
         'exit': 0,
@@ -115,10 +115,10 @@ DIGESTS = {
     },
     'randers_box2d.json flow run': {
         'exit': 0,
-        'stdout': 'a85cb5c49e9e52736c78f34966c6c727379a525bd702d6b204731c19089b0d86',
+        'stdout': '900b11d598d9da57e23935140a14cdc1ab2f03befcb6f911529bd03ea83cb997',
         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'flow_series.csv': '7d838d63ffa046d91a40d5cb784d70991c68bef5e6a85934e6e04fa65737688d',
-        'flow_summary.json': 'd24bec92b83c60f64a6a221256f77fdc2393df115dfb02577041403a580138e0',
+        'flow_series.csv': '1ce5943bc295a5dc174a2b9bac524a9dd500e6da498f7b30bcf74924fcdd3623',
+        'flow_summary.json': '22a601c25a5bfe55027c2e3610dbbf532130ef92fc46ba3c9796940fd25143a7',
     },
     'randers_box2d.json ineq check': {
         'exit': 0,
