@@ -31,7 +31,6 @@ import numpy as np
 
 from .calculus import DiffOperators, operators_for
 from .config import ConfigError, ExperimentConfig, load_config
-from .curvature import effective_K
 from .heatflow import FlowParams, check_dEdt_identity, decay_rates, evolve
 from .inequalities import CHECKER_IDS, make_test_bank, run_checker_matrix, runs_at
 from .norms import uniform_smoothness
@@ -109,13 +108,6 @@ def _report_to_dict(rep) -> dict:
     return doc
 
 
-def _curvature_table(config: ExperimentConfig, space, override_K=None) -> dict:
-    """{N: K} for each N of the config: ``effective_K`` on ``space``, or the
-    pinned ``override_K``."""
-    return {N: override_K if override_K is not None else effective_K(space, N).K_eff
-            for N in config.n_values}
-
-
 def _space_summary(space, K: dict) -> dict:
     mass = space.cell_mass
     return {
@@ -136,7 +128,7 @@ def _space_summary(space, K: dict) -> dict:
 def cmd_space_describe(config: ExperimentConfig, out_dir: str, args) -> int:
     space = config.build_space()
     doc = {"config": config.raw,
-           "space": _space_summary(space, _curvature_table(config, space))}
+           "space": _space_summary(space, config.curvature_table(space))}
     path = _write(out_dir, "describe.json", render_json(doc) + "\n")
     summary = doc["space"]
     print(f"S_F = {summary['S_F']:.6g}")
@@ -151,7 +143,7 @@ def cmd_flow_run(config: ExperimentConfig, out_dir: str, args) -> int:
         raise ConfigError("config key 'flow': required for `fg flow run`")
     space = config.build_space()
     ops = operators_for(space)  # held first, so effective_K shares it
-    K = _curvature_table(config, space)
+    K = config.curvature_table(space)
     bounded = {N: k for N, k in K.items() if k > 0}
     if not bounded:
         raise ConfigError("config key 'n_values': `fg flow run` needs an N with K > 0, "
@@ -198,7 +190,7 @@ def cmd_ineq_check(config: ExperimentConfig, out_dir: str, args) -> int:
         raise ConfigError("config key 'n_values': required for `fg ineq check`")
     space = config.build_space()
     ops = operators_for(space)  # held first, so effective_K shares it
-    K = _curvature_table(config, space, args.override_k)
+    K = config.curvature_table(space, args.override_k)
     chosen = config.checkers or CHECKER_IDS
     if not any(runs_at(c, N, K[N]) for c in chosen for N in config.n_values):
         raise ConfigError("config key 'checkers': none of them runs at any N in "
@@ -269,6 +261,7 @@ def cmd_identities(config: ExperimentConfig, out_dir: str, args) -> int:
     double = Domain(config.domain.geometry, config.domain.lengths, (2 * n,))
     bundles = [operators_for(c.build_space())  # held to the end: the n grid's K shares it
                for c in (config, dataclasses.replace(config, domain=double))]
+    K = config.curvature_table(bundles[0].space)
     results = []
     L = config.domain.lengths[0]
     for ops in bundles:
@@ -302,9 +295,8 @@ def cmd_identities(config: ExperimentConfig, out_dir: str, args) -> int:
         table.append({"name": name, "residuals": [r1, r2], "order": order, "pass": passed})
         all_pass = all_pass and passed
 
-    base = bundles[0].space
     doc = {"config": config.raw, "resolutions": resolutions,
-           "space": _space_summary(base, _curvature_table(config, base)),
+           "space": _space_summary(bundles[0].space, K),
            "identities": table}
     path = _write(out_dir, "identities.json", render_json(doc) + "\n")
     for row in table:

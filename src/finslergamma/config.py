@@ -133,18 +133,23 @@ class ExperimentConfig:
     raw: dict
 
     def build_space(self) -> WeightedSpace:
-        # parse_config builds no grid, so a bad Psi, or N = n on a Psi it rules out, fails here
+        # parse_config builds no grid, so a bad Psi fails here
         try:
-            space = build_space(self.domain, self.norm, self.psi)
+            return build_space(self.domain, self.norm, self.psi)
         except ValueError as exc:
             _fail("space.psi", str(exc))
+
+    def curvature_table(self, space: WeightedSpace, override_K=None) -> dict:
+        """{N: K} for each N of the config, ``effective_K`` solved once per N
+        on ``space``; an N = n that Psi rules out fails with its key path,
+        also where ``override_K`` then pins every K."""
+        table = {}
         for i, N in enumerate(self.n_values):
-            if N == space.dim:
-                try:
-                    effective_K(space, N)  # memoized for the later callers
-                except ValueError as exc:
-                    _fail(f"n_values[{i}]", str(exc))
-        return space
+            try:
+                table[N] = effective_K(space, N).K_eff
+            except ValueError as exc:  # N = n on a Psi it rules out
+                _fail(f"n_values[{i}]", str(exc))
+        return table if override_K is None else dict.fromkeys(table, override_K)
 
 
 _TOP_KEYS = {"space", "n_values", "checkers", "bank", "flow"}

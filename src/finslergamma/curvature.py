@@ -14,8 +14,9 @@ the curvature.)  Ric_N(c v) = c^2 Ric_N(v) holds exactly.
 
 Admissible dimension parameters are N in (-inf, 0) or [n, inf]; N in [0, n)
 is rejected.  At N = n the correction term is the limit value and is only
-defined where D Psi . v = 0; other inputs are rejected rather than being
-assigned -infinity.
+defined where D Psi vanishes, to 1e-10 (1 + max |D Psi|): at every node for
+``effective_K``, at its own node for ``ricci_N``; other inputs are rejected
+rather than being assigned -infinity.
 
 ``effective_K`` is the infimum of Ric_N over all nodes and F-unit directions,
 exact to rounding: the curvature constant every checker uses.  In 1D the unit
@@ -28,7 +29,7 @@ boundary problem whose multiplier is the rightmost eigenvalue of
 case the multiplier's direction is inaccurate, so both hard-case completions
 join it; each candidate angle gets Newton steps on the trigonometric
 polynomial q(theta), and Ric_N is evaluated at the candidate points, which
-lie on the ellipse, so the reported K is attained.
+lie on the ellipse, so the reported K is attained.  Nothing is memoized.
 """
 
 from __future__ import annotations
@@ -52,11 +53,6 @@ def admissible_N(N: float, dim: int) -> bool:
     return N < 0 or N >= dim
 
 
-def _require_admissible(N: float, dim: int) -> None:
-    if not admissible_N(N, dim):
-        raise ValueError(f"N = {N} is not admissible (need N < 0 or N >= {dim})")
-
-
 @dataclass(frozen=True)
 class CurvatureReport:
     """K_eff of one (space, N), and the node and F-unit direction attaining it."""
@@ -68,36 +64,29 @@ class CurvatureReport:
     n_nodes: int
 
 
-def _weight_derivatives(space: WeightedSpace) -> tuple:
-    """(D Psi, Hess Psi) at the nodes, memoized on the space."""
-    memo = vars(space)
-    if "_weight_derivatives" not in memo:
-        ops = operators_for(space)
-        dpsi = ops.differential(space.psi)
-        # hess[:, a, b] = D_a (D_b Psi)
-        hess = np.stack([ops.differential(dpsi[:, b]) for b in range(space.dim)], axis=2)
-        # axis operators commute (tensor-product grid); symmetrize anyway
-        memo["_weight_derivatives"] = (dpsi, 0.5 * (hess + np.transpose(hess, (0, 2, 1))))
-    return memo["_weight_derivatives"]
+def _weight_derivatives(space: WeightedSpace, N: float = math.inf,
+                        nodes=slice(None)) -> tuple:
+    """(D Psi, Hess Psi) at the given nodes (default: all); a ValueError at an
+    inadmissible N, and at N = n unless D Psi vanishes there (module docstring)."""
+    if not admissible_N(N, space.dim):
+        raise ValueError(f"N = {N} is not admissible (need N < 0 or N >= {space.dim})")
+    ops = operators_for(space)
+    dpsi = ops.differential(space.psi)
+    # hess[:, a, b] = D_a (D_b Psi)
+    hess = np.stack([ops.differential(dpsi[:, b]) for b in range(space.dim)], axis=2)
+    if N == space.dim and np.any(np.abs(dpsi[nodes]) > 1e-10 * (1.0 + np.max(np.abs(dpsi)))):
+        raise ValueError("N equals the dimension but D Psi does not vanish; "
+                         "the limit correction term is undefined here")
+    # axis operators commute (tensor-product grid); symmetrize anyway
+    return dpsi[nodes], 0.5 * (hess + np.transpose(hess, (0, 2, 1)))[nodes]
 
 
-def _ricci_values(space: WeightedSpace, v: np.ndarray, N: float,
-                  nodes=slice(None)) -> np.ndarray:
-    """Ric_N(v) at the given nodes (default: all) for one fixed direction v."""
-    dpsi, hess = _weight_derivatives(space)
-    quad = np.einsum("mij,i,j->m", hess[nodes], v, v)
-    if math.isinf(N):
+def _ricci_values(dpsi: np.ndarray, hess: np.ndarray, v: np.ndarray, N: float) -> np.ndarray:
+    """Ric_N(v) at each node of (dpsi, hess) for one fixed direction v."""
+    quad = np.einsum("mij,i,j->m", hess, v, v)
+    if math.isinf(N) or N == dpsi.shape[1]:
         return quad
-    lin = dpsi[nodes] @ v
-    if N == space.dim:
-        tol = 1e-10 * (1.0 + float(np.max(np.abs(dpsi))))
-        if np.any(np.abs(lin) > tol):
-            raise ValueError(
-                "N equals the dimension but D Psi(v) does not vanish; "
-                "the limit correction term is undefined here"
-            )
-        return quad
-    return quad - lin**2 / (N - space.dim)
+    return quad - (dpsi @ v) ** 2 / (N - dpsi.shape[1])
 
 
 def ricci_N(space: WeightedSpace, node: int, v, N: float) -> float:
@@ -105,26 +94,21 @@ def ricci_N(space: WeightedSpace, node: int, v, N: float) -> float:
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if not np.any(v):
         raise ValueError("Ric_N is undefined at v = 0 (and trivially 0 by scaling)")
-    _require_admissible(N, space.dim)
-    return float(_ricci_values(space, v, N, [node])[0])
+    return float(_ricci_values(*_weight_derivatives(space, N, [node]), v, N)[0])
 
 
-def _ellipse_candidates(space: WeightedSpace, N: float) -> tuple:
+def _ellipse_candidates(norm, dpsi: np.ndarray, M: np.ndarray, N: float) -> tuple:
     """Ric_N at three candidate minimizers per node on the F-unit ellipse
-    {c + W u : |u| = 1}, and the candidates: shapes (3, M) and (3, M, 2)."""
-    norm = space.norm
+    {c + W u : |u| = 1} of a 2D norm, given (D Psi, Hess Psi) at the nodes,
+    and the candidates: shapes (3, M) and (3, M, 2)."""
     if not isinstance(norm, RandersNorm):  # Euclidean included, at b = 0
         raise TypeError(f"no closed-form unit sphere for {type(norm).__name__}")
     b = norm.b
     B = norm.A - np.outer(b, b)
     c = -np.linalg.solve(B, b)
     W = np.sqrt(1.0 - b @ c) * np.linalg.inv(np.linalg.cholesky(B)).T  # W'BW = r I
-    dpsi, M = _weight_derivatives(space)
-    if N == space.dim:
-        for e in np.eye(2):  # raises unless D Psi vanishes
-            _ricci_values(space, e, N)
-    elif not math.isinf(N):
-        M = M - dpsi[:, :, None] * dpsi[:, None, :] / (N - space.dim)
+    if not (math.isinf(N) or N == 2):
+        M = M - dpsi[:, :, None] * dpsi[:, None, :] / (N - 2)
     # Ric_N(c + W u) = u'Pu + 2p'u + c'Mc; work in the eigenbasis P = Q diag(mu) Q'
     mu, Q = np.linalg.eigh(W.T @ M @ W)
     p = np.einsum("mji,mj->mi", Q, W.T @ M @ c)
@@ -149,19 +133,15 @@ def _ellipse_candidates(space: WeightedSpace, N: float) -> tuple:
 
 def effective_K(space: WeightedSpace, N: float) -> CurvatureReport:
     """Infimum of Ric_N over the grid nodes and F-unit directions, exact to
-    rounding; solved once per (space, N), the report memoized on the space."""
-    _require_admissible(N, space.dim)
-    reports = vars(space).setdefault("_curvature_reports", {})
-    if N in reports:
-        return reports[N]
+    rounding; each call derives Psi's derivatives and solves anew."""
+    dpsi, hess = _weight_derivatives(space, N)
     if space.dim == 1:
         dirs = np.array([[1.0 / space.norm((1.0,))], [-1.0 / space.norm((-1.0,))]])
-        vals = np.stack([_ricci_values(space, v, N) for v in dirs])
+        vals = np.stack([_ricci_values(dpsi, hess, v, N) for v in dirs])
         V = np.broadcast_to(dirs[:, None, :], vals.shape + (1,))
     else:
-        vals, V = _ellipse_candidates(space, N)
+        vals, V = _ellipse_candidates(space.norm, dpsi, hess, N)
     j, k = np.unravel_index(np.argmin(vals), vals.shape)
-    reports[N] = CurvatureReport(K_eff=float(vals[j, k]), N=N, argmin_node=int(k),
-                                 argmin_direction=tuple(float(c) for c in V[j, k]),
-                                 n_nodes=space.n_nodes)
-    return reports[N]
+    return CurvatureReport(K_eff=float(vals[j, k]), N=N, argmin_node=int(k),
+                           argmin_direction=tuple(float(c) for c in V[j, k]),
+                           n_nodes=space.n_nodes)

@@ -208,6 +208,8 @@ class RandersNorm(MinkowskiNorm):
              else np.atleast_1d(np.asarray(self.b, dtype=float)))
         if b.shape != (A.shape[0],):
             raise ValueError("b must be a vector matching A")
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
+            raise ValueError("A and b must be finite")
         if not np.allclose(A, A.T, atol=1e-12):
             raise ValueError("A must be symmetric")
         try:

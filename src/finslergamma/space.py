@@ -15,12 +15,13 @@ every node carries positive mass.
 
 Scalar fields are flat arrays of shape (M,); vector and covector fields are
 arrays of shape (M, dim), M the node count.  Grid, norm and measure never
-change; ``curvature`` stores Psi's derivatives and K reports on a space on
-first use (write-once, so threads may share it), never an operator bundle.
+change, and nothing else is stored on a space.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence, Union
@@ -44,6 +45,9 @@ _EXPR_NAMES = {
     "sqrt": np.sqrt, "abs": np.abs, "tanh": np.tanh, "cosh": np.cosh,
     "sinh": np.sinh, "pi": np.pi, "e": np.e,
 }
+_OPERATORS = {ast.UAdd: operator.pos, ast.USub: operator.neg, ast.Add: operator.add,
+              ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv,
+              ast.Pow: operator.pow}
 
 
 @dataclass(frozen=True)
@@ -150,14 +154,30 @@ def _node_coords(domain: Domain) -> np.ndarray:
 
 
 def _evaluate(expr: str, coords: np.ndarray) -> np.ndarray:
-    """A closed-form expression of x (and y in 2D) at ``coords``; any failure,
-    or a non-finite value, is a ValueError."""
-    names = dict(_EXPR_NAMES, x=coords[:, 0])
-    if coords.shape[1] == 2:
-        names["y"] = coords[:, 1]
+    """A closed-form expression of x (and y in 2D) at ``coords``, read as a
+    syntax tree of numbers, x and y, the names of ``_EXPR_NAMES``, calls of
+    its functions on one argument, unary +- and binary + - * / **; any
+    other construct, any failure, or a non-finite value is a ValueError."""
+    names = dict(_EXPR_NAMES, **dict(zip("xy", coords.T)))
+
+    def value(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return float(node.value)
+        if isinstance(node, ast.Name) and node.id in names:
+            return names[node.id]
+        if isinstance(node, (ast.UnaryOp, ast.BinOp)) and type(node.op) in _OPERATORS:
+            operands = [node.operand] if isinstance(node, ast.UnaryOp) else [node.left, node.right]
+            return _OPERATORS[type(node.op)](*map(value, operands))
+        # one positional argument: a second would be a ufunc's output array
+        if isinstance(node, ast.Call) and len(node.args) == 1 and not node.keywords \
+                and callable(f := value(node.func)):
+            return f(value(node.args[0]))
+        raise ValueError(f"{ast.unparse(node)!r} is not a number, a known name, a "
+                         "call of a known function on one argument, or + - * / **")
+
     try:
         with np.errstate(all="ignore"):
-            values = eval(expr, {"__builtins__": {}}, names)  # noqa: S307 - config-local expressions
+            values = value(ast.parse(expr, mode="eval").body)
             field = np.broadcast_to(np.asarray(values, dtype=float), (len(coords),)).copy()
     except Exception as exc:
         raise ValueError(f"cannot evaluate expression {expr!r}: {exc}") from exc

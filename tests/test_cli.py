@@ -1,6 +1,7 @@
 import functools
 import gc
 import json
+import math
 import os
 import tempfile
 import weakref
@@ -370,14 +371,19 @@ RANDERS_BOX = {
     (EUCLID_GAUSS["space"], [1], 0),
     (RANDERS_BOX["space"], ["inf", 2], 1),
 ])
-@pytest.mark.parametrize("command", [["space", "describe"], ["ineq", "check"]])
+@pytest.mark.parametrize("command", [["space", "describe"], ["ineq", "check"],
+                                     ["flow", "run"], ["ineq", "check", "--override-k", "1"]])
 def test_dimension_N_with_drifting_weight_is_config_error(tmp_path, capsys, space,
                                                           n_values, index, command):
-    # at N = n the correction term is undefined unless D Psi vanishes
-    doc = {"space": space, "n_values": n_values}
+    # at N = n the correction term is undefined unless D Psi vanishes; the
+    # rule holds under --override-k too, which pins K only after it
+    doc = {"space": space, "n_values": n_values,
+           "flow": {"u0": "1 + 0.2*x", "tau": 0.001, "t_end": 0.01}}
     cfg = write_config(tmp_path, doc)
     assert main([*command, "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert f"'n_values[{index}]'" in capsys.readouterr().err
+    assert (f"config key 'n_values[{index}]': N equals the dimension but D Psi does not "
+            "vanish") in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
 def test_dimension_N_with_constant_weight_runs(tmp_path):
@@ -403,6 +409,21 @@ def test_malformed_matrix_is_config_error(tmp_path, capsys, matrix, variant):
     cfg = write_config(tmp_path, doc)
     assert main(["space", "describe", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "'space.norm'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry, value", [("matrix", [[math.inf, 0.0], [0.0, 1.0]]),
+                                          ("drift", [math.nan, 0.1])],
+                         ids=["infinite-matrix", "nan-drift"])
+@pytest.mark.parametrize("command", [["space", "describe"], ["ineq", "check"]])
+def test_non_finite_norm_entry_is_config_error(tmp_path, capsys, entry, value, command):
+    # before, an infinite A gave K_eff 0 (describe) and NaN margins (ineq), and
+    # a NaN drift exited 3 from the linear algebra; JSON reads Infinity and NaN
+    norm = dict(RANDERS_BOX["space"]["norm"], **{entry: value})
+    doc = {"space": dict(RANDERS_BOX["space"], norm=norm), "n_values": ["inf", 8]}
+    cfg = write_config(tmp_path, doc)
+    assert main([*command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config key 'space.norm': A and b must be finite" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
 @pytest.mark.parametrize("doc, key", [
@@ -714,4 +735,24 @@ def test_psi_whose_cell_mass_underflows_is_config_error(tmp_path, capsys, comman
     cfg = write_config(tmp_path, doc)
     assert main([*command, "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "config key 'space.psi': the cell mass underflows to 0" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+@pytest.mark.parametrize("key, commands", [
+    ("space.psi", [["space", "describe"], ["flow", "run"]]),
+    ("flow.u0", [["flow", "run"]]),  # only the flow reads the initial datum
+])
+def test_an_expression_cannot_run_code(tmp_path, capsys, key, commands):
+    # before, attribute access reached os.system through the class tree
+    marker = tmp_path / "ran"
+    attack = ("[c for c in x.__class__.__mro__[-1].__subclasses__() "
+              "if c.__name__ == '_wrap_close'][0].__init__.__globals__['system']"
+              f"('touch {marker}') + x**2/2")
+    doc = json.loads(json.dumps(SHIPPED_FLOW))
+    section, name = key.split(".")
+    doc[section][name] = attack
+    cfg = write_config(tmp_path, doc)
+    for command in commands:
+        assert main([*command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["config.json"]

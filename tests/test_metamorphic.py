@@ -13,6 +13,15 @@ acts on an increasing field as the Euclidean norm with A = alpha^2 does, and
 on a decreasing one as A = beta^2, bit for bit.  Its curvature constant is
 the Euclidean one at A = max(alpha, beta)^2: Ric_N(v) scales as v^2, so it
 is smallest along the shorter unit vector, the one of the steeper slope.
+
+The scaling maps: stretching the domain, x -> 2x with Psi(x/2), and doubling
+the norm, F -> 2F, each halve F*(Df) and every unit vector's length, so K
+becomes K/4, and every report keeps its verdict, with both sides scaled by a
+power of two fixed per checker.  The node values of Psi and of the bank are
+the same on both sides, and every scale is a power of two, so all of this is
+exact.  ``bochner_pointwise`` is left out of F -> 2F: its kink band compares
+F*(Df), which halves, with a second-difference threshold that F does not
+change, so its excluded nodes move.
 """
 
 import math
@@ -88,3 +97,50 @@ def test_monotone_members_see_one_slope_of_the_norm():
                 assert (rep.checker, rep.N, rep.K) == (exp.checker, exp.N, exp.K), where
                 assert (rep.lhs, rep.rhs, rep.passed) == (exp.lhs, exp.rhs, exp.passed), where
                 assert rep.metadata == exp.metadata, where
+
+
+_OBLIQUE_A = np.array([[1.3, 0.4], [0.4, 0.8]])
+
+# name -> (domain, norm, the norm doubled, Psi, N values)
+SCALING_CASES = {
+    "interval": (Domain("interval", (2.0,), (128,)), AsymNorm1D(2.0, 1.0),
+                 AsymNorm1D(4.0, 2.0), "x**2/2 + 0.1*x**4", (3.0, 10.0, INF)),
+    "randers-box": (Domain("box", (2.0, 2.0), (20, 20)), RandersNorm(_OBLIQUE_A, (0.5, -0.3)),
+                    RandersNorm(4.0 * _OBLIQUE_A, (1.0, -0.6)),
+                    "(x**2 + y**2)/2 + 0.1*x*y", (8.0, INF)),
+}
+
+# checker -> the factor both sides of its report scale by under either map
+# (default 1), as F*^2(Df) and K scale by 1/4 and Gamma2 by 1/16: Gamma2 against
+# K F*^2, F*^2 against Gamma2/K, and W2^2 against Ent/K
+SIDE_SCALES = {"integrated_bochner": 1 / 16, "bochner_pointwise": 1 / 16,
+               "gamma2_integral": 1 / 4, "talagrand": 4.0}
+
+
+@pytest.mark.parametrize("scaling", ["stretch", "double-norm"])
+@pytest.mark.parametrize("case", sorted(SCALING_CASES))
+def test_scaling_maps_K_and_every_report_exactly(case, scaling):
+    domain, norm, doubled, psi, N_values = SCALING_CASES[case]
+    space = build_space(domain, norm, psi)
+    if scaling == "stretch":  # node 2x carries Psi(x): the same nodal array
+        stretched = Domain(domain.geometry, tuple(2 * L for L in domain.lengths),
+                           domain.resolution)
+        image = build_space(stretched, norm, space.psi)
+    else:
+        image = build_space(domain, doubled, space.psi)
+    for N in N_values:
+        assert effective_K(image, N).K_eff == effective_K(space, N).K_eff / 4, N
+
+    checkers = [c for c in CHECKER_IDS
+                if not (c == "bochner_pointwise" and scaling == "double-norm")]
+    bank = make_test_bank(space, seed=0, size=6)
+    reports = run_checker_matrix(space, N_values, checkers, bank=bank)
+    images = run_checker_matrix(image, N_values, checkers, bank=bank)
+    assert len(reports) == len(images) > 0
+    for rep, img in zip(reports, images):
+        where = (rep.checker, rep.N, rep.metadata["member"])
+        assert (img.checker, img.N, img.metadata["member"]) == where
+        scale = SIDE_SCALES.get(rep.checker, 1.0)
+        assert (img.lhs, img.rhs) == (scale * rep.lhs, scale * rep.rhs), where
+        if rep.checker != "bochner_pointwise":  # its tolerance is absolute
+            assert img.passed == rep.passed, where

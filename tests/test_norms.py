@@ -172,6 +172,17 @@ def test_randers_construction_guards():
         AsymNorm1D(1.0, -2.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: RandersNorm(np.array([[np.inf, 0.0], [0.0, 1.0]]), (0.1, 0.0)),
+    lambda: RandersNorm(np.eye(2), (np.nan, 0.1)),
+    lambda: EuclideanNorm(np.array([[1.0, 0.0], [0.0, np.inf]])),
+    lambda: EuclideanNorm(np.array([[np.nan]])),
+], ids=["randers-inf-A", "randers-nan-b", "euclidean-inf-A", "euclidean-nan-A"])
+def test_non_finite_entries_are_rejected(make):
+    with pytest.raises(ValueError, match="must be finite"):
+        make()
+
+
 def test_vectorized_paths_match_scalar():
     # test-side closed forms: sqrt(v'Av) + b.v with F* = sqrt(a'A^-1 a) and
     # L* = A^-1 a at b = 0, and the two-slope norm with its support function

@@ -155,3 +155,9 @@ def test_field_from_expression():
     assert f.shape == (64,)
     with pytest.raises(ValueError):
         sp.field_from_expression("y")  # no y on a 1D grid
+    coords = sp.coords.copy()
+    for expr in ("x.real", "[x][0]", "sin(x, x)", "sin(x=x)", "sin(*[x])", "x if 1 else x",
+                 "x // 2", "True*x", "(lambda: x)()", "__import__('os')"):
+        with pytest.raises(ValueError, match="cannot evaluate"):
+            sp.field_from_expression(expr)
+    assert np.array_equal(sp.coords, coords)  # sin(x, x) would write into x
