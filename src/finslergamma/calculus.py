@@ -126,9 +126,9 @@ class LinearizedPattern(NamedTuple):
 def _linearized_pattern(D: list, inv_m: np.ndarray) -> LinearizedPattern:
     """Pattern of sum_ab D_a^T diag(w_ab) D_b, from the (row, col, value)
     entries of each D_a, and per term (a, b) the factors of its products
-    c * (w[k] * d) with the CSC ``entry`` each one reaches, sorted by
-    (entry, k): ``np.bincount`` adds each entry's products from 0.0 in
-    ascending k, so it rounds exactly as the sparse products accumulate.
+    c * (w[k] * d) with the CSC ``entry`` each one reaches, row by row of
+    D_a (sorted by row), so ``np.bincount`` adds each entry's products from
+    0.0 in ascending k and rounds exactly as the sparse products accumulate.
     Each entry then moves to its ``position`` in L[:, q], q SuperLU's column
     order of the pattern (``_column_order``); a bin keeps its terms' order."""
     n = len(inv_m)
@@ -140,9 +140,8 @@ def _linearized_pattern(D: list, inv_m: np.ndarray) -> LinearizedPattern:
             cnt = np.diff(bptr)[arow]
             pa = np.repeat(np.arange(len(arow)), cnt)
             pb = np.arange(cnt.sum()) + np.repeat(bptr[arow] - np.cumsum(cnt) + cnt, cnt)
-            k, key = arow[pa], bcol[pb].astype(np.int64) * n + acol[pa]
-            order = np.lexsort((k, key))
-            terms.append((a, b, key[order], k[order], aval[pa][order], bval[pb][order]))
+            key = bcol[pb].astype(np.int64) * n + acol[pa]
+            terms.append((a, b, key, arow[pa], aval[pa], bval[pb]))
     keys = np.unique(np.concatenate([t[2] for t in terms]))  # column-major
     indices = (keys % n).astype(np.int32)
     indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)

@@ -7,10 +7,10 @@ Subcommands
 * ``fg flow run``        -- heat flow with observable series (CSV) and fitted
   decay rates checked against 2KN/(N-1) (JSON summary).
 * ``fg ineq check``      -- the inequality checker matrix (JSON report).
-* ``fg identities run``  -- identity residuals on a circle at the domain's
-  resolution n and at 2n, for the exponents ``IDENTITY_A_VALUES``, with
-  convergence orders log2 of their ratio (JSON table).  No config key sets
-  the suite's grids or exponents.
+* ``fg identities run``  -- identity residuals on a circle or torus at the
+  domain's resolution and with every axis's resolution doubled, for the
+  exponents ``IDENTITY_A_VALUES``, with convergence orders log2 of their
+  ratio (JSON table).  No config key sets the suite's grids or exponents.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 invalid config,
 3 runtime/solver error.  Outputs are deterministic for a fixed config and
@@ -34,7 +34,7 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .heatflow import FlowParams, check_dEdt_identity, decay_rates, evolve
 from .inequalities import CHECKER_IDS, make_test_bank, run_checker_matrix, runs_at
 from .norms import uniform_smoothness
-from .space import Domain, integrate
+from .space import integrate
 
 __all__ = ["main"]
 
@@ -253,28 +253,24 @@ def cmd_identities(config: ExperimentConfig, out_dir: str, args) -> int:
     if not config.domain.periodic:
         raise ConfigError("config key 'space.domain.geometry': identity suite "
                           "needs a periodic domain (circle or torus)")
-    if config.domain.dim != 1:
-        raise ConfigError("config key 'space.domain.geometry': identity suite "
-                          "runs on circles")
-    n = config.domain.resolution[0]
-    resolutions = [n, 2 * n]  # the convergence order is log2 of the residual ratio
-    double = Domain(config.domain.geometry, config.domain.lengths, (2 * n,))
-    bundles = [operators_for(c.build_space())  # held to the end: the n grid's K shares it
+    # the convergence order is log2 of the residual ratio: every axis doubled
+    double = dataclasses.replace(config.domain, resolution=tuple(
+        2 * n for n in config.domain.resolution))
+    bundles = [operators_for(c.build_space())  # held to the end: the first grid's K shares it
                for c in (config, dataclasses.replace(config, domain=double))]
     K = config.curvature_table(bundles[0].space)
     results = []
-    L = config.domain.lengths[0]
     for ops in bundles:
-        x = 2 * np.pi * ops.space.coords[:, 0] / L
-        h = ops.field(0.3 * np.sin(x))
+        waves = np.sin(2 * np.pi * ops.space.coords / config.domain.lengths).sum(axis=1)
+        h = ops.field(0.3 * waves)
         entry = {}
         for a in IDENTITY_A_VALUES:
             entry[f"exp_chain(a={a:g})"] = ops.identity_exp_chain(h, a)
             entry[f"exp_gamma2(a={a:g})"] = ops.identity_exp_gamma2(h, a)
             entry[f"exp_bochner_integrals(a={a:g})"] = \
                 ops.identity_exp_bochner_integrals(h, a)
-        tau = 0.05 * ops.space.h[0] ** 2
-        u0 = 1.0 + 0.1 * np.sin(x)
+        tau = 0.05 * min(ops.space.h) ** 2
+        u0 = 1.0 + 0.1 * waves
         params = FlowParams(tau=tau, t_end=5 * tau, tol=1e-13, stride=1)
         states = evolve(ops, u0, params)
         entry["dissipation"] = check_dEdt_identity(ops, states[-2:]).residual
@@ -295,7 +291,7 @@ def cmd_identities(config: ExperimentConfig, out_dir: str, args) -> int:
         table.append({"name": name, "residuals": [r1, r2], "order": order, "pass": passed})
         all_pass = all_pass and passed
 
-    doc = {"config": config.raw, "resolutions": resolutions,
+    doc = {"config": config.raw, "resolutions": [ops.space.n_nodes for ops in bundles],
            "space": _space_summary(bundles[0].space, K),
            "identities": table}
     path = _write(out_dir, "identities.json", render_json(doc) + "\n")

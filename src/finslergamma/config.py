@@ -4,9 +4,9 @@ The schema is validated eagerly with key-path diagnostics, and unknown keys
 are rejected so that a typo cannot silently drop part of an experiment.
 ``"inf"`` is the spelling of N = infinity in JSON.  No key sets a pass rule,
 the heat flow's Newton tolerance or iteration cap, or the identity suite's
-test field, exponents or grids (the suite runs on the domain's resolution
-and its double): those are fixed in code, so a config chooses what is
-checked, never how strictly.  JSON integers are kept exact.
+test field, exponents or grids (the suite runs on the domain's grid and on
+it with every axis doubled): those are fixed in code, so a config chooses
+what is checked, never how strictly.  JSON integers are kept exact.
 """
 
 from __future__ import annotations
@@ -18,10 +18,11 @@ from typing import List, Optional
 
 import numpy as np
 
+from .calculus import operators_for
 from .curvature import admissible_N, effective_K
 from .heatflow import MIN_RATE_SAMPLES, FlowParams
 from .norms import AsymNorm1D, EuclideanNorm, MinkowskiNorm, RandersNorm
-from .space import MIN_RESOLUTION, Domain, WeightedSpace, build_space
+from .space import MIN_RESOLUTION, Domain, WeightedSpace, _evaluate, build_space
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config"]
 
@@ -133,17 +134,26 @@ class ExperimentConfig:
     raw: dict
 
     def build_space(self) -> WeightedSpace:
-        # parse_config builds no grid, so a bad Psi fails here
+        # parse_config builds no grid, so a bad or (if periodic) non-repeating Psi fails here
         try:
-            return build_space(self.domain, self.norm, self.psi)
+            space = build_space(self.domain, self.norm, self.psi)
         except ValueError as exc:
             _fail("space.psi", str(exc))
+        for shift in np.diag(self.domain.lengths) if self.domain.periodic else ():
+            try:
+                jump = np.max(np.abs(_evaluate(self.psi, space.coords + shift) - space.psi))
+            except ValueError:  # not finite one period on, so not periodic
+                jump = math.inf
+            if jump > 1e-9 * (1 + np.max(np.abs(space.psi))):
+                _fail("space.psi", f"Psi is not periodic: it moves by {jump:.3g} over a period")
+        return space
 
     def curvature_table(self, space: WeightedSpace, override_K=None) -> dict:
         """{N: K} for each N of the config, ``effective_K`` solved once per N
         on ``space``; an N = n that Psi rules out fails with its key path,
         also where ``override_K`` then pins every K."""
         table = {}
+        held = operators_for(space) if self.n_values else None  # one bundle for every N
         for i, N in enumerate(self.n_values):
             try:
                 table[N] = effective_K(space, N).K_eff

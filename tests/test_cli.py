@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 from finslergamma import calculus, heatflow, inequalities
-from finslergamma.cli import main, render_json
+from finslergamma.cli import ADJOINTNESS_TOL, ORDER_THRESHOLD, main, render_json
 from finslergamma.config import parse_config
 from finslergamma.space import WeightedSpace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TORUS = os.path.join(ROOT, "configs", "randers_torus2d.json")
+RANDERS_BOX_CONFIG = os.path.join(ROOT, "perfbench", "configs", "randers_box2d.json")
 
 EUCLID_GAUSS = {
     "space": {
@@ -163,7 +165,21 @@ def test_identity_suite_runs_on_a_whole_float_resolution(tmp_path):
     assert json.loads((tmp_path / "identities.json").read_text())["resolutions"] == [64, 128]
 
 
-def test_identity_suite_builds_one_record_of_h_per_grid(tmp_path, monkeypatch):
+def test_identities_run_on_the_shipped_torus(tmp_path):
+    # the suite measures 2D exactness: both axes doubled, every order second
+    assert main(["identities", "run", "--config", TORUS, "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "identities.json").read_text())
+    assert doc["resolutions"] == [32 * 32, 64 * 64]  # node counts of the two grids
+    assert len(doc["identities"]) == 11
+    for row in doc["identities"]:
+        if row["name"] == "adjointness":
+            assert max(row["residuals"]) <= ADJOINTNESS_TOL
+        else:
+            assert row["order"] >= ORDER_THRESHOLD, row["name"]
+
+
+def _fields_built_by(monkeypatch, argv: list) -> list:
+    """The array of every field record built while ``main(argv)`` runs."""
     built = []
     init = calculus.Field.__init__
 
@@ -172,11 +188,44 @@ def test_identity_suite_builds_one_record_of_h_per_grid(tmp_path, monkeypatch):
         init(self, ops, f)
 
     monkeypatch.setattr(calculus.Field, "__init__", counting)
+    assert main(argv) == 0
+    return built
+
+
+def test_identity_suite_builds_one_record_of_h_per_grid(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, CIRCLE)
-    assert main(["identities", "run", "--config", cfg, "--out", str(tmp_path)]) == 0
+    built = _fields_built_by(monkeypatch, ["identities", "run", "--config", cfg,
+                                           "--out", str(tmp_path)])
     for n in (64, 128):
         h = 0.3 * np.sin(2 * np.pi * ((1.0 / n) * np.arange(n)) / 1.0)  # L = 1, as cli does
         assert sum(f.shape == h.shape and np.array_equal(f, h) for f in built) == 1
+
+
+def test_identity_suite_builds_one_record_of_the_per_axis_h_per_torus_grid(tmp_path,
+                                                                          monkeypatch):
+    built = _fields_built_by(monkeypatch, ["identities", "run", "--config", TORUS,
+                                           "--out", str(tmp_path)])
+    for n in (32, 64):
+        wave = np.sin(2 * np.pi * ((1.0 / n) * np.arange(n)) / 1.0)  # L = 1 on both axes
+        h = 0.3 * (wave[:, None] + wave[None, :]).reshape(-1)  # x varies slowest
+        assert sum(f.shape == h.shape and np.array_equal(f, h) for f in built) == 1
+
+
+@pytest.mark.parametrize("command, config, bundles", [
+    (["space", "describe"], RANDERS_BOX_CONFIG, 1),
+    (["ineq", "check"], RANDERS_BOX_CONFIG, 1),
+    (["flow", "run"], RANDERS_BOX_CONFIG, 1),
+    (["identities", "run"], TORUS, 2),  # one per grid
+])
+def test_each_command_builds_one_operator_bundle_per_grid(tmp_path, monkeypatch, command,
+                                                          config, bundles):
+    # before, describe built one per N: effective_K held none across the N loop
+    built = []
+    init = calculus.DiffOperators.__init__
+    monkeypatch.setattr(calculus.DiffOperators, "__init__",
+                        lambda self, space: built.append(1) or init(self, space))
+    assert main([*command, "--config", config, "--out", str(tmp_path)]) == 0
+    assert len(built) == bundles
 
 
 @pytest.mark.parametrize("command", [["space", "describe"], ["ineq", "check"],
@@ -204,6 +253,18 @@ def test_no_space_outlives_its_command(tmp_path, monkeypatch, command):
 def test_identities_requires_periodic(tmp_path):
     cfg = write_config(tmp_path, EUCLID_GAUSS)
     assert main(["identities", "run", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("psi", ["x**2", "log(1.5 - x)"])  # the second is NaN a period on
+@pytest.mark.parametrize("command", [["space", "describe"], ["identities", "run"]])
+def test_a_weight_on_a_periodic_domain_must_be_periodic(tmp_path, capsys, command, psi):
+    # before, describe read K_eff(inf) = -1054 off the jump of x**2 across the
+    # circle's seam, where Hess Psi = 2 everywhere else
+    cfg = write_config(tmp_path, dict(CIRCLE, space=dict(CIRCLE["space"], psi=psi),
+                                      n_values=["inf"]))
+    assert main([*command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config key 'space.psi': Psi is not periodic" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
 def test_solver_failure_exits_3(tmp_path, monkeypatch):

@@ -30,7 +30,7 @@ from finslergamma.cli import main
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = ("configs/gaussian_asym1d.json", "configs/circle_identities.json",
            "perfbench/configs/randers_box2d.json",
-           "configs/gaussian_asym1d_finite_n.json")
+           "configs/gaussian_asym1d_finite_n.json", "configs/randers_torus2d.json")
 COMMANDS = (("space", "describe"), ("flow", "run"), ("ineq", "check"),
             ("identities", "run"))
 MASK = "<out>"
@@ -152,6 +152,28 @@ DIGESTS = {
         'exit': 2,
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'stderr': 'e127a214717fd56e784e0358b17217018e316d7160d07a84887e274adac0c37e',
+    },
+    'randers_torus2d.json space describe': {
+        'exit': 0,
+        'stdout': 'e1b0c24d7568e602fdcc044f7233311bf8ea6d1245755e02a57c33dbe0bf64be',
+        'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'describe.json': '2dec278581aed29a155b53af00fa5164f29f6da1ed512c9c3aba04b54afc21d5',
+    },
+    'randers_torus2d.json flow run': {
+        'exit': 2,
+        'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'stderr': 'c265182c4c370e96fa17247b1e32465b6006da8064a4484bb5a04889ec0e3514',
+    },
+    'randers_torus2d.json ineq check': {
+        'exit': 2,
+        'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'stderr': '334b7b3d9862bb66e7ba4390f1f0fe4f31cc1adf7012a241a555c5b0ad42d057',
+    },
+    'randers_torus2d.json identities run': {
+        'exit': 0,
+        'stdout': '3b089610e0e49844bb83c65109f52c03995514fb280863ecd5cb5779d9b4b9f2',
+        'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'identities.json': '7248256bb42ed8dfb5f837e68ad422bdb16a6fd48362de5660992709d0cb9b83',
     },
 }
 
