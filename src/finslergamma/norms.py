@@ -23,10 +23,10 @@ and each variant's dual is a norm of the same family, built once as
 ``dual_norm``: AsymNorm1D(1/alpha, 1/beta), and Randers(A~, b~) for a Randers
 norm (Euclidean(A^-1) at b = 0).  Each variant states F, g_v and the
 covector map v -> g_v v = F(v) grad F(v) as closed forms over (M, dim)
-stacks.  The rest is derived once: F*^2; the Legendre transform L*, the
-dual's covector map, with F(L*a) = F*(a) and a(L*a) = F*(a)^2; inv(g_v),
-the dual metric at the covector of v.  No form samples or inverts per row;
-the tests check them against dense sampling and finite-difference Hessians.
+stacks.  F*^2 and the Legendre transform L*, the dual's covector map with
+F(L*a) = F*(a) and a(L*a) = F*(a)^2, are derived once; the inverse metric at v
+is the dual norm's metric at the covector of v, which ``Field.Ginv`` reads.  No
+form samples or inverts per row; tests check dense samples and FD Hessians.
 
 All operations are pure functions of immutable inputs and safe to call from
 any number of threads.
@@ -103,10 +103,6 @@ class MinkowskiNorm:
         """L*(a) = F*(a) grad F*(a) across rows of A_; 0 at a = 0."""
         return self.dual_norm.covectors(A_)
 
-    def inverse_metric_tensors(self, V):
-        """inv(g_v) across rows of V (all rows nonzero): the dual metric at g_v v."""
-        return self.dual_norm.metric_tensors(self.covectors(V))
-
     # -- one-vector interface ---------------------------------------------
     def __call__(self, v) -> float:
         return float(self.values(_as_vector(v, self.dim)[None, :])[0])
@@ -131,10 +127,6 @@ class MinkowskiNorm:
         if not np.any(v):
             raise ValueError("metric tensor is undefined at v = 0")
         return self.metric_tensors(v[None, :])[0]
-
-    def dual_metric_tensor(self, a) -> np.ndarray:
-        """g*_a = Hess(F*^2/2)(a), which is inv(g_v) at v = L*(a)."""
-        return self.dual_norm.metric_tensor(a)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from finslergamma import AsymNorm1D, Domain, EuclideanNorm, RandersNorm, build_space
+from finslergamma import (AsymNorm1D, Domain, EuclideanNorm, MinkowskiNorm, RandersNorm,
+                          build_space)
 from finslergamma.inequalities import _normalize_member
+from finslergamma.norms import cached_attribute
 
 
 def euclid(dim=1):
@@ -17,6 +21,41 @@ def asym21():
 def oblique_randers():
     """Randers norm with a non-diagonal A and an oblique drift."""
     return RandersNorm(np.array([[1.3, 0.4], [0.4, 0.8]]), (0.5, -0.3))
+
+
+@dataclass(frozen=True)
+class TwoSlopeSum(MinkowskiNorm):
+    """The l2 sum of two two-slope norms on R^2, F^2(v) = F_1^2(v_1) + F_2^2(v_2):
+    a non-reversible norm under which a box is the product of two intervals.
+    Its covector is c * v and g_v = diag(c), with c_a = alpha_a^2 or beta_a^2
+    by the sign of v_a; its dual is the same sum of the two duals."""
+
+    x: AsymNorm1D
+    y: AsymNorm1D
+
+    dim = 2
+
+    def _slopes_sq(self, V):
+        V = np.asarray(V, dtype=float)
+        return np.stack([F.metric_tensors(V[:, [a]])[:, 0, 0]
+                         for a, F in enumerate((self.x, self.y))], axis=1)
+
+    def values(self, V):
+        V = np.asarray(V, dtype=float)
+        return np.sqrt(np.einsum("mi,mi->m", V, self.covectors(V)))
+
+    def covectors(self, V):
+        return self._slopes_sq(V) * V
+
+    def metric_tensors(self, V):
+        return self._slopes_sq(V)[:, :, None] * np.eye(2)
+
+    @cached_attribute
+    def dual_norm(self) -> "TwoSlopeSum":
+        return TwoSlopeSum(self.x.dual_norm, self.y.dual_norm)
+
+    def reverse(self) -> "TwoSlopeSum":
+        return TwoSlopeSum(self.x.reverse(), self.y.reverse())
 
 
 def gauss_interval(norm, length=6.0, res=256):

@@ -1,5 +1,6 @@
 import gc
 import math
+import os
 import weakref
 
 import numpy as np
@@ -9,11 +10,14 @@ from finslergamma import (Domain, DiffOperators, EuclideanNorm, RandersNorm,
                           build_space, check_gamma2_integral, effective_K, integrate,
                           make_test_bank, operators_for)
 from finslergamma.calculus import KINK_DILATION
-from finslergamma.space import MIN_RESOLUTION
+from finslergamma.config import load_config
+from finslergamma.space import MIN_RESOLUTION, variance
 
 from conftest import (asym21, csr_derivatives, euclid, gauss_interval, oblique_randers,
                       rolled_kink_mask, sliced_interior, summed_products_matrix,
                       uniform_circle)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def max_interior(ops, values):
@@ -404,6 +408,35 @@ def test_identities_converge_on_2d_torus(make_norm):
                           ops.identity_exp_bochner_integrals(h, 0.5)))
     for r_coarse, r_fine in zip(*residuals):
         assert np.log2(r_coarse / r_fine) > 1.8
+
+
+def _checkerboard(space):
+    """(-1)^(sum_a i_a) at mean zero and unit variance, and each node's parity."""
+    parity = np.indices(space.shape).sum(axis=0).reshape(-1) % 2
+    f = (-1.0) ** parity
+    f = f - integrate(space, f)
+    return f / math.sqrt(variance(space, f)), parity
+
+
+@pytest.mark.parametrize("config, coupled, stored", [
+    ("configs/circle_identities.json", 0, 384),
+    ("configs/randers_torus2d.json", 0, 9216),
+    ("configs/gaussian_asym1d.json", 8, 772),
+    ("perfbench/configs/randers_box2d.json", 1224, 9940),
+])
+def test_the_odd_even_mode_is_an_exact_kernel_only_on_periodic_grids(config, coupled, stored):
+    # a central row skips its own node, so on a periodic grid of even sides D
+    # maps the checkerboard to exactly 0 and the Newton Jacobian splits into
+    # an even and an odd block; only the one-sided rows of a no-flux grid
+    # couple the two.  Projecting checker inputs onto smooth modes keeps this;
+    # a compact stencil would change it
+    space = load_config(os.path.join(ROOT, config)).build_space()
+    ops = operators_for(space)
+    f, parity = _checkerboard(space)
+    J = ops.linearized_laplacian_matrix(ops.field(f))  # L[:, q]
+    cols = np.repeat(ops.linearized_pattern.order, np.diff(J.indptr))  # column j is q[j]
+    assert (int(np.sum(parity[J.indices] != parity[cols])), J.nnz) == (coupled, stored)
+    assert (float(np.max(np.abs(ops.differential(f)))) == 0.0) == space.domain.periodic
 
 
 def test_a_bundle_is_shared_while_held_and_goes_with_its_holders():

@@ -22,16 +22,28 @@ the same on both sides, and every scale is a power of two, so all of this is
 exact.  ``bochner_pointwise`` is left out of F -> 2F: its kink band compares
 F*(Df), which halves, with a second-difference threshold that F does not
 change, so its excluded nodes move.
+
+The affine map of the flow: Lap(a u + c) = a Lap(u) for a > 0, so the flow
+from a u0 + c is a u_t + c.  ``evolve`` reads its Newton stop relative to
+osc(u0), which scales by a and ignores c, so after k steps the two flows part
+by at most k a tol, tol the stop of u0; energy and variance scale by a^2, and
+the variance rate and its verdicts stay put.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
 
-from finslergamma import AsymNorm1D, Domain, EuclideanNorm, RandersNorm, build_space
+from finslergamma import (AsymNorm1D, Domain, EuclideanNorm, RandersNorm, build_space,
+                          decay_rates, evolve, operators_for)
+from finslergamma.config import load_config
 from finslergamma.curvature import effective_K
+from finslergamma.heatflow import _l2m_norm
 from finslergamma.inequalities import CHECKER_IDS, make_test_bank, run_checker_matrix
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 INF = math.inf
 
@@ -144,3 +156,36 @@ def test_scaling_maps_K_and_every_report_exactly(case, scaling):
         assert (img.lhs, img.rhs) == (scale * rep.lhs, scale * rep.rhs), where
         if rep.checker != "bochner_pointwise":  # its tolerance is absolute
             assert img.passed == rep.passed, where
+
+
+def _variance_verdicts(rate, curvature_table):
+    """The variance verdict of ``fg flow run`` at each N with K > 0."""
+    return {N: rate >= 0.95 * (2.0 * K if math.isinf(N) else 2.0 * K * N / (N - 1.0))
+            for N, K in curvature_table.items() if K > 0}
+
+
+@pytest.mark.parametrize("config", ["configs/gaussian_asym1d.json",
+                                    "perfbench/configs/randers_box2d.json"])
+def test_affine_map_of_the_initial_datum_maps_the_flow(config):
+    cfg = load_config(os.path.join(ROOT, config))
+    space = cfg.build_space()
+    ops = operators_for(space)
+    u0 = space.field_from_expression(cfg.flow.u0)
+    params = cfg.flow.params
+    tol = params.tol * float(np.ptp(u0))  # evolve's stop for u0
+    table = cfg.curvature_table(space)
+    flow = evolve(ops, u0, params)
+    rate = decay_rates(flow)["variance_rate"]
+    assert _variance_verdicts(rate, table)  # some N has a verdict
+    for a, c in ((2.0, 3.0), (0.5, -1.0)):
+        image = evolve(ops, a * u0 + c, params)
+        assert len(image) == len(flow)
+        for s, img in zip(flow, image):
+            k = round(s.t / params.tau)  # steps taken
+            assert img.t == s.t
+            assert _l2m_norm(space, img.u - (a * s.u + c)) <= k * a * tol, (a, c, k)
+            assert math.isclose(img.energy, a * a * s.energy, rel_tol=1e-8), (a, c, k)
+            assert math.isclose(img.variance, a * a * s.variance, rel_tol=1e-8), (a, c, k)
+        image_rate = decay_rates(image)["variance_rate"]
+        assert math.isclose(image_rate, rate, rel_tol=1e-8), (a, c)
+        assert _variance_verdicts(image_rate, table) == _variance_verdicts(rate, table)

@@ -157,7 +157,7 @@ def test_uniform_smoothness_duality():
             b = rng.standard_normal(norm.dim)
             if not np.any(a) or not np.any(b):
                 continue
-            gstar = norm.dual_metric_tensor(a)
+            gstar = norm.dual_norm.metric_tensor(a)
             assert norm.dual(b) ** 2 <= sf * float(b @ gstar @ b) * (1 + 1e-6)
 
 
@@ -229,7 +229,7 @@ def test_legendre_is_verified_for_every_variant(monkeypatch, norm):
 @pytest.mark.parametrize("norm", ALL_NORMS, ids=lambda n: type(n).__name__)
 def test_metric_tensors_times_inverse_is_identity(norm):
     V = np.random.default_rng(12).standard_normal((25, norm.dim))
-    G, Ginv = norm.metric_tensors(V), norm.inverse_metric_tensors(V)
+    G, Ginv = norm.metric_tensors(V), norm.dual_norm.metric_tensors(norm.covectors(V))
     assert G.shape == Ginv.shape == (25, norm.dim, norm.dim)
     assert np.allclose(G @ Ginv, np.eye(norm.dim), atol=1e-12)
     for v, g in zip(V, G):
@@ -246,10 +246,12 @@ def test_euclidean_is_the_randers_norm_with_zero_drift():
     # the constant-matrix overrides agree with the general Randers forms at b = 0
     general = RandersNorm(A, (0.0, 0.0))
     X = np.random.default_rng(13).standard_normal((30, 2))
-    for name in ("values", "dual_sq_values", "legendre_map", "metric_tensors",
-                 "inverse_metric_tensors"):
+    for name in ("values", "dual_sq_values", "legendre_map", "metric_tensors"):
         assert np.allclose(getattr(euclid, name)(X), getattr(general, name)(X),
                            rtol=1e-13, atol=1e-15), name
+    assert np.allclose(euclid.dual_norm.metric_tensors(euclid.covectors(X)),
+                       general.dual_norm.metric_tensors(general.covectors(X)),
+                       rtol=1e-13, atol=1e-15)
     with pytest.raises(TypeError):
         EuclideanNorm(A, (0.1, 0.0))  # the drift is not a parameter
 
@@ -330,7 +332,8 @@ def test_randers_general_inverse_metric_is_dual_hessian():
     # g*_a = Hess(F*^2/2)(a) equals inv(g_v) at v = L*(a)
     rng = np.random.default_rng(11)
     A_ = rng.standard_normal((6, 2))
-    Ginv = RANDERS_GEN.inverse_metric_tensors(RANDERS_GEN.legendre_map(A_))
+    V = RANDERS_GEN.legendre_map(A_)
+    Ginv = RANDERS_GEN.dual_norm.metric_tensors(RANDERS_GEN.covectors(V))
     dual_half_sq = lambda x: 0.5 * RANDERS_GEN.dual_sq_values(x[None, :])[0]
     for a, gstar in zip(A_, Ginv):
         H = _fd_hessian(dual_half_sq, a, 1e-3 * RANDERS_GEN.dual(a))
@@ -345,8 +348,8 @@ def test_randers_1d_matches_two_slope_norm(a, b):
     assert np.allclose(randers.values(X), twoslope.values(X), rtol=1e-14)
     assert np.allclose(randers.dual_sq_values(X), twoslope.dual_sq_values(X), rtol=1e-13)
     assert np.allclose(randers.legendre_map(X), twoslope.legendre_map(X), rtol=1e-13)
-    assert np.allclose(randers.inverse_metric_tensors(X),
-                       twoslope.inverse_metric_tensors(X), rtol=1e-13)
+    assert np.allclose(randers.dual_norm.metric_tensors(randers.covectors(X)),
+                       twoslope.dual_norm.metric_tensors(twoslope.covectors(X)), rtol=1e-13)
     for x in X:
         assert randers.dual(x) == pytest.approx(twoslope.dual(x), rel=1e-13)
         assert randers.legendre(x) == pytest.approx(twoslope.legendre(x), rel=1e-13)
