@@ -6,13 +6,12 @@ inequalities with explicit curvature constants."""
 
 from .norms import (AsymNorm1D, EuclideanNorm, LegendreError, MinkowskiNorm,
                     RandersNorm, uniform_smoothness)
-from .space import Domain, WeightedSpace, asym_distance, build_space, integrate
+from .space import Domain, WeightedSpace, build_space, integrate
 from .calculus import DiffOperators, gradient_kink_mask, operators_for
 from .curvature import CurvatureReport, admissible_N, effective_K, ricci_N
 from .heatflow import (FlowParams, FlowState, FlowSolverError, check_dEdt_identity,
                        decay_rates, evolve, observables, step)
-from .transport import (lp_transport_cost, quantile_transport_cost,
-                        transport_cost_sq, wasserstein2)
+from .transport import lp_transport_cost, quantile_transport_cost, transport_cost_sq
 from .inequalities import (ABParameters, CheckReport, SobolevExponents,
                            ab_parameter_solver, check_bochner_pointwise,
                            check_entropy_energy, check_gamma2_integral,

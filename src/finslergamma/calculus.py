@@ -278,6 +278,13 @@ class DiffOperators:
                         for rows, cols, _ in self._D)
         self.interior = ~_grow(self._D, one_sided > 0, self.BOUNDARY_WIDTH - 1)
 
+    def interior_nodes(self, caller: str) -> np.ndarray:
+        """``interior``, or a ValueError naming ``caller`` if it is empty."""
+        if not self.interior.any():
+            raise ValueError(f"{caller}: the grid has no interior node; each no-flux "
+                             f"axis needs more than {2 * self.BOUNDARY_WIDTH} nodes")
+        return self.interior
+
     @cached_attribute
     def fallback_covector(self) -> np.ndarray:
         """The covector of the first axis direction, (1, dim): ``Field.Ginv``
@@ -361,6 +368,7 @@ class DiffOperators:
         grad w = a w grad h and Lap w = a w (Lap h + a F^2(grad h))."""
         if a <= 0:
             raise ValueError("a must be positive")
+        self.interior_nodes("identity_exp_chain")
         h = self.field(h)
         w = self.field(np.exp(a * h.f))
         r1 = self.relative_residual(w.grad, a * w.f[:, None] * h.grad)
@@ -372,6 +380,7 @@ class DiffOperators:
         a^2 e^{2ah} { Gamma2(h) + a D[F^2(grad h)](grad h) + a^2 F^4(grad h) }."""
         if a <= 0:
             raise ValueError("a must be positive")
+        self.interior_nodes("identity_exp_gamma2")
         h = self.field(h)
         lhs = self.field(np.exp(a * h.f)).g2
         rhs = a**2 * np.exp(2 * a * h.f) * (h.g2 + a * self._df2_grad(h)

@@ -248,6 +248,7 @@ def check_dEdt_identity(ops: DiffOperators, states: List[FlowState]) -> Dissipat
     """
     if len(states) < 2:
         raise ValueError("need at least two recorded states")
+    interior = ops.interior_nodes("check_dEdt_identity")
     worst, worst_full, excluded = 0.0, 0.0, 0
     fields = [ops.field(s.u) for s in states]
     for older, newer, f_old, f_new in zip(states, states[1:], fields, fields[1:]):
@@ -258,11 +259,11 @@ def check_dEdt_identity(ops: DiffOperators, states: List[FlowState]) -> Dissipat
         rhs = 2.0 * f_new.dlap_grad
         # the dust term keeps stationary flows (both sides ~ rounding) at
         # residual ~ 0 instead of dividing dust by dust
-        scale = max(float(np.max(np.abs(rhs[ops.interior]))),
-                    1e-14 * (1.0 + float(np.max(np.abs(lhs[ops.interior])))))
+        scale = max(float(np.max(np.abs(rhs[interior]))),
+                    1e-14 * (1.0 + float(np.max(np.abs(lhs[interior])))))
         diff = np.abs(lhs - rhs)
         worst = max(worst, float(np.max(diff[f_new.pointwise])) / scale)
-        worst_full = max(worst_full, float(np.max(diff[ops.interior])) / scale)
-        excluded = max(excluded, int(np.sum(ops.interior & ~f_new.kink)))
+        worst_full = max(worst_full, float(np.max(diff[interior])) / scale)
+        excluded = max(excluded, int(np.sum(interior & ~f_new.kink)))
     return DissipationReport(residual=worst, residual_unmasked=worst_full,
                              excluded_nodes=excluded)

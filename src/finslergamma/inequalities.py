@@ -157,14 +157,15 @@ def check_bochner_pointwise(space: WeightedSpace, f: np.ndarray | Field, N: floa
     non-smooth norms (the unmasked minimum is reported in the metadata)."""
     _admit("bochner_pointwise", N, K, space.dim)
     ops = operators_for(space)
+    interior = ops.interior_nodes("check_bochner_pointwise")
     f = ops.field(f)
     expr = f.g2 - K * f.dual_sq
     if not math.isinf(N):
         expr = expr - f.lap ** 2 / N
     floor = float(np.min(expr[f.pointwise]))
     return _report("bochner_pointwise", N, K, -floor, 0.0,
-                   unmasked_floor=float(np.min(expr[ops.interior])),
-                   excluded_nodes=int(np.sum(ops.interior & ~f.kink)))
+                   unmasked_floor=float(np.min(expr[interior])),
+                   excluded_nodes=int(np.sum(interior & ~f.kink)))
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ import numpy as np
 from .norms import MinkowskiNorm
 
 __all__ = ["Domain", "WeightedSpace", "build_space", "integrate", "variance",
-           "entropy_of_density", "fisher_information", "asym_distance"]
+           "entropy_of_density", "fisher_information"]
 
 MIN_RESOLUTION = 8
 
@@ -218,13 +218,3 @@ def fisher_information(space: WeightedSpace, f: np.ndarray, grad_sq: np.ndarray)
     """int_{f>0} F*^2(Df)/f dm for a nonnegative f, given grad_sq = F*^2(Df)."""
     pos = f > 1e-300
     return integrate(space, np.where(pos, grad_sq / np.where(pos, f, 1.0), 0.0))
-
-
-def asym_distance(space: WeightedSpace, i: int, j: int) -> float:
-    """Asymmetric distance d(x_i, x_j) = F(x_j - x_i) in flat space.
-
-    Geodesics of a constant norm are straight lines; periodic axes minimize
-    over lattice translates.  d(j, i) may differ from d(i, j).
-    """
-    delta = space.coords[j] - space.coords[i]
-    return float(np.min(space.norm.values(delta + space.translates())))

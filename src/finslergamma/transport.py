@@ -22,7 +22,9 @@ Two solvers:
   every arc, and arcs with a negative reduced cost join the set until none
   is left, which certifies the value for the full LP to within
   1e-12 max(1, max C) (shielding, Schmitzer 2016; LP duality as in
-  Peyre-Cuturi 2019).
+  Peyre-Cuturi 2019).  HiGHS runs without presolve: on steep weights coarse
+  masses fall below its 1e-7 feasibility tolerance, and presolve then calls
+  the LP infeasible, although the product plan mu x nu is always feasible.
 
 scipy (``scipy.sparse`` for the constraint matrix, ``scipy.optimize`` for
 ``linprog``) is imported inside ``lp_transport_cost``: only the LP path
@@ -38,7 +40,7 @@ import numpy as np
 from .space import WeightedSpace
 
 __all__ = ["quantile_transport_cost", "lp_transport_cost", "transport_cost_sq",
-           "wasserstein2", "coarsen_measure", "MAX_LP_SUPPORT"]
+           "coarsen_measure", "MAX_LP_SUPPORT"]
 
 MAX_LP_SUPPORT = 64
 
@@ -138,7 +140,7 @@ def lp_transport_cost(cost_matrix: np.ndarray, mu, nu) -> float:
         A_eq = sp.csr_matrix((np.ones(2 * len(i)), (np.r_[i, m + j], np.r_[arcs, arcs])),
                              shape=(m + n, len(i)))[:-1]
         result = linprog(C[i, j], A_eq=A_eq, b_eq=np.r_[mu, nu[:-1]],
-                         bounds=(0, None), method="highs")
+                         bounds=(0, None), method="highs", options={"presolve": False})
         if not result.success:
             raise RuntimeError(f"transport LP failed: {result.message}")
         duals = result.eqlin.marginals
@@ -192,7 +194,3 @@ def transport_cost_sq(space: WeightedSpace, mu, nu=None) -> float:
     ys, wy = coarsen_measure(space, np.asarray(nu, dtype=float))
     C = _pair_cost_matrix(space, xs, ys)
     return lp_transport_cost(C, wx, wy)
-
-
-def wasserstein2(space: WeightedSpace, mu, nu=None) -> float:
-    return float(np.sqrt(transport_cost_sq(space, mu, nu)))

@@ -66,6 +66,13 @@ def uniform_circle(norm, length=1.0, res=128):
     return build_space(Domain("circle", (length,), (res,)), norm, "0")
 
 
+def dirac(space, point):
+    """The unit point mass at the node nearest to ``point``."""
+    mu = np.zeros(space.n_nodes)
+    mu[space.node_index(point)] = 1.0
+    return mu
+
+
 def formula_axis_coords(domain, axis):
     """The oracle for an axis's nodes: ``Domain.axis_coords`` before the
     per-axis grid."""

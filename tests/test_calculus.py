@@ -6,9 +6,10 @@ import weakref
 import numpy as np
 import pytest
 
-from finslergamma import (Domain, DiffOperators, EuclideanNorm, RandersNorm,
-                          build_space, check_gamma2_integral, effective_K, integrate,
-                          make_test_bank, operators_for)
+from finslergamma import (Domain, DiffOperators, EuclideanNorm, FlowParams, RandersNorm,
+                          build_space, check_bochner_pointwise, check_dEdt_identity,
+                          check_gamma2_integral, effective_K, evolve, integrate,
+                          make_test_bank, operators_for, run_checker_matrix)
 from finslergamma.calculus import KINK_DILATION
 from finslergamma.config import load_config
 from finslergamma.space import MIN_RESOLUTION, variance
@@ -374,6 +375,29 @@ def test_exp_identities_reject_bad_inputs():
     with pytest.raises(ValueError):
         ops.identity_exp_bochner_integrals(np.zeros(64), 0.5)  # needs periodic
 
+
+
+@pytest.mark.parametrize("domain", [Domain("interval", (2.0,), (8,)),
+                                    Domain("box", (2.0, 3.0), (8, 12))], ids=_grid_id)
+def test_each_pointwise_statement_names_a_grid_without_interior_nodes(domain):
+    # MIN_RESOLUTION admits 8 nodes, but the boundary band takes 4 from each end
+    sp = build_space(domain, oblique_randers() if domain.dim == 2 else asym21(), "0")
+    ops = operators_for(sp)
+    assert not ops.interior.any()
+    g = sp.field_from_expression("1 + 0.1*x")
+    states = evolve(ops, g, FlowParams(tau=1e-3, t_end=2e-3))
+    calls = {
+        "check_bochner_pointwise": lambda: check_bochner_pointwise(sp, g, math.inf, 0.0),
+        "run_checker_matrix": lambda: run_checker_matrix(sp, [math.inf], ["bochner_pointwise"],
+                                                         bank=[("g", g)], override_K=0.0),
+        "check_dEdt_identity": lambda: check_dEdt_identity(ops, states),
+        "identity_exp_chain": lambda: ops.identity_exp_chain(g, 1.0),
+        "identity_exp_gamma2": lambda: ops.identity_exp_gamma2(g, 1.0),
+    }
+    for caller, call in calls.items():
+        name = "check_bochner_pointwise" if caller == "run_checker_matrix" else caller
+        with pytest.raises(ValueError, match=f"^{name}: .* more than 8 nodes$"):
+            call()
 
 def test_randers_2d_operators_smoke():
     norm = RandersNorm(np.eye(2), (0.3, 0.1))

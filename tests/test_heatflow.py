@@ -515,6 +515,27 @@ def test_stored_zeros_change_no_bit_in_the_fixed_order():
     assert np.array_equal(x, x_pruned)
 
 
+
+@pytest.mark.parametrize("config", ["configs/gaussian_asym1d.json",
+                                    "perfbench/configs/randers_box2d.json",
+                                    "configs/circle_identities.json",
+                                    "configs/randers_torus2d.json"])
+def test_the_mass_weighted_newton_matrix_is_symmetric_positive_definite(config):
+    # diag(m) (I - tau L) is symmetric, since L = -(1/m) D^T diag(m Ginv) D,
+    # and positive definite: the property a banded Cholesky solve rests on
+    cfg = load_config(os.path.join(ROOT, config))
+    sp = cfg.build_space()
+    ops = DiffOperators(sp)
+    if cfg.flow is not None:  # the flow's u0 and tau
+        u0, tau = sp.field_from_expression(cfg.flow.u0), cfg.flow.params.tau
+    else:  # the identity suite's
+        u0 = 1.0 + 0.1 * np.sin(2 * np.pi * sp.coords / cfg.domain.lengths).sum(axis=1)
+        tau = 0.05 * min(sp.h) ** 2
+    for u in (u0, u0 + 0.05 * sp.coords[:, 0] ** 2):
+        S = sp.cell_mass[:, None] * _jacobian(ops, u, tau)[1].toarray()
+        assert np.max(np.abs(S - S.T)) <= 1e-14 * np.max(np.abs(S))
+        np.linalg.cholesky(S)
+
 _FAULTS_OF_SECOND_FLOW = """
 import contextlib, io, resource, sys
 sys.path.insert(0, sys.argv[1])

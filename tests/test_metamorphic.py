@@ -28,8 +28,16 @@ from a u0 + c is a u_t + c.  ``evolve`` reads its Newton stop relative to
 osc(u0), which scales by a and ignores c, so after k steps the two flows part
 by at most k a tol, tol the stop of u0; energy and variance scale by a^2, and
 the variance rate and its verdicts stay put.
+
+The shift of the weight, Psi -> Psi + c: the cell masses are exp(-(Psi -
+min Psi)) normalized, so the space is the same but for the rounding of
+Psi + c, and so are the flow, its rates and its verdicts.  Each recorded
+state r of the shifted flow is within (r + 1) tol of the base run.  K moves
+at rounding level (up to 2.3e-10 relative here), through the stencil Hessian
+of Psi + c.
 """
 
+import json
 import math
 import os
 
@@ -38,7 +46,7 @@ import pytest
 
 from finslergamma import (AsymNorm1D, Domain, EuclideanNorm, RandersNorm, build_space,
                           decay_rates, evolve, operators_for)
-from finslergamma.config import load_config
+from finslergamma.config import load_config, parse_config
 from finslergamma.curvature import effective_K
 from finslergamma.heatflow import _l2m_norm
 from finslergamma.inequalities import CHECKER_IDS, make_test_bank, run_checker_matrix
@@ -158,8 +166,8 @@ def test_scaling_maps_K_and_every_report_exactly(case, scaling):
             assert img.passed == rep.passed, where
 
 
-def _variance_verdicts(rate, curvature_table):
-    """The variance verdict of ``fg flow run`` at each N with K > 0."""
+def _rate_verdicts(rate, curvature_table):
+    """The verdict of ``fg flow run`` on a decay rate at each N with K > 0."""
     return {N: rate >= 0.95 * (2.0 * K if math.isinf(N) else 2.0 * K * N / (N - 1.0))
             for N, K in curvature_table.items() if K > 0}
 
@@ -176,7 +184,7 @@ def test_affine_map_of_the_initial_datum_maps_the_flow(config):
     table = cfg.curvature_table(space)
     flow = evolve(ops, u0, params)
     rate = decay_rates(flow)["variance_rate"]
-    assert _variance_verdicts(rate, table)  # some N has a verdict
+    assert _rate_verdicts(rate, table)  # some N has a verdict
     for a, c in ((2.0, 3.0), (0.5, -1.0)):
         image = evolve(ops, a * u0 + c, params)
         assert len(image) == len(flow)
@@ -188,4 +196,32 @@ def test_affine_map_of_the_initial_datum_maps_the_flow(config):
             assert math.isclose(img.variance, a * a * s.variance, rel_tol=1e-8), (a, c, k)
         image_rate = decay_rates(image)["variance_rate"]
         assert math.isclose(image_rate, rate, rel_tol=1e-8), (a, c)
-        assert _variance_verdicts(image_rate, table) == _variance_verdicts(rate, table)
+        assert _rate_verdicts(image_rate, table) == _rate_verdicts(rate, table)
+
+
+@pytest.mark.parametrize("config", ["configs/gaussian_asym1d.json",
+                                    "perfbench/configs/randers_box2d.json"])
+def test_shifting_the_weight_keeps_the_flow(config):
+    with open(os.path.join(ROOT, config)) as fh:
+        doc = json.load(fh)
+    cfg = parse_config(doc)
+    space = cfg.build_space()
+    u0 = space.field_from_expression(cfg.flow.u0)
+    params = cfg.flow.params
+    tol = params.tol * float(np.ptp(u0))  # evolve's stop for u0
+    flow = evolve(operators_for(space), u0, params)
+    rates, table = decay_rates(flow), cfg.curvature_table(space)
+    for c in (-300.0, 5.0, 1000.0):
+        doc["space"]["psi"] = f"{cfg.psi} + ({c!r})"
+        shifted_cfg = parse_config(doc)
+        shifted = shifted_cfg.build_space()
+        image = evolve(operators_for(shifted), u0, params)
+        assert len(image) == len(flow)
+        for r, (s, img) in enumerate(zip(flow, image)):
+            assert img.t == s.t
+            assert _l2m_norm(space, img.u - s.u) <= (r + 1) * tol, (c, r)
+        image_rates, image_table = decay_rates(image), shifted_cfg.curvature_table(shifted)
+        for name in ("variance_rate", "entropy_rate"):
+            assert math.isclose(image_rates[name], rates[name], rel_tol=1e-9), (c, name)
+            assert _rate_verdicts(image_rates[name], image_table) \
+                == _rate_verdicts(rates[name], table), (c, name)

@@ -8,7 +8,9 @@ derandomized and few, so the suite is reproducible and fast.  A space whose
 cell mass underflows is rejected at build, which is correct behaviour, so
 that draw is skipped.  A few implicit steps of the heat flow run on spaces
 whose Psi is scaled to a range of at most 20: Newton is known to fail on
-some steeper weights, an open defect.
+some steeper weights, an open defect.  On the 2D and periodic spaces the
+transport LP of each bank member's measure onto m is solved and bracketed by
+0 and the monotone coupling of the coarse measures, a feasible plan.
 """
 
 import numpy as np
@@ -18,8 +20,10 @@ from hypothesis import strategies as st
 from finslergamma import (AsymNorm1D, Domain, FlowParams, RandersNorm, build_space, evolve,
                           integrate, operators_for)
 from finslergamma.cli import ADJOINTNESS_TOL, _adjointness_residual
-from finslergamma.inequalities import make_test_bank
+from finslergamma.inequalities import _measure_from_member, make_test_bank
 from finslergamma.norms import LEGENDRE_TOL
+from finslergamma.transport import (_monotone_pieces, _pair_cost_matrix, coarsen_measure,
+                                    transport_cost_sq)
 
 _GEOMETRY_DIM = {"interval": 1, "circle": 1, "box": 2, "torus": 2}
 
@@ -43,8 +47,8 @@ def _norms(draw, dim):
 
 
 @st.composite
-def spaces(draw, psi_range=None):
-    geometry = draw(st.sampled_from(sorted(_GEOMETRY_DIM)))
+def spaces(draw, psi_range=None, geometries=tuple(_GEOMETRY_DIM)):
+    geometry = draw(st.sampled_from(sorted(geometries)))
     dim = _GEOMETRY_DIM[geometry]
     resolution = tuple(draw(st.integers(8, 40)) for _ in range(dim))
     lengths = tuple(draw(st.floats(0.5, 8.0)) for _ in range(dim))
@@ -108,3 +112,20 @@ def test_a_few_flow_steps_conserve_mass(space, seed, tau):
     mass0 = integrate(space, u0)
     for s in states:
         assert abs(integrate(space, s.u) - mass0) <= 1e-14 * mass0
+
+
+# 50 draws: the first that HiGHS presolve called infeasible (coarse masses
+# below its feasibility tolerance, although mu x nu is a feasible plan) comes
+# after the 40th
+@settings(_SETTINGS, max_examples=50)
+@given(space=spaces(geometries=("circle", "box", "torus")), seed=st.integers(0, 2**16))
+def test_the_transport_lp_is_solved_and_bracketed(space, seed):
+    ops = operators_for(space)
+    ys, wy = coarsen_measure(space, space.cell_mass)
+    for label, g in make_test_bank(space, seed=seed, size=6):
+        mu = _measure_from_member(ops.field(g))
+        cost = transport_cost_sq(space, mu, space.cell_mass)
+        xs, wx = coarsen_measure(space, mu)
+        C = _pair_cost_matrix(space, xs, ys)
+        moved, source, target = _monotone_pieces(wx, wy)
+        assert 0.0 <= cost <= moved @ C[source, target] + 1e-12 * max(1.0, C.max()), label

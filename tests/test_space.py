@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from finslergamma import Domain, asym_distance, build_space, integrate
+from finslergamma import Domain, build_space, integrate, transport_cost_sq
+from finslergamma.transport import _pair_cost_matrix
 
-from conftest import (asym21, euclid, formula_axis_coords, formula_axis_spacing,
+from conftest import (asym21, dirac, euclid, formula_axis_coords, formula_axis_spacing,
                       gauss_interval, sliced_cell_volumes)
 
 # the grids on which the per-axis rule is pinned to the oracle formulas of
@@ -110,15 +111,19 @@ def test_integrate_second_moment_against_refined_quadrature():
 
 
 def test_asym_distance_examples():
+    # W2^2 between point masses is d(x, y)^2 = F(y - x)^2, the first the source
     sp = build_space(Domain("interval", (2.0,), (9,)), asym21(), "0")
-    i0, i1 = sp.node_index([0.0]), sp.node_index([1.0])
-    assert asym_distance(sp, i0, i1) == pytest.approx(2.0)
-    assert asym_distance(sp, i1, i0) == pytest.approx(1.0)
-    assert asym_distance(sp, i0, i0) == 0.0
+    d0, d1 = dirac(sp, [0.0]), dirac(sp, [1.0])
+    assert transport_cost_sq(sp, d0, d1) == pytest.approx(4.0)
+    assert transport_cost_sq(sp, d1, d0) == pytest.approx(1.0)
+    assert transport_cost_sq(sp, d0, d0) == 0.0
 
-    circle = build_space(Domain("circle", (1.0,), (128,)), euclid(), "0")
-    j0, j1 = circle.node_index([0.0]), circle.node_index([0.75])
-    assert asym_distance(circle, j0, j1) == pytest.approx(0.25)
+    # across the seam, by the LP: a point mass's coarse block keeps its node
+    # as centroid; 0 -> 0.75 is a step of -0.25, and 0.75 -> 0 one of 0.25
+    circle = build_space(Domain("circle", (1.0,), (128,)), asym21(), "0")
+    e0, e1 = dirac(circle, [0.0]), dirac(circle, [0.75])
+    assert transport_cost_sq(circle, e0, e1) == pytest.approx(0.0625)
+    assert transport_cost_sq(circle, e1, e0) == pytest.approx(0.25)
 
 
 def test_node_index_wraps_on_periodic_axes():
@@ -139,14 +144,13 @@ def test_node_index_wraps_on_periodic_axes():
     lambda: build_space(Domain("torus", (1.0, 2.0), (16, 16)), euclid(2), "0"),
 ])
 def test_asym_distance_triangle_inequality(make):
+    # d(x_i, x_j) = F(x_j - x_i), over lattice translates: the transport cost
     sp = make()
+    d = np.sqrt(_pair_cost_matrix(sp, sp.coords, sp.coords))
     rng = np.random.default_rng(0)
     for _ in range(100):
         i, j, k = rng.integers(0, sp.n_nodes, size=3)
-        dij = asym_distance(sp, i, j)
-        djk = asym_distance(sp, j, k)
-        dik = asym_distance(sp, i, k)
-        assert dik <= dij + djk + 1e-12
+        assert d[i, k] <= d[i, j] + d[j, k] + 1e-12
 
 
 def test_field_from_expression():

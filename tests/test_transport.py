@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -10,29 +11,24 @@ from scipy.optimize import linprog
 import finslergamma
 from finslergamma import (Domain, MinkowskiNorm, RandersNorm, build_space,
                           lp_transport_cost, quantile_transport_cost,
-                          transport_cost_sq, wasserstein2)
+                          transport_cost_sq)
+from finslergamma.cli import main
 from finslergamma.transport import _check_marginal, _pair_cost_matrix, coarsen_measure
 
-from conftest import asym21, euclid, gauss_interval, oblique_randers
-
-
-def dirac(space, point):
-    mu = np.zeros(space.n_nodes)
-    mu[space.node_index(point)] = 1.0
-    return mu
+from conftest import asym21, dirac, euclid, gauss_interval, oblique_randers
 
 
 def test_identity_transport_is_free():
     sp = gauss_interval(asym21(), res=64)
     assert transport_cost_sq(sp, sp.cell_mass, sp.cell_mass) == pytest.approx(0.0, abs=1e-15)
-    assert wasserstein2(sp, sp.cell_mass) == pytest.approx(0.0, abs=1e-8)
+    assert transport_cost_sq(sp, sp.cell_mass) == pytest.approx(0.0, abs=1e-16)
 
 
 def test_dirac_asymmetry():
     sp = build_space(Domain("interval", (2.0,), (9,)), asym21(), "0")
     d0, d1 = dirac(sp, [0.0]), dirac(sp, [1.0])
-    assert wasserstein2(sp, d0, d1) == pytest.approx(2.0)
-    assert wasserstein2(sp, d1, d0) == pytest.approx(1.0)
+    assert transport_cost_sq(sp, d0, d1) == pytest.approx(4.0)
+    assert transport_cost_sq(sp, d1, d0) == pytest.approx(1.0)
 
 
 def test_quantile_matches_lp_oracle_on_32_nodes():
@@ -316,6 +312,31 @@ def test_2d_transport_periodic_shift():
     cost = transport_cost_sq(sp, mu, sp.cell_mass)
     assert 0.0 <= cost <= (1.0 / 16) ** 2 + 1e-12
 
+
+# a quartic weight on a 6-wide box: some coarse masses of the bank's
+# measures are about 1e-8, below HiGHS's 1e-7 primal feasibility tolerance,
+# and presolve called their LP infeasible (exit 3)
+STEEP_BOX = {
+    "space": {
+        "domain": {"geometry": "box", "lengths": [6.0, 6.0], "resolution": [32, 32]},
+        "norm": {"variant": "randers", "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                 "drift": [0.3, 0.1]},
+        "psi": "(x**2 + y**2) + 0.5*(x**4 + y**4)",
+    },
+    "n_values": [1000000],
+    "checkers": ["talagrand"],
+    "bank": {"seed": 3, "size": 12},
+}
+
+
+def test_the_transport_lp_solves_on_a_steep_weight(tmp_path):
+    config = tmp_path / "steep.json"
+    config.write_text(json.dumps(STEEP_BOX))
+    code = main(["ineq", "check", "--config", str(config), "--out", str(tmp_path)])
+    doc = json.loads((tmp_path / "ineq_report.json").read_text())
+    assert doc["error"] is None
+    assert code in (0, 1)
+    assert [c["checker"] for c in doc["checks"]] == ["talagrand"] * 12
 
 def _counting_linprog(monkeypatch):
     """Record the number of arcs of every LP solve made by lp_transport_cost."""
