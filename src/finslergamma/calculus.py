@@ -293,8 +293,13 @@ class DiffOperators:
         return norm.covectors(np.eye(norm.dim)[:1])
 
     def field(self, f: np.ndarray | Field) -> Field:
-        """The record of f on this bundle; a record is returned unchanged."""
-        return f if isinstance(f, Field) else Field(self, f)
+        """The record of f on this bundle; a record on this space is returned
+        unchanged, and one on another space is a ValueError."""
+        if not isinstance(f, Field):
+            return Field(self, f)
+        if f.ops.space is not self.space:
+            raise ValueError("field: a Field record built on another space was passed")
+        return f
 
     # ------------------------------------------------------------------
     # first-order operators

@@ -28,6 +28,7 @@ __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config"]
 
 MAX_FLOW_STEPS = 10**6  # longest accepted flow: round(t_end / tau) implicit steps
 MAX_BANK_SIZE = 1000  # largest accepted test bank: members per (checker, N)
+MAX_NODES = 2**16  # largest accepted grid (256^2 in 2D): the identity suite doubles each axis
 
 
 class ConfigError(ValueError):
@@ -109,6 +110,9 @@ def _parse_domain(obj, path: str) -> Domain:
                     for i, L in enumerate(obj["lengths"]))
     resolution = tuple(_integer(r, f"{path}.resolution[{i}]", MIN_RESOLUTION)
                        for i, r in enumerate(obj["resolution"]))
+    nodes = math.prod(resolution)
+    if nodes > MAX_NODES:
+        _fail(f"{path}.resolution", f"{nodes} nodes exceed the cap of {MAX_NODES}")
     try:
         return Domain(geometry=obj["geometry"], lengths=lengths, resolution=resolution)
     except (ValueError, TypeError) as exc:

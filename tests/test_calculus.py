@@ -8,8 +8,8 @@ import pytest
 
 from finslergamma import (Domain, DiffOperators, EuclideanNorm, FlowParams, RandersNorm,
                           build_space, check_bochner_pointwise, check_dEdt_identity,
-                          check_gamma2_integral, effective_K, evolve, integrate,
-                          make_test_bank, operators_for, run_checker_matrix)
+                          check_gamma2_integral, check_poincare, effective_K, evolve,
+                          integrate, make_test_bank, operators_for, run_checker_matrix)
 from finslergamma.calculus import KINK_DILATION
 from finslergamma.config import load_config
 from finslergamma.space import MIN_RESOLUTION, variance
@@ -158,6 +158,26 @@ def test_gradient_threshold_is_relative_to_the_field(scale):
     assert np.array_equal(scaled.degenerate, base.degenerate)
     assert base.degenerate.any() and not base.degenerate.all()
     assert np.allclose(scaled.grad, scale * base.grad, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("res", [256, 128])
+def test_a_record_of_another_space_is_refused(res):
+    # before, the 256-node record was read with its own norm (Poincare rhs 0.25
+    # where the array gives 1.0), and the 128-node one failed inside matmul
+    sp = gauss_interval(euclid())
+    x = sp.coords[:, 0]
+    other = gauss_interval(asym21(), res=res)
+    foreign = operators_for(other).field(other.coords[:, 0])
+    rhs = check_poincare(sp, x, math.inf, 1.0).rhs
+    assert rhs == pytest.approx(1.0, rel=1e-9)
+    with pytest.raises(ValueError, match="a Field record built on another space"):
+        operators_for(sp).field(foreign)
+    with pytest.raises(ValueError, match="another space"):
+        check_poincare(sp, foreign, math.inf, 1.0)
+    # a record of a second bundle on the same space is its own record
+    second = DiffOperators(sp).field(x)
+    assert operators_for(sp).field(second) is second
+    assert check_poincare(sp, second, math.inf, 1.0).rhs == rhs
 
 
 def test_divergence_is_exact_negative_adjoint():

@@ -563,6 +563,23 @@ def test_ineq_check_with_one_interior_node_runs(tmp_path):
     assert any(c["checker"] == "bochner_pointwise" for c in checks)
 
 
+@pytest.mark.parametrize("space, resolution", [
+    (ASYM_GAUSS["space"], [2**16 + 1]), (RANDERS_BOX["space"], [257, 256]),
+    (RANDERS_BOX["space"], [100000, 100000])], ids=["interval", "box", "box-huge"])
+def test_a_grid_above_the_node_cap_is_config_error(tmp_path, capsys, space, resolution):
+    # before, [100000, 100000] passed parse_config and describe exited 3 on a
+    # 74.5 GiB allocation
+    cfg = write_config(tmp_path, _resolved(space, resolution))
+    assert main(["space", "describe", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config key 'space.domain.resolution'" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+def test_a_grid_at_the_node_cap_is_accepted():
+    config = parse_config(_resolved(RANDERS_BOX["space"], [256, 256]))
+    assert config.domain.resolution == (256, 256)
+
+
 _FLOWING = dict(ASYM_GAUSS, flow={"u0": "1 + 0.2*x", "tau": 5e-3, "t_end": 0.05})
 
 

@@ -7,8 +7,9 @@ field is the sum of the two 1D Laplacians.  So the 2D path must give the 1D
 numbers: K(inf) is the smaller of the two factors' (Ric_inf of a product is
 the minimum over its factors), the generalized eigenvalues of D^T M D are the
 sums of the factors' (the operator is their Kronecker sum), the flow of
-a(x) + b(y) is the sum of the two 1D flows, and every checker reads an x-only
-field as the x-factor does (Bakry-Gentil-Ledoux 2014, Prop. 4.3.1 and 5.2.7).
+a(x) + b(y) is the sum of the two 1D flows, the Poincare constant is the
+larger of the factors' constants, and every checker reads an x-only field as
+the x-factor does (Bakry-Gentil-Ledoux 2014, Prop. 4.3.1 and 5.2.7).
 
 Two products are used: a diagonal Euclidean norm, and the l2 sum of two
 two-slope norms (``conftest.TwoSlopeSum``), which holds the non-reversible 2D
@@ -23,7 +24,8 @@ import pytest
 import scipy.linalg
 
 from finslergamma import (AsymNorm1D, Domain, EuclideanNorm, FlowParams, build_space,
-                          effective_K, evolve, make_test_bank, operators_for)
+                          effective_K, estimate_poincare_constant, evolve, make_test_bank,
+                          operators_for)
 from finslergamma.inequalities import CHECKER_IDS, run_checker_matrix, runs_at
 
 from conftest import TwoSlopeSum
@@ -102,6 +104,15 @@ def test_spectrum_is_the_sums_of_the_factor_spectra():
     sums = np.sort(np.add.outer(_spectrum(sx), _spectrum(sy)).reshape(-1))[1:7]
     assert sums[0] < 0.05 and sums[3] > 1.4
     assert np.max(np.abs(_spectrum(box)[1:7] / sums - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_poincare_estimate_is_the_larger_factor_estimate(name):
+    # the constant of a product is max(C_1, C_2): a function of the factor
+    # with the larger constant, lifted to the box, attains it
+    box, sx, sy = PRODUCTS[name]
+    factor = max(estimate_poincare_constant(sx), estimate_poincare_constant(sy))
+    assert math.isclose(estimate_poincare_constant(box), factor, rel_tol=1e-12)
 
 
 # name -> the additive datum's two parts, as functions of the factor's node
