@@ -136,7 +136,8 @@ def effective_K(space: WeightedSpace, N: float) -> CurvatureReport:
     rounding; each call derives Psi's derivatives and solves anew."""
     dpsi, hess = _weight_derivatives(space, N)
     if space.dim == 1:
-        dirs = np.array([[1.0 / space.norm((1.0,))], [-1.0 / space.norm((-1.0,))]])
+        dirs = np.array([[1.0], [-1.0]])
+        dirs = dirs / space.norm.values(dirs)[:, None]
         vals = np.stack([_ricci_values(dpsi, hess, v, N) for v in dirs])
         V = np.broadcast_to(dirs[:, None, :], vals.shape + (1,))
     else:

@@ -26,7 +26,7 @@ covector map v -> g_v v = F(v) grad F(v) as closed forms over (M, dim)
 stacks.  F*^2 and the Legendre transform L*, the dual's covector map with
 F(L*a) = F*(a) and a(L*a) = F*(a)^2, are derived once; the inverse metric at v
 is the dual norm's metric at the covector of v, which ``Field.Ginv`` reads.  No
-form samples or inverts per row; tests check dense samples and FD Hessians.
+form samples, inverts or verifies per row; tests check samples and FD Hessians.
 
 All operations are pure functions of immutable inputs and safe to call from
 any number of threads.
@@ -51,10 +51,6 @@ __all__ = [
 # rejected rather than risking a numerically marginal Legendre transform.
 RANDERS_MAX_DRIFT = 0.99
 
-# Post-hoc tolerance on the Legendre identities F(L*(a)) = F*(a) and
-# a(L*(a)) = F*(a)^2, relative.
-LEGENDRE_TOL = 1e-10
-
 
 class cached_attribute:
     """``functools.cached_property`` as of Python 3.12: the first read stores
@@ -73,24 +69,16 @@ class cached_attribute:
 
 
 class LegendreError(RuntimeError):
-    """Raised when a norm is not strongly convex: the Legendre identities
-    fail post-hoc verification, or a Randers drift |b|_{A^-1} reaches 1."""
-
-
-def _as_vector(v, dim: int) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.shape != (dim,):
-        raise ValueError(f"expected a vector of dimension {dim}, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector has non-finite entries")
-    return v
+    """Raised when a Randers norm is not strongly convex: building its dual
+    finds the drift |b|_{A^-1} at or above 1."""
 
 
 class MinkowskiNorm:
     """Common interface of the concrete norm variants.  Each variant states
     ``values``, ``covectors``, ``metric_tensors`` over (M, dim) stacks, its
-    ``dual_norm`` and ``reverse`` (the norm v -> F(-v)); the dual operations
-    and the one-vector methods are derived here once."""
+    ``dual_norm`` and ``reverse`` (the norm v -> F(-v)); the two dual
+    operations are derived here once.  Every form takes and returns stacks:
+    one vector v is the stack v[None, :]."""
 
     dim: int
 
@@ -102,31 +90,6 @@ class MinkowskiNorm:
     def legendre_map(self, A_):
         """L*(a) = F*(a) grad F*(a) across rows of A_; 0 at a = 0."""
         return self.dual_norm.covectors(A_)
-
-    # -- one-vector interface ---------------------------------------------
-    def __call__(self, v) -> float:
-        return float(self.values(_as_vector(v, self.dim)[None, :])[0])
-
-    def dual(self, a) -> float:
-        return float(np.sqrt(self.dual_sq_values(_as_vector(a, self.dim)[None, :])[0]))
-
-    def legendre(self, a) -> np.ndarray:
-        """L*(a), verified post hoc against the Legendre identities."""
-        a = _as_vector(a, self.dim)
-        v = self.legendre_map(a[None, :])[0]
-        fstar = self.dual(a)
-        err1 = abs(self(v) - fstar) / max(fstar, 1e-300)
-        err2 = abs(float(a @ v) - fstar * fstar) / max(fstar * fstar, 1e-300)
-        if not (err1 <= LEGENDRE_TOL and err2 <= LEGENDRE_TOL):  # catches NaN too
-            raise LegendreError(f"Legendre identities violated (rel. errors {err1:.2e}, "
-                                f"{err2:.2e}); input norm may not be strongly convex")
-        return v
-
-    def metric_tensor(self, v) -> np.ndarray:
-        v = _as_vector(v, self.dim)
-        if not np.any(v):
-            raise ValueError("metric tensor is undefined at v = 0")
-        return self.metric_tensors(v[None, :])[0]
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,32 @@ def test_ineq_check_override_k_falsifies(tmp_path):
     assert any(c["metadata"].get("member") == "linear" for c in failed)
 
 
+def test_nonsharp_sobolev_just_above_two_is_checked(tmp_path):
+    # 2^{4N/(N-2)} overflows a float at N = 2.001; the check reads it as +inf
+    doc = {"space": {"domain": {"geometry": "interval", "lengths": [2.0], "resolution": [64]},
+                     "norm": {"variant": "asym1d", "alpha": 2.0, "beta": 1.0},
+                     "psi": "x**2/2"},
+           "n_values": [2.001], "checkers": ["nonsharp_sobolev"]}
+    cfg = write_config(tmp_path, doc)
+    assert main(["ineq", "check", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "ineq_report.json").read_text())
+    assert report["error"] is None and len(report["checks"]) == 12
+    assert all(c["pass"] and c["metadata"]["constant"] == "inf" for c in report["checks"])
+
+
+def test_a_flat_circle_passes_both_bochner_checkers(tmp_path):
+    # K_eff = 0 runs only the two Bochner checkers; a smooth f cannot break
+    # the Bochner floor at K = 0, and every bank member is periodic here
+    doc = {"space": dict(CIRCLE["space"], norm=ASYM_GAUSS["space"]["norm"]),
+           "n_values": [3, "inf"]}
+    cfg = write_config(tmp_path, doc)
+    assert main(["ineq", "check", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "ineq_report.json").read_text())
+    assert report["error"] is None and len(report["checks"]) == 48
+    assert {c["checker"] for c in report["checks"]} == {"integrated_bochner",
+                                                       "bochner_pointwise"}
+
+
 def test_identities_run(tmp_path):
     cfg = write_config(tmp_path, CIRCLE)
     code = main(["identities", "run", "--config", cfg, "--out", str(tmp_path)])

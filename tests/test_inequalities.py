@@ -283,6 +283,19 @@ def test_nonsharp_sobolev(euclid_gauss2):
         check_nonsharp_sobolev(sp, one, 2.0, K)
 
 
+def test_nonsharp_sobolev_just_above_two(asym_gauss2):
+    # 2^{4N/(N-2)} is past the float range for 2 < N < 2.0079: the constant
+    # reads +inf, and f = 0 keeps rhs = 0 rather than inf * 0
+    sp, N = asym_gauss2, 2.001
+    K = effective_K(sp, N).K_eff
+    assert K > 0
+    zero = check_nonsharp_sobolev(sp, np.zeros(sp.n_nodes), N, K)
+    assert zero.passed and zero.lhs == zero.rhs == 0.0
+    for label, f in make_test_bank(sp, seed=0, size=6):
+        rep = check_nonsharp_sobolev(sp, f, N, K)
+        assert rep.passed and rep.rhs == rep.metadata["constant"] == math.inf, label
+
+
 def test_sobolev_family(euclid_gauss2, asym_gauss2):
     sp = euclid_gauss2
     K3 = effective_K(sp, 3.0).K_eff
@@ -484,6 +497,28 @@ def test_bank_is_the_branched_construction_bit_for_bit(space):
         assert [label for label, _ in bank] == [label for label, _ in oracle]
         for (label, g), (_, h) in zip(bank, oracle):
             assert np.array_equal(g, h), (seed, label)
+
+
+# circles of 8-128 nodes and tori up to 32^2, both axes uneven in places
+PERIODIC_GRIDS = ([("circle", (1.0,), (n,)) for n in (8, 9, 16, 31, 64, 128)]
+                  + [("torus", (1.0, 1.0), (8, 8)), ("torus", (2.0, 0.5), (8, 13)),
+                     ("torus", (1.0, 3.0), (16, 16)), ("torus", (3.0, 1.5), (32, 32))])
+
+
+@pytest.mark.parametrize("geometry, lengths, resolution", PERIODIC_GRIDS,
+                         ids=lambda p: "x".join(map(str, p)) if isinstance(p, tuple) else p)
+def test_periodic_bank_members_do_not_jump_at_the_seam(geometry, lengths, resolution):
+    # a member's step from the last node to the first is at most 4 times its
+    # largest step between neighbours inside the grid, along each axis
+    norm = euclid() if len(resolution) == 1 else oblique_randers()
+    sp = build_space(Domain(geometry, lengths, resolution), norm, "0")
+    for seed in range(16):
+        for label, g in make_test_bank(sp, seed=seed):
+            g = g.reshape(resolution)
+            for axis in range(sp.dim):
+                inside = np.max(np.abs(np.diff(g, axis=axis)))
+                seam = np.max(np.abs(np.take(g, 0, axis) - np.take(g, -1, axis)))
+                assert seam <= 4.0 * inside, (seed, label, axis, seam / inside)
 
 
 def test_run_checker_matrix_cells():

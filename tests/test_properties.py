@@ -11,19 +11,27 @@ whose Psi is scaled to a range of at most 20: Newton is known to fail on
 some steeper weights, an open defect.  On the 2D and periodic spaces the
 transport LP of each bank member's measure onto m is solved and bracketed by
 0 and the monotone coupling of the coarse measures, a feasible plan.
+
+The scaling maps of ``test_metamorphic``, x -> 2x and F -> 2F, are exact on
+every drawn space too: K becomes K/4 and both sides of each report scale by
+a fixed power of two.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from finslergamma import (AsymNorm1D, Domain, FlowParams, RandersNorm, build_space, evolve,
-                          integrate, operators_for)
+from finslergamma import (AsymNorm1D, Domain, FlowParams, RandersNorm, build_space,
+                          effective_K, evolve, integrate, operators_for, run_checker_matrix)
 from finslergamma.cli import ADJOINTNESS_TOL, _adjointness_residual
-from finslergamma.inequalities import _measure_from_member, make_test_bank
-from finslergamma.norms import LEGENDRE_TOL
+from finslergamma.inequalities import CHECKER_IDS, _measure_from_member, make_test_bank
 from finslergamma.transport import (_monotone_pieces, _pair_cost_matrix, coarsen_measure,
                                     transport_cost_sq)
+
+from test_metamorphic import SIDE_SCALES
 
 _GEOMETRY_DIM = {"interval": 1, "circle": 1, "box": 2, "torus": 2}
 
@@ -63,6 +71,9 @@ def spaces(draw, psi_range=None, geometries=tuple(_GEOMETRY_DIM)):
     return space
 
 
+# relative tolerance on the Legendre identities
+IDENTITY_TOL = 1e-10
+
 _SETTINGS = settings(max_examples=25, derandomize=True, database=None, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
 
@@ -95,9 +106,9 @@ def test_legendre_identities_hold_at_every_node(space, seed):
         fstar_sq = norm.dual_sq_values(a)
         # F(L*(a)) = F*(a) and a(L*(a)) = F*(a)^2, relative
         assert np.max(np.abs(norm.values(v) - np.sqrt(fstar_sq)) / np.sqrt(fstar_sq)) \
-            <= LEGENDRE_TOL, label
+            <= IDENTITY_TOL, label
         assert np.max(np.abs(np.einsum("mi,mi->m", a, v) - fstar_sq) / fstar_sq) \
-            <= LEGENDRE_TOL, label
+            <= IDENTITY_TOL, label
 
 
 @_SETTINGS
@@ -129,3 +140,48 @@ def test_the_transport_lp_is_solved_and_bracketed(space, seed):
         C = _pair_cost_matrix(space, xs, ys)
         moved, source, target = _monotone_pieces(wx, wy)
         assert 0.0 <= cost <= moved @ C[source, target] + 1e-12 * max(1.0, C.max()), label
+
+
+def _doubled(norm):
+    """2F, exactly: every entry scales by a power of two."""
+    if isinstance(norm, AsymNorm1D):
+        return AsymNorm1D(2.0 * norm.alpha, 2.0 * norm.beta)
+    return RandersNorm(4.0 * norm.A, 2.0 * norm.b)
+
+
+@pytest.mark.parametrize("scaling", ["stretch", "double-norm"])
+@_SETTINGS
+@given(space=spaces(), seed=st.integers(0, 2**16))
+def test_scaling_maps_K_and_every_report_exactly(scaling, space, seed):
+    domain = space.domain
+    if scaling == "stretch":  # node 2x carries Psi(x): the same nodal array
+        stretched = Domain(domain.geometry, tuple(2 * L for L in domain.lengths),
+                           domain.resolution)
+        image = build_space(stretched, space.norm, space.psi)
+    else:
+        image = build_space(domain, _doubled(space.norm), space.psi)
+    # left out: bochner_pointwise, whose kink band moves under F -> 2F and
+    # which a no-flux axis of 8 nodes leaves no interior node; talagrand
+    # off an interval, where its cost is an LP that the maps move by an ulp
+    no_interior = not domain.periodic and min(domain.resolution) <= 8
+    lp = domain.geometry != "interval"
+    checkers = [c for c in CHECKER_IDS if not (c == "talagrand" and lp) and not (
+        c == "bochner_pointwise" and (scaling == "double-norm" or no_interior))]
+    bank = make_test_bank(space, seed=seed, size=4)
+    reports, images = [], []
+    for N in (space.dim + 2.0, math.inf):
+        K = effective_K(space, N).K_eff
+        assert effective_K(image, N).K_eff == K / 4, N
+        # most drawn weights have K <= 0, where only the Bochner checkers
+        # run; there both sides get K = 1 and 1/4, so that every one runs
+        K = K if K > 0 else 1.0
+        reports += run_checker_matrix(space, [N], checkers, bank=bank, override_K=K)
+        images += run_checker_matrix(image, [N], checkers, bank=bank, override_K=K / 4)
+    assert len(reports) == len(images) > 0
+    for rep, img in zip(reports, images):
+        where = (rep.checker, rep.N, rep.metadata["member"])
+        assert (img.checker, img.N, img.metadata["member"]) == where
+        scale = SIDE_SCALES.get(rep.checker, 1.0)
+        assert (img.lhs, img.rhs) == (scale * rep.lhs, scale * rep.rhs), where
+        if rep.checker != "bochner_pointwise":  # its tolerance is absolute
+            assert img.passed == rep.passed, where

@@ -69,8 +69,10 @@ def test_two_slope_sum_is_the_l2_sum_with_its_dual():
                        norm.x.values(V[:, :1]) ** 2 + norm.y.values(V[:, 1:]) ** 2, rtol=1e-14)
     assert np.allclose(np.einsum("mij,mj->mi", norm.metric_tensors(V), V),
                        norm.covectors(V), rtol=1e-15)
-    for a in V:
-        norm.legendre(a)  # checks F(L*a) = F*(a) and a(L*a) = F*(a)^2 to 1e-10
+    # F(L*a) = F*(a) and a(L*a) = F*(a)^2, relative
+    L, fstar_sq = norm.legendre_map(V), norm.dual_sq_values(V)
+    assert np.all(np.abs(norm.values(L) - np.sqrt(fstar_sq)) <= 1e-10 * np.sqrt(fstar_sq))
+    assert np.all(np.abs(np.einsum("mi,mi->m", V, L) - fstar_sq) <= 1e-10 * fstar_sq)
 
 
 @pytest.mark.parametrize("name", sorted(PRODUCTS))
