@@ -32,10 +32,8 @@ frozen gradient direction, the second-order quantity
 
     Gamma2(f) = Lin-Laplacian_{grad f}[ F^2(grad f)/2 ] - D[Lap f](grad f),
 
-and residual checks for the exponential chain rules and the two
-exponential-field identities they imply.  Identity residuals are measured
-in the interior (one-sided boundary stencils are lower order); on periodic
-domains every node is interior.
+and the residuals, on periodic grids, of the exponential chain rules and
+the two exponential-field identities they imply.
 
 Everything derived from one scalar field f lives on its record, the
 ``Field`` that ``ops.field(f)`` returns: Df, F*(Df)^2, the Legendre map and
@@ -360,63 +358,48 @@ class DiffOperators:
     # ------------------------------------------------------------------
     # identity residuals for exponential fields
 
-    def relative_residual(self, lhs: np.ndarray, rhs: np.ndarray) -> float:
-        """max |lhs - rhs| over the interior, relative to the interior sup of |rhs|."""
-        diff = np.max(np.abs(lhs - rhs)[self.interior])
-        scale = np.max(np.abs(rhs)[self.interior])
-        if scale < 1e-300:
-            return float(diff)
-        return float(diff / scale)
+    def identity_residuals(self, h: np.ndarray | Field, a: float) -> dict:
+        """Residuals of three identities for w = exp(a h), a > 0, on a
+        periodic grid, keyed by name:
 
-    def identity_exp_chain(self, h: np.ndarray, a: float) -> float:
-        """Residual of the chain rules for w = exp(a h), a > 0:
-        grad w = a w grad h and Lap w = a w (Lap h + a F^2(grad h))."""
+        * ``exp_chain``: the chain rules grad w = a w grad h and
+          Lap w = a w (Lap h + a F^2(grad h)), the larger of the two;
+        * ``exp_gamma2``: Gamma2(w) against its expansion in h,
+          a^2 e^{2ah} { Gamma2(h) + a D[F^2(grad h)](grad h) + a^2 F^4(grad h) };
+        * ``exp_bochner_integrals``: the relative gap between
+          int e^{2ah} (Lap h)^2 dm and
+          int e^{2ah} { Gamma2(h) + 3a D[F^2](grad h) + 4a^2 F^4 } dm.
+
+        The nodal residuals are max |lhs - rhs| relative to max |rhs|.  The
+        integral identity chains integration by parts through every node,
+        and no-flux boundary stencils would pollute it at first order, so a
+        no-flux grid is a ValueError, as is a <= 0.
+        """
         if a <= 0:
-            raise ValueError("a must be positive")
-        self.interior_nodes("identity_exp_chain")
+            raise ValueError("identity_residuals: a must be positive")
+        if not self.space.domain.periodic:
+            raise ValueError("identity_residuals: the identities need a periodic domain")
         h = self.field(h)
         w = self.field(np.exp(a * h.f))
-        r1 = self.relative_residual(w.grad, a * w.f[:, None] * h.grad)
-        r2 = self.relative_residual(w.lap, a * w.f * (h.lap + a * h.dual_sq))
-        return max(r1, r2)
-
-    def identity_exp_gamma2(self, h: np.ndarray, a: float) -> float:
-        """Residual of Gamma2(exp(a h)) against its expansion in h:
-        a^2 e^{2ah} { Gamma2(h) + a D[F^2(grad h)](grad h) + a^2 F^4(grad h) }."""
-        if a <= 0:
-            raise ValueError("a must be positive")
-        self.interior_nodes("identity_exp_gamma2")
-        h = self.field(h)
-        lhs = self.field(np.exp(a * h.f)).g2
-        rhs = a**2 * np.exp(2 * a * h.f) * (h.g2 + a * self._df2_grad(h)
-                                             + a**2 * h.dual_sq**2)
-        return self.relative_residual(lhs, rhs)
-
-    def identity_exp_bochner_integrals(self, h: np.ndarray, a: float) -> float:
-        """Relative gap between int e^{2ah} (Lap h)^2 dm and
-        int e^{2ah} { Gamma2(h) + 3a D[F^2](grad h) + 4a^2 F^4 } dm.
-
-        Requires a periodic domain: the derivation chains integration by
-        parts through every node, and no-flux boundary stencils would
-        pollute the integrals at first order.
-        """
-        if a < 0:
-            raise ValueError("a must be nonnegative")
-        if not self.space.domain.periodic:
-            raise ValueError("integral identity requires a periodic domain")
-        h = self.field(h)
         e2 = np.exp(2 * a * h.f)
+        df2 = np.einsum("mi,mi->m", self.differential(h.dual_sq), h.grad)  # D[F^2](grad h)
+        f4 = h.dual_sq ** 2
         lhs = integrate(self.space, e2 * h.lap ** 2)
-        rhs = integrate(self.space, e2 * (h.g2 + 3 * a * self._df2_grad(h)
-                                          + 4 * a**2 * h.dual_sq**2))
+        rhs = integrate(self.space, e2 * (h.g2 + 3 * a * df2 + 4 * a**2 * f4))
         scale = max(abs(lhs), abs(rhs))
-        if scale < 1e-300:
-            return abs(lhs - rhs)
-        return abs(lhs - rhs) / scale
+        return {
+            "exp_chain": max(_relative_residual(w.grad, a * w.f[:, None] * h.grad),
+                             _relative_residual(w.lap, a * w.f * (h.lap + a * h.dual_sq))),
+            "exp_gamma2": _relative_residual(w.g2, a**2 * e2 * (h.g2 + a * df2 + a**2 * f4)),
+            "exp_bochner_integrals": abs(lhs - rhs) / scale if scale >= 1e-300 else abs(lhs - rhs),
+        }
 
-    def _df2_grad(self, h: Field) -> np.ndarray:
-        """D[F^2(grad h)](grad h)."""
-        return np.einsum("mi,mi->m", self.differential(h.dual_sq), h.grad)
+
+def _relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """max |lhs - rhs| relative to max |rhs|, or absolute if rhs vanishes."""
+    diff = np.max(np.abs(lhs - rhs))
+    scale = np.max(np.abs(rhs))
+    return float(diff) if scale < 1e-300 else float(diff / scale)
 
 
 _BUNDLES = weakref.WeakValueDictionary()  # id(space) -> a held bundle, which holds it

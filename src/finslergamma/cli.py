@@ -265,10 +265,8 @@ def cmd_identities(config: ExperimentConfig, out_dir: str, args) -> int:
         h = ops.field(0.3 * waves)
         entry = {}
         for a in IDENTITY_A_VALUES:
-            entry[f"exp_chain(a={a:g})"] = ops.identity_exp_chain(h, a)
-            entry[f"exp_gamma2(a={a:g})"] = ops.identity_exp_gamma2(h, a)
-            entry[f"exp_bochner_integrals(a={a:g})"] = \
-                ops.identity_exp_bochner_integrals(h, a)
+            for name, residual in ops.identity_residuals(h, a).items():
+                entry[f"{name}(a={a:g})"] = residual
         tau = 0.05 * min(ops.space.h) ** 2
         u0 = 1.0 + 0.1 * waves
         params = FlowParams(tau=tau, t_end=5 * tau, tol=1e-13, stride=1)

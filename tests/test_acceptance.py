@@ -67,9 +67,8 @@ def test_criterion_2_identity_suite():
             h = 0.3 * np.sin(2 * np.pi * x)
             entry = {}
             for a in (0.25, 0.5, 1.0):
-                entry[f"exp_chain(a={a})"] = ops.identity_exp_chain(h, a)
-                entry[f"exp_gamma2(a={a})"] = ops.identity_exp_gamma2(h, a)
-                entry[f"exp_integrals(a={a})"] = ops.identity_exp_bochner_integrals(h, a)
+                for name, residual in ops.identity_residuals(h, a).items():
+                    entry[f"{name}(a={a})"] = residual
             tau = 0.05 * sp.h[0] ** 2
             u0 = 1.0 + 0.1 * np.sin(2 * np.pi * x)
             states = evolve(ops, u0, FlowParams(tau=tau, t_end=5 * tau, tol=1e-13))

@@ -355,7 +355,7 @@ def test_exp_chain_rule_identity_orders():
             sp = uniform_circle(norm, res=res)
             ops = operators_for(sp)
             h = 0.3 * np.sin(2 * np.pi * sp.coords[:, 0])
-            residuals.append(ops.identity_exp_chain(h, 0.5))
+            residuals.append(ops.identity_residuals(h, 0.5)["exp_chain"])
         assert np.log2(residuals[0] / residuals[1]) > 1.8
 
 
@@ -367,7 +367,7 @@ def test_exp_gamma2_identity_orders(a):
             sp = uniform_circle(norm, res=res)
             ops = operators_for(sp)
             h = 0.3 * np.sin(2 * np.pi * sp.coords[:, 0])
-            residuals.append(ops.identity_exp_gamma2(h, a))
+            residuals.append(ops.identity_residuals(h, a)["exp_gamma2"])
         assert np.log2(residuals[0] / residuals[1]) > 1.8
 
 
@@ -379,21 +379,22 @@ def test_exp_bochner_integral_identity():
             ops = operators_for(sp)
             x = sp.coords[:, 0]
             h = 0.2 * np.sin(2 * np.pi * x) + 0.1 * np.cos(4 * np.pi * x)
-            gaps.append(ops.identity_exp_bochner_integrals(h, 0.25))
+            gaps.append(ops.identity_residuals(h, 0.25)["exp_bochner_integrals"])
         assert np.log2(gaps[0] / gaps[1]) > 1.8
     # constants give 0 = 0
     sp = uniform_circle(euclid(), res=64)
     ops = operators_for(sp)
-    assert ops.identity_exp_bochner_integrals(np.zeros(64), 0.5) == 0.0
+    assert ops.identity_residuals(np.zeros(64), 0.5)["exp_bochner_integrals"] == 0.0
 
 
 def test_exp_identities_reject_bad_inputs():
-    sp = gauss_interval(euclid(), res=64)
-    ops = operators_for(sp)
-    with pytest.raises(ValueError):
-        ops.identity_exp_gamma2(np.zeros(64), -1.0)
-    with pytest.raises(ValueError):
-        ops.identity_exp_bochner_integrals(np.zeros(64), 0.5)  # needs periodic
+    ops = operators_for(uniform_circle(euclid(), res=64))
+    for a in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="^identity_residuals: a must be positive$"):
+            ops.identity_residuals(np.zeros(64), a)
+    ops = operators_for(gauss_interval(euclid(), res=64))
+    with pytest.raises(ValueError, match="^identity_residuals: .* periodic domain$"):
+        ops.identity_residuals(np.zeros(64), 0.5)
 
 
 
@@ -411,8 +412,6 @@ def test_each_pointwise_statement_names_a_grid_without_interior_nodes(domain):
         "run_checker_matrix": lambda: run_checker_matrix(sp, [math.inf], ["bochner_pointwise"],
                                                          bank=[("g", g)], override_K=0.0),
         "check_dEdt_identity": lambda: check_dEdt_identity(ops, states),
-        "identity_exp_chain": lambda: ops.identity_exp_chain(g, 1.0),
-        "identity_exp_gamma2": lambda: ops.identity_exp_gamma2(g, 1.0),
     }
     for caller, call in calls.items():
         name = "check_bochner_pointwise" if caller == "run_checker_matrix" else caller
@@ -447,9 +446,7 @@ def test_identities_converge_on_2d_torus(make_norm):
         x, y = sp.coords[:, 0], sp.coords[:, 1]
         h = 0.2 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y) \
             + 0.1 * np.cos(2 * np.pi * y)
-        residuals.append((ops.identity_exp_chain(h, 0.5),
-                          ops.identity_exp_gamma2(h, 0.5),
-                          ops.identity_exp_bochner_integrals(h, 0.5)))
+        residuals.append(tuple(ops.identity_residuals(h, 0.5).values()))
     for r_coarse, r_fine in zip(*residuals):
         assert np.log2(r_coarse / r_fine) > 1.8
 
