@@ -24,7 +24,7 @@ import ast
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -128,12 +128,6 @@ class WeightedSpace:
     @property
     def dim(self) -> int:
         return self.domain.dim
-
-    def node_index(self, point: Sequence[float]) -> int:
-        """Index of the grid node nearest to ``point``, over lattice translates."""
-        p = np.atleast_1d(np.asarray(point, dtype=float))
-        delta = (self.coords - p)[:, None, :] + self.translates()[None, :, :]
-        return int(np.argmin(np.min(np.sum(delta ** 2, axis=2), axis=1)))
 
     def field_from_expression(self, expr: str) -> np.ndarray:
         """Evaluate a closed-form expression of x (and y in 2D) at the nodes."""

@@ -69,7 +69,7 @@ def uniform_circle(norm, length=1.0, res=128):
 def dirac(space, point):
     """The unit point mass at the node nearest to ``point``."""
     mu = np.zeros(space.n_nodes)
-    mu[space.node_index(point)] = 1.0
+    mu[np.argmin(np.sum((space.coords - point) ** 2, axis=1))] = 1.0
     return mu
 
 

@@ -204,6 +204,26 @@ def test_identities_run_on_the_shipped_torus(tmp_path):
             assert row["order"] >= ORDER_THRESHOLD, row["name"]
 
 
+@pytest.mark.parametrize("name, length, psi", [
+    ("circle_identities.json", 1e-3, "0"),
+    ("circle_identities.json", 1e3, "0"),
+    ("randers_torus2d.json", 1e-3, "0.3*sin(2*pi*x/0.001)*cos(2*pi*y/0.001)"),
+], ids=["circle-1e-3", "circle-1e3", "torus-1e-3"])
+def test_identity_suite_adjointness_holds_at_any_unit_of_length(tmp_path, name, length, psi):
+    # both integrals of the adjointness gap scale as 1/h, so its bound is relative
+    with open(os.path.join(ROOT, "configs", name)) as fh:
+        doc = json.load(fh)
+    domain = doc["space"]["domain"]
+    domain["lengths"] = [length] * len(domain["lengths"])
+    doc["space"]["psi"] = psi
+    cfg = write_config(tmp_path, doc)
+    assert main(["identities", "run", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = {row["name"]: row for row in
+            json.loads((tmp_path / "identities.json").read_text())["identities"]}
+    assert rows["adjointness"]["pass"]
+    assert max(rows["adjointness"]["residuals"]) <= ADJOINTNESS_TOL
+
+
 def _fields_built_by(monkeypatch, argv: list) -> list:
     """The array of every field record built while ``main(argv)`` runs."""
     built = []

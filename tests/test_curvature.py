@@ -23,9 +23,10 @@ def test_admissible_range():
 
 def test_ricci_examples():
     sp = gauss_interval(euclid(), length=2.0, res=257)  # odd: x = 0, 1 are nodes
-    mid = sp.node_index([0.0])
+    x = sp.coords[:, 0]
+    mid = int(np.argmin(np.abs(x)))
     assert ricci_N(sp, mid, (1.0,), math.inf) == pytest.approx(1.0, abs=1e-10)
-    at1 = sp.node_index([1.0])
+    at1 = int(np.argmin(np.abs(x - 1.0)))
     assert ricci_N(sp, at1, (1.0,), 3.0) == pytest.approx(0.5, abs=1e-9)
 
     flat = build_space(Domain("interval", (2.0,), (64,)), euclid(), "0")

@@ -103,9 +103,9 @@ DIGESTS = {
     },
     'circle_identities.json identities run': {
         'exit': 0,
-        'stdout': '0ba03718385183d7da4eda9330798845950ac4235522b9d0cc777c01fa9eefdb',
+        'stdout': 'e625324a5aa854bebecbe4323ed923b893e84ec3c0b854879b035f36106d59f6',
         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'identities.json': '89ee0dd3e48d279adbf3e13a0a086edd0d98bf23186bd92d3c1cafc36e6a2001',
+        'identities.json': '0ef10f1db3e93051e2c647ac494297c25c8d69bb6c64923c6cf1685f3d2b0d20',
     },
     'randers_box2d.json space describe': {
         'exit': 0,
@@ -171,9 +171,9 @@ DIGESTS = {
     },
     'randers_torus2d.json identities run': {
         'exit': 0,
-        'stdout': '3b089610e0e49844bb83c65109f52c03995514fb280863ecd5cb5779d9b4b9f2',
+        'stdout': '9cc863a41d80b8b3dd29a384cdcbf7c1fc34729b27161eefaac518ae14e8945b',
         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'identities.json': '7248256bb42ed8dfb5f837e68ad422bdb16a6fd48362de5660992709d0cb9b83',
+        'identities.json': '2accebc4de1ff5a55f37750eb41e89705d63023b417cf5616108c6b0b1c3dad3',
     },
 }
 

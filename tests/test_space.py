@@ -126,19 +126,6 @@ def test_asym_distance_examples():
     assert transport_cost_sq(circle, e1, e0) == pytest.approx(0.25)
 
 
-def test_node_index_wraps_on_periodic_axes():
-    circle = build_space(Domain("circle", (1.0,), (128,)), euclid(), "0")
-    assert circle.node_index((1.0,)) == 0  # node 127 is 1/128 away
-    assert circle.node_index((0.999,)) == 0
-    assert circle.node_index((0.99,)) == 127
-    torus = build_space(Domain("torus", (1.0, 2.0), (16, 16)), euclid(2), "0")
-    assert torus.node_index((1.0, 2.0)) == 0
-    assert torus.node_index((0.97, 1.0)) == 8  # (0, 8), not (15, 8)
-    assert torus.node_index((0.5, 1.96)) == 8 * 16
-    interval = build_space(Domain("interval", (2.0,), (9,)), euclid(), "0")
-    assert interval.node_index((1.0,)) == 8 and interval.node_index((-1.0,)) == 0
-
-
 @pytest.mark.parametrize("make", [
     lambda: build_space(Domain("interval", (6.0,), (64,)), asym21(), "x**2/2"),
     lambda: build_space(Domain("torus", (1.0, 2.0), (16, 16)), euclid(2), "0"),
