@@ -8,7 +8,7 @@ from .norms import (AsymNorm1D, EuclideanNorm, LegendreError, MinkowskiNorm,
                     RandersNorm, uniform_smoothness)
 from .space import Domain, WeightedSpace, build_space, integrate
 from .calculus import DiffOperators, gradient_kink_mask, operators_for
-from .curvature import CurvatureReport, admissible_N, effective_K, ricci_N
+from .curvature import CurvatureReport, admissible_N, effective_K
 from .heatflow import (FlowParams, FlowState, FlowSolverError, check_dEdt_identity,
                        decay_rates, evolve, observables, step)
 from .transport import lp_transport_cost, quantile_transport_cost, transport_cost_sq

@@ -99,10 +99,9 @@ class FlowParams:
     stride: int = 1
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        for name in ("tau", "t_end", "tol"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and positive")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
 
@@ -127,8 +126,8 @@ def step(ops: DiffOperators, u: np.ndarray, tau: float,
     """One implicit (minimizing-movement) step of size tau from u.  Newton
     starts at ``start`` (u if None) and stops once the residual is <= tol,
     so a start that already meets tol takes no Newton iteration."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be finite and positive")
     space = ops.space
     u = np.asarray(u, dtype=float)
     mass0 = integrate(space, u)

@@ -105,8 +105,9 @@ class AsymNorm1D(MinkowskiNorm):
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("alpha and beta must be positive")
+        for name in ("alpha", "beta"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
     dim = 1
 

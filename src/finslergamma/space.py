@@ -71,8 +71,8 @@ class Domain:
         dim = _GEOMETRIES[self.geometry][1]
         if len(lengths) != dim or len(resolution) != dim:
             raise ValueError(f"{self.geometry} needs {dim} length(s) and resolution(s)")
-        if any(L <= 0 for L in lengths):
-            raise ValueError("side lengths must be positive")
+        if not all(0 < L < np.inf for L in lengths):
+            raise ValueError("lengths must be finite and positive")
         if any(r < MIN_RESOLUTION for r in resolution):
             raise ValueError(f"resolution must be >= {MIN_RESOLUTION} per axis")
         object.__setattr__(self, "lengths", lengths)

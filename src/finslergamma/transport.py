@@ -182,12 +182,10 @@ def coarsen_measure(space: WeightedSpace, p):
     return moments / weights[:, None], weights
 
 
-def transport_cost_sq(space: WeightedSpace, mu, nu=None) -> float:
-    """Squared asymmetric Wasserstein cost W2^2(mu, nu); nu defaults to the
-    reference measure.  1D non-periodic grids use the exact quantile
-    coupling; everything else goes through the (possibly coarsened) LP."""
-    if nu is None:
-        nu = space.cell_mass
+def transport_cost_sq(space: WeightedSpace, mu, nu) -> float:
+    """Squared asymmetric Wasserstein cost W2^2(mu, nu).  1D non-periodic
+    grids use the exact quantile coupling; everything else goes through the
+    (possibly coarsened) LP."""
     if space.dim == 1 and not space.domain.periodic:
         return quantile_transport_cost(space, mu, nu)
     xs, wx = coarsen_measure(space, np.asarray(mu, dtype=float))

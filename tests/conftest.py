@@ -10,6 +10,11 @@ from finslergamma.inequalities import _normalize_member
 from finslergamma.norms import cached_attribute
 
 
+# values that a guard requiring a finite number > 0 must reject
+NOT_FINITE_POSITIVE = [pytest.param(np.nan, id="nan"), pytest.param(np.inf, id="inf"),
+                       pytest.param(-1.0, id="negative")]
+
+
 def euclid(dim=1):
     return EuclideanNorm(np.eye(dim))
 

@@ -18,7 +18,7 @@ from finslergamma import calculus, heatflow
 from finslergamma.config import load_config
 from finslergamma.heatflow import RATE_SENTINEL, _l2m_norm
 
-from conftest import (asym21, euclid, gauss_interval, oblique_randers,
+from conftest import (NOT_FINITE_POSITIVE, asym21, euclid, gauss_interval, oblique_randers,
                       summed_products_matrix, uniform_circle)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -119,6 +119,22 @@ def test_decay_rates_sentinel_and_validation():
     assert rates["entropy_rate"] == RATE_SENTINEL
     with pytest.raises(ValueError):
         decay_rates(states[:5])
+
+
+@pytest.mark.parametrize("bad", NOT_FINITE_POSITIVE)
+@pytest.mark.parametrize("name", ["tau", "t_end", "tol"])
+def test_flow_params_need_finite_positive_values(name, bad):
+    # a NaN tol once passed, and every Newton solve then ran to its iteration cap
+    values = {"tau": 0.01, "t_end": 0.1, "tol": 1e-10} | {name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive$"):
+        FlowParams(**values)
+
+
+@pytest.mark.parametrize("bad", NOT_FINITE_POSITIVE)
+def test_step_needs_a_finite_positive_tau(bad):
+    sp = gauss_interval(euclid(), res=32)
+    with pytest.raises(ValueError, match="^tau must be finite and positive$"):
+        step(operators_for(sp), np.ones(sp.n_nodes), bad)
 
 
 def test_decay_rate_of_a_non_finite_tail_is_nan():

@@ -5,6 +5,8 @@ from finslergamma import (AsymNorm1D, DiffOperators, Domain, EuclideanNorm, Lege
                           MinkowskiNorm, RandersNorm, build_space, uniform_smoothness)
 from finslergamma.norms import cached_attribute
 
+from conftest import NOT_FINITE_POSITIVE
+
 RANDERS = RandersNorm(np.eye(2), (0.5, 0.0))
 # non-diagonal A and an oblique drift, |b|_{A^-1} ~ 0.92
 RANDERS_GEN = RandersNorm(np.array([[2.0, 0.7], [0.7, 1.0]]), (0.6, -0.5))
@@ -166,6 +168,14 @@ def test_randers_construction_guards():
 def test_non_finite_entries_are_rejected(make):
     with pytest.raises(ValueError, match="must be finite"):
         make()
+
+
+@pytest.mark.parametrize("bad", NOT_FINITE_POSITIVE)
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+def test_two_slope_norm_needs_finite_positive_slopes(name, bad):
+    slopes = {"alpha": 2.0, "beta": 1.0} | {name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive$"):
+        AsymNorm1D(**slopes)
 
 
 def test_vectorized_paths_match_scalar():

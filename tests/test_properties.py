@@ -12,6 +12,9 @@ some steeper weights, an open defect.  On the 2D and periodic spaces the
 transport LP of each bank member's measure onto m is solved and bracketed by
 0 and the monotone coupling of the coarse measures, a feasible plan.
 
+``effective_K`` is attained: its direction is F-unit, the node's curvature
+form reads K there, and no F-unit direction of a dense sampling reads lower.
+
 The scaling maps of ``test_metamorphic``, x -> 2x and F -> 2F, are exact on
 every drawn space too: K becomes K/4 and both sides of each report scale by
 a fixed power of two.
@@ -25,7 +28,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from finslergamma import (AsymNorm1D, Domain, FlowParams, RandersNorm, build_space,
-                          effective_K, evolve, integrate, operators_for, run_checker_matrix)
+                          curvature, effective_K, evolve, integrate, operators_for,
+                          run_checker_matrix)
 from finslergamma.cli import ADJOINTNESS_TOL, _adjointness_residual
 from finslergamma.inequalities import CHECKER_IDS, _measure_from_member, make_test_bank
 from finslergamma.transport import (_monotone_pieces, _pair_cost_matrix, coarsen_measure,
@@ -123,6 +127,25 @@ def test_a_few_flow_steps_conserve_mass(space, seed, tau):
     mass0 = integrate(space, u0)
     for s in states:
         assert abs(integrate(space, s.u) - mass0) <= 1e-14 * mass0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@_SETTINGS
+@given(data=st.data())
+def test_effective_K_is_attained_and_below_every_unit_direction(dim, data):
+    space = data.draw(spaces(geometries=[g for g, d in _GEOMETRY_DIM.items() if d == dim]))
+    # both unit vectors in 1D, 2000 equiangular directions on the 2D unit sphere
+    theta = 2 * np.pi * np.arange(2000) / 2000
+    d = np.array([[1.0], [-1.0]]) if dim == 1 else np.stack([np.cos(theta), np.sin(theta)], 1)
+    d = d / space.norm.values(d)[:, None]
+    for N in (-5.0, dim + 0.5, 8.0, math.inf):
+        rep = effective_K(space, N)
+        M = curvature._curvature_forms(space, N)
+        v = np.array(rep.argmin_direction)
+        assert space.norm.values(v[None, :])[0] == pytest.approx(1.0, abs=1e-12), N
+        assert v @ M[rep.argmin_node] @ v == pytest.approx(rep.K_eff, rel=1e-10, abs=1e-12), N
+        dense = np.einsum("mij,ki,kj->mk", M, d, d).min()
+        assert rep.K_eff <= dense + 1e-13 * (1.0 + abs(rep.K_eff)), N
 
 
 # 50 draws: the first that HiGHS presolve called infeasible (coarse masses

@@ -4,7 +4,7 @@ import pytest
 from finslergamma import Domain, build_space, integrate, transport_cost_sq
 from finslergamma.transport import _pair_cost_matrix
 
-from conftest import (asym21, dirac, euclid, formula_axis_coords, formula_axis_spacing,
+from conftest import (NOT_FINITE_POSITIVE, asym21, dirac, euclid, formula_axis_coords, formula_axis_spacing,
                       gauss_interval, sliced_cell_volumes)
 
 # the grids on which the per-axis rule is pinned to the oracle formulas of
@@ -50,6 +50,12 @@ def test_no_flux_faces_carry_half_cells_and_corners_quarter_cells(domain, _):
     expected = np.ones(domain.resolution) if domain.periodic else 0.5 ** on_faces
     assert np.array_equal(sp.cell_mass.reshape(domain.resolution) / sp.cell_mass.max(),
                           expected)
+
+
+@pytest.mark.parametrize("bad", NOT_FINITE_POSITIVE)
+def test_domain_lengths_need_finite_positive_values(bad):
+    with pytest.raises(ValueError, match="^lengths must be finite and positive$"):
+        Domain("box", (2.0, bad), (16, 16))
 
 
 def test_build_space_normalization():
