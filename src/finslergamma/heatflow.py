@@ -243,7 +243,10 @@ def check_dEdt_identity(ops: DiffOperators, states: List[FlowState]) -> Dissipat
 
     The right-hand side is evaluated at the newer state of each recorded
     pair (the state whose Laplacian the implicit step equates to the
-    difference quotient).  Residual -> 0 as tau, h -> 0.
+    difference quotient).  Residual -> 0 as tau, h -> 0.  A pair need not
+    come from ``evolve``: any (u - tau Lap u, u) at times (t, t + tau) is an
+    implicit step solved backwards, exact to rounding and with no Newton
+    solve; ``fg identities run`` builds its pair so.
     """
     if len(states) < 2:
         raise ValueError("need at least two recorded states")

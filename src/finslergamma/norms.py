@@ -106,8 +106,11 @@ class AsymNorm1D(MinkowskiNorm):
 
     def __post_init__(self):
         for name in ("alpha", "beta"):
-            if not 0 < getattr(self, name) < np.inf:
+            x = getattr(self, name)
+            if not 0 < x < np.inf:
                 raise ValueError(f"{name} must be finite and positive")
+            if not 1.0 / float(x) < np.inf:  # a subnormal slope: the dual's overflows
+                raise ValueError(f"{name} = {x!r} has no finite reciprocal")
 
     dim = 1
 
@@ -173,8 +176,11 @@ class RandersNorm(MinkowskiNorm):
         except np.linalg.LinAlgError:
             raise ValueError("A must be positive-definite") from None
         Ainv = np.linalg.inv(A)
-        drift = float(np.sqrt(b @ Ainv @ b))
-        if drift >= RANDERS_MAX_DRIFT:
+        if not np.isfinite(Ainv).all():  # a subnormal eigenvalue passes cholesky
+            raise ValueError("A must have a finite inverse")
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf reads NaN
+            drift = float(np.sqrt(b @ Ainv @ b))
+        if not drift < RANDERS_MAX_DRIFT:  # NaN fails too
             raise ValueError(
                 f"Randers drift |b|_(A^-1) = {drift:.4f} >= {RANDERS_MAX_DRIFT}; "
                 "norm too close to losing strong convexity"

@@ -9,10 +9,10 @@ import weakref
 import numpy as np
 import pytest
 
-from finslergamma import calculus, heatflow, inequalities
+from finslergamma import calculus, cli, heatflow, inequalities
 from finslergamma.cli import ADJOINTNESS_TOL, ORDER_THRESHOLD, main, render_json
-from finslergamma.config import parse_config
-from finslergamma.space import WeightedSpace
+from finslergamma.config import load_config, parse_config
+from finslergamma.space import WeightedSpace, integrate
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TORUS = os.path.join(ROOT, "configs", "randers_torus2d.json")
@@ -202,6 +202,36 @@ def test_identities_run_on_the_shipped_torus(tmp_path):
             assert max(row["residuals"]) <= ADJOINTNESS_TOL
         else:
             assert row["order"] >= ORDER_THRESHOLD, row["name"]
+
+
+SHIPPED_IDENTITY_CONFIGS = pytest.mark.parametrize(
+    "config", [os.path.join(ROOT, "configs", "circle_identities.json"), TORUS],
+    ids=["circle", "torus"])
+
+
+@SHIPPED_IDENTITY_CONFIGS
+def test_identity_suite_pair_is_one_implicit_step(config):
+    # the suite solves one implicit step backwards, u_prev = u - tau Lap u, as
+    # cli does; a Newton-solved step from u_prev must land on u to its stop
+    cfg = load_config(config)
+    ops = calculus.operators_for(cfg.build_space())
+    waves = np.sin(2 * np.pi * ops.space.coords / cfg.domain.lengths).sum(axis=1)
+    u = 1.0 + 0.1 * waves
+    tau = 0.05 * min(ops.space.h) ** 2
+    tol = 1e-13 * np.ptp(u)  # 1e-13 of osc(u), as evolve reads FlowParams(tol=1e-13)
+    v = heatflow.step(ops, u - tau * ops.laplacian(u), tau, tol=tol)
+    assert np.sqrt(integrate(ops.space, (v - u) ** 2)) <= tol
+
+
+@SHIPPED_IDENTITY_CONFIGS
+def test_identity_suite_takes_no_flow_step(tmp_path, monkeypatch, config):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("the identity suite ran the flow")
+
+    for module in (heatflow, cli):
+        monkeypatch.setattr(module, "evolve", no_flow)
+    monkeypatch.setattr(heatflow, "step", no_flow)
+    assert main(["identities", "run", "--config", config, "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("name, length, psi", [
@@ -530,6 +560,24 @@ def test_non_finite_norm_entry_is_config_error(tmp_path, capsys, entry, value, c
     cfg = write_config(tmp_path, doc)
     assert main([*command, "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "config key 'space.norm': A and b must be finite" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+@pytest.mark.parametrize("space, message", [
+    (dict(ASYM_GAUSS["space"], norm={"variant": "asym1d", "alpha": 1e-310, "beta": 1.0}),
+     "alpha = 1e-310 has no finite reciprocal"),
+    (dict(RANDERS_BOX["space"], norm={"variant": "randers", "drift": [0.1, 0.0],
+                                      "matrix": [[1e-310, 0.0], [0.0, 1.0]]}),
+     "A must have a finite inverse"),
+    (dict(RANDERS_BOX["space"], norm={"variant": "randers", "drift": [0.0, 1e10],
+                                      "matrix": [[1e-300, 5e-301], [5e-301, 1e-300]]}),
+     "Randers drift |b|_(A^-1) = nan"),
+], ids=["subnormal-slope", "subnormal-matrix", "nan-drift"])
+def test_norm_without_a_finite_dual_is_config_error(tmp_path, capsys, space, message):
+    # before, these wrote S_F = inf, nan and nan to describe.json and exited 0
+    cfg = write_config(tmp_path, {"space": space})
+    assert main(["space", "describe", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"config key 'space.norm': {message}" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 

@@ -178,6 +178,28 @@ def test_two_slope_norm_needs_finite_positive_slopes(name, bad):
         AsymNorm1D(**slopes)
 
 
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+def test_two_slope_norm_needs_a_finite_reciprocal(name):
+    # a subnormal slope builds a norm whose dual slope 1/x overflows to inf
+    slopes = {"alpha": 2.0, "beta": 1.0} | {name: 1e-310}
+    with pytest.raises(ValueError, match=f"^{name} = 1e-310 has no finite reciprocal$"):
+        AsymNorm1D(**slopes)
+    AsymNorm1D(**({"alpha": 2.0, "beta": 1.0} | {name: 1e-300}))  # normal: builds
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: RandersNorm(np.array([[1e-310, 0.0], [0.0, 1.0]]), (0.1, 0.0)),
+     "^A must have a finite inverse$"),
+    (lambda: EuclideanNorm(np.array([[1e-310]])), "^A must have a finite inverse$"),
+    # A^-1 is finite, but b A^-1 b overflows to inf - inf = NaN
+    (lambda: RandersNorm(1e-300 * np.array([[1.0, 0.5], [0.5, 1.0]]), (0.0, 1e10)),
+     r"^Randers drift \|b\|_\(A\^-1\) = nan >= 0.99"),
+], ids=["subnormal-A", "subnormal-euclidean", "nan-drift"])
+def test_randers_norm_needs_a_finite_inverse_and_drift(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_vectorized_paths_match_scalar():
     # the stack forms against test-side closed forms, row by row:
     # sqrt(v'Av) + b.v with F* = sqrt(a'A^-1 a) and L* = A^-1 a at b = 0, and

@@ -105,7 +105,7 @@ DIGESTS = {
         'exit': 0,
         'stdout': 'e625324a5aa854bebecbe4323ed923b893e84ec3c0b854879b035f36106d59f6',
         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'identities.json': '0ef10f1db3e93051e2c647ac494297c25c8d69bb6c64923c6cf1685f3d2b0d20',
+        'identities.json': '2f46633480e32c54dae38dec84a1be69f1223a62a6c786ebd7de343a548a68ae',
     },
     'randers_box2d.json space describe': {
         'exit': 0,
@@ -171,9 +171,9 @@ DIGESTS = {
     },
     'randers_torus2d.json identities run': {
         'exit': 0,
-        'stdout': '9cc863a41d80b8b3dd29a384cdcbf7c1fc34729b27161eefaac518ae14e8945b',
+        'stdout': '3abc27bc08152b14df2871a780168e5a5df3ca537a2ab469cc35dbc659653697',
         'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'identities.json': '2accebc4de1ff5a55f37750eb41e89705d63023b417cf5616108c6b0b1c3dad3',
+        'identities.json': '2b527e5cedd7da83f01cb79771ac052089ce07dce88a780a9ff50cc66aa0a6c6',
     },
 }
 

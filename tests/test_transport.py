@@ -230,7 +230,8 @@ sys.exit(code)
 def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     # fresh interpreters, since this one has imported scipy already: the
     # Newton solve loads scipy.sparse.linalg and only the LP loads
-    # scipy.optimize, so the commands without a flow or an LP load no scipy
+    # scipy.optimize, so the commands without a flow or an LP load no scipy;
+    # the identity suite builds its implicit pair in closed form
     src = os.path.dirname(os.path.dirname(finslergamma.__file__))
     root = os.path.dirname(src)
 
@@ -248,13 +249,12 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
                 for command in ("space describe", "ineq check")]
     # a 2D bundle's tables and 2D effective_K
     no_scipy.append(("space describe", "perfbench/configs/randers_box2d.json"))
+    no_scipy += [("identities run", "configs/circle_identities.json"),
+                 ("identities run", "configs/randers_torus2d.json")]
     for command, config in no_scipy:
         assert scipy_after(command, config) == set(), (command, config)
-    # the dissipation identity takes five implicit steps of the flow
-    for command, config in (("identities run", "configs/circle_identities.json"),
-                            ("flow run", "configs/gaussian_asym1d.json")):
-        loaded = scipy_after(command, config)
-        assert "scipy.sparse.linalg" in loaded and "scipy.optimize" not in loaded
+    loaded = scipy_after("flow run", "configs/gaussian_asym1d.json")
+    assert "scipy.sparse.linalg" in loaded and "scipy.optimize" not in loaded
 
 
 def test_coarsen_measure_preserves_mass_and_centroid():
